@@ -71,6 +71,9 @@ def frame_coefficients(u: CartanVector) -> tuple:
     return tuple(float(inner(u, f)) / n for f, n in zip(_FRAME, _FRAME_NORM))
 
 
+_ROOT_COEFFS = (frame_coefficients(E1), frame_coefficients(E2))
+
+
 def _doubled_floats(cfg: CorrelatorConfig) -> tuple:
     """Doubled positions as complex floats with their listed charge weights."""
     pts, wts = [], []
@@ -86,15 +89,22 @@ def _doubled_floats(cfg: CorrelatorConfig) -> tuple:
 
 _EULER_GAMMA = 0.5772156649015329
 _CIRCLE_NODES = 64
+# exp1 underflows to exactly 0.0 from about 738.53 on
+_EXP1_ZERO = 740.0
 
 
 def _smoothed_log(d2: np.ndarray, tau: float) -> np.ndarray:
     """E[-ln|d + Z|] for complex Gaussian Z with E|Z|^2 = tau^2: the exact
     Gaussian smoothing of the log kernel, -ln d - E1(d^2/tau^2)/2, finite
-    at zero."""
+    at zero.  E1 is evaluated only where it does not underflow, which at
+    separations of a few tau is a small share of the entries."""
     d2 = np.asarray(d2, dtype=float)
     safe = np.where(d2 > 0, d2, 1.0)
-    smooth = -0.5 * np.log(safe) - 0.5 * exp1(safe / (tau * tau))
+    x = safe / (tau * tau)
+    near = x < _EXP1_ZERO
+    e1 = np.zeros_like(x)
+    e1[near] = exp1(x[near])
+    smooth = -0.5 * np.log(safe) - 0.5 * e1
     at_zero = 0.5 * (_EULER_GAMMA - 2.0 * math.log(tau))
     return np.where(d2 > 0, smooth, at_zero)
 
@@ -281,7 +291,8 @@ class _MassModel:
     """Grids plus per-direction quadrature bases so that the replica mass is
     ``base_i . exp(field_i)``.  The grids depend only on the truncation data
     and exclusion set; ``rebound`` swaps the insertion weights while keeping
-    the grids (and hence any shared field samples) fixed."""
+    the grids (and hence any shared field samples and their
+    ``exponentials``) fixed."""
 
     def __init__(self, cfg, delta, eps, rho, spec, extra_exclusions=()):
         self.rho = float(rho)
@@ -326,17 +337,27 @@ class _MassModel:
         return tuple([("bulk", 1), ("bulk", 2)]
                      + [("boundary", i, a) for i in (1, 2) for a in range(arcs)])
 
-    def masses(self, fields: np.ndarray) -> dict:
-        """Replica masses from a block of scalar fields, shape (2, n, R)."""
+    def exponentials(self, fields: np.ndarray) -> tuple:
+        """Per direction i, ``(exp(phi) on the bulk grid, exp(phi / 2) on
+        the boundary grid)`` with ``phi = gamma <e_i, X>``, from a block of
+        scalar fields of shape (2, n, R).  They depend on gamma and the
+        grids only, not on the insertion weights."""
         g = float(self.cfg.gamma)
         nb = self.n_bulk_pts
+        out = []
+        for c1, c2 in _ROOT_COEFFS:
+            phi = g * (c1 * fields[0] + c2 * fields[1])
+            out.append((np.exp(phi[:nb]), np.exp(0.5 * phi[nb:])))
+        return tuple(out)
+
+    def masses(self, exps: tuple) -> dict:
+        """Replica masses of one block: the insertion weights applied to its
+        ``exponentials``."""
         arcs = max(self.cfg.n_boundary, 1)
         out = {}
-        for i in (1, 2):
-            c1, c2 = frame_coefficients((E1, E2)[i - 1])
-            phi = g * (c1 * fields[0] + c2 * fields[1])
-            out[("bulk", i)] = self.bulk_base[i - 1] @ np.exp(phi[:nb])
-            weighted = self.bnd_base[i - 1][:, None] * np.exp(0.5 * phi[nb:])
+        for i, (bulk_exp, bnd_exp) in enumerate(exps, start=1):
+            out[("bulk", i)] = self.bulk_base[i - 1] @ bulk_exp
+            weighted = self.bnd_base[i - 1][:, None] * bnd_exp
             for arc in range(arcs):
                 out[("boundary", i, arc)] = \
                     weighted[self.bnd_arc == arc].sum(axis=0)
@@ -358,6 +379,23 @@ class _MassModel:
                 out[("boundary", i, arc)] = float(
                     weighted[self.bnd_arc == arc].sum())
         return out
+
+
+def _exponential_blocks(model, ensemble, seed: int, replicas: int):
+    """``model.exponentials`` of each sampling block in turn, the last
+    block cut to the requested replica count."""
+    for b in range(-(-replicas // BLOCK)):
+        count = min(BLOCK, replicas - b * BLOCK)
+        yield model.exponentials(ensemble.sample_block(seed, b)[:, :, :count])
+
+
+def _pooled_masses(model, exp_blocks) -> dict:
+    """Per-key replica masses over all blocks, in replica order.  ``map``
+    drops each block's exponentials once its masses are taken, so a
+    streamed block sequence holds one block at a time."""
+    per_block = list(map(model.masses, exp_blocks))
+    return {k: np.concatenate([m[k] for m in per_block])
+            for k in model.mass_keys}
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +609,13 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     model = _MassModel(cfg, delta, eps, rho, grid)
     ensemble = GffEnsemble(model.points, rho)
     cov_diag = np.diag(ensemble.cov).copy()
-    keys = model.mass_keys
-
-    n_blocks = -(-replicas // BLOCK)
-    block_masses = []
-    for b in range(n_blocks):
-        count = min(BLOCK, replicas - b * BLOCK)
-        fields = ensemble.sample_block(seed, b)[:, :, :count]
-        block_masses.append(model.masses(fields))
-    pooled = {k: np.concatenate([m[k] for m in block_masses]) for k in keys}
+    pooled = _pooled_masses(
+        model, _exponential_blocks(model, ensemble, seed, replicas))
 
     mass_stats = {}
-    for k in keys:
-        mean = float(pooled[k].mean())
-        err = float(pooled[k].std(ddof=1) / math.sqrt(replicas)) \
+    for k, v in pooled.items():
+        mean = float(v.mean())
+        err = float(v.std(ddof=1) / math.sqrt(replicas)) \
             if replicas > 1 else 0.0
         mass_stats[k] = (mean, err)
 
@@ -719,11 +750,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         base_model = _MassModel(cfg, delta, eps, rho, grid,
                                 extra_exclusions=positions)
         ensemble = GffEnsemble(base_model.points, rho)
-        n_blocks = -(-replicas // BLOCK)
-        blocks = [
-            ensemble.sample_block(seed, b)[:, :,
-                                           :min(BLOCK, replicas - b * BLOCK)]
-            for b in range(n_blocks)]
+        exps = list(_exponential_blocks(base_model, ensemble, seed, replicas))
 
     values, errs = [], []
     windows = None
@@ -734,9 +761,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
             values.append(coulomb)
             errs.append(0.0)
             continue
-        model = base_model.rebound(cfg_d)
-        pooled = {k: np.concatenate([model.masses(f)[k] for f in blocks])
-                  for k in model.mass_keys}
+        pooled = _pooled_masses(base_model.rebound(cfg_d), exps)
         if windows is None:
             windows, _ = _windows_from_means(
                 {k: float(v.mean()) for k, v in pooled.items()}, cfg_d, 1e-8)

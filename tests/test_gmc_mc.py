@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from w3toda.algebra_core import (
     E1,
@@ -35,6 +36,7 @@ from w3toda.gmc_mc import (
     sample_gff,
     zero_mode_window,
 )
+from w3toda.gmc_mc import _EXP1_ZERO, _MassModel, _moved_config, _smoothed_log
 
 # ---------------------------------------------------------------------------
 # shared fixture configurations (all weights exact rationals)
@@ -188,6 +190,28 @@ class TestSampler:
     def test_rho_must_be_positive(self):
         with pytest.raises(AlgebraError, match="positive"):
             GffEnsemble([1j], -0.1)
+
+
+class TestSmoothedLogCutoff:
+    def test_exp1_is_zero_from_the_cutoff_on(self):
+        # the cutoff only skips work if exp1 is exactly 0.0 past it
+        assert exp1(_EXP1_ZERO) == 0.0
+        x = np.geomspace(_EXP1_ZERO, 1e12, 4001)
+        assert np.all(exp1(x) == 0.0)
+        assert exp1(np.inf) == 0.0
+
+    def test_matches_plain_exp1_formula_bitwise(self):
+        tau = 0.006
+        x = [738.0, 738.5279211809931, 739.0, np.nextafter(_EXP1_ZERO, 0),
+             _EXP1_ZERO, np.nextafter(_EXP1_ZERO, np.inf), 1e4]
+        d2 = np.array([0.0, 1e-12, tau * tau, 0.25, 1.0, 3.0]
+                      + [v * tau * tau for v in x])
+        safe = np.where(d2 > 0, d2, 1.0)
+        plain = np.where(
+            d2 > 0, -0.5 * np.log(safe) - 0.5 * exp1(safe / (tau * tau)),
+            0.5 * (np.euler_gamma - 2.0 * math.log(tau)))
+        assert exp1(d2[6] / (tau * tau)) > 0.0
+        assert _smoothed_log(d2, tau).tobytes() == plain.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +399,26 @@ class TestFusionProbe:
                            eps=0.12, rho=0.003, replicas=1024, seed=3)
         assert rep.exponent == pytest.approx(-0.6534, abs=1e-12)
         assert rep.satisfied()
+
+    def test_rungs_reweight_shared_exponentials_bitwise(self):
+        cfg = mu_config()
+        ladder = [0.006, 0.02]
+        anchor = complex(float(cfg.boundary[0][0]))
+        base = _MassModel(cfg, 0.12, 0.12, 0.003, GridSpec(),
+                          extra_exclusions=[anchor + d for d in ladder])
+        fields = GffEnsemble(base.points, 0.003).sample_block(3, 0)[:, :, :64]
+        shared = base.exponentials(fields)
+        rungs = []
+        for d in ladder:
+            model = base.rebound(_moved_config(cfg, "boundary", 0, 1, d))
+            own = model.masses(model.exponentials(fields))
+            reweighted = model.masses(shared)
+            assert own.keys() == reweighted.keys()
+            for k in own:
+                assert own[k].tobytes() == reweighted[k].tobytes()
+            rungs.append(own)
+        # the rungs do see different weights
+        assert not np.array_equal(rungs[0][("bulk", 1)], rungs[1][("bulk", 1)])
 
     def test_report_serializes(self):
         rep = FusionReport(slope=-0.5, exponent=-0.48, correction=0.0,
