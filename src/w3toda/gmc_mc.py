@@ -9,6 +9,12 @@ factorizes over the two fundamental-weight directions and is evaluated by
 Gauss-Legendre quadrature on an adaptively grown window whose tail
 increment is reported.
 
+The mass quadrature runs in two steps: ``exponentials`` exponentiates a
+block of field replicas once (it depends on gamma and the grids only), and
+``masses`` applies the insertion-dependent weights to the result.  The
+fusion probe keeps one block set of exponentials for all ladder rungs and
+rebinds only the weights per rung.
+
 Conventions, fixed here and used consistently throughout:
 
 * covariance ``E <u, X(x)> <v, X(y)> = <u, v> G(x, y)`` with
@@ -651,7 +657,9 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
 @dataclass(frozen=True)
 class FusionReport:
     """Log-log slope of the estimated correlator along a merging ladder,
-    next to the short-distance exponent and its positive-part correction."""
+    next to the short-distance exponent and its positive-part correction.
+    ``tail_increments`` holds, per sampled rung, the zero-mode tail
+    increment of each direction on that rung's own window."""
 
     slope: float
     exponent: float
@@ -659,6 +667,7 @@ class FusionReport:
     distances: tuple
     values: tuple
     stderrs: tuple
+    tail_increments: tuple = ()
 
     @property
     def bound(self) -> float:
@@ -672,7 +681,8 @@ class FusionReport:
                 "correction": self.correction, "bound": self.bound,
                 "satisfied": self.satisfied(),
                 "distances": list(self.distances),
-                "values": list(self.values), "stderrs": list(self.stderrs)}
+                "values": list(self.values), "stderrs": list(self.stderrs),
+                "tail_increments": [list(t) for t in self.tail_increments]}
 
 
 def _moved_config(cfg, kind, i, j, d):
@@ -696,8 +706,10 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     insertion ``i``.
 
     The grids and field replicas are shared across ladder rungs (every rung
-    position is excluded from the quadrature grid up front), so rung values
-    differ only through the insertion-dependent weights.  The predicted
+    position is excluded from the quadrature grid up front): each field
+    block is exponentiated once, and each rung only rebinds the
+    insertion-dependent weights, grows its own zero-mode window from its
+    mean masses and reports that window's tail increments.  The predicted
     short-distance exponent is ``-inner`` of the pair weights for a bulk
     pair and ``-inner/2`` for a boundary pair, plus a positive-part
     correction in the second simple-root direction; the fitted slope is
@@ -752,8 +764,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         ensemble = GffEnsemble(base_model.points, rho)
         exps = list(_exponential_blocks(base_model, ensemble, seed, replicas))
 
-    values, errs = [], []
-    windows = None
+    values, errs, tails = [], [], []
     for d in ladder:
         cfg_d = _moved_config(cfg, kind, i, j, d)
         coulomb = coulomb_value(cfg_d)
@@ -762,9 +773,9 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
             errs.append(0.0)
             continue
         pooled = _pooled_masses(base_model.rebound(cfg_d), exps)
-        if windows is None:
-            windows, _ = _windows_from_means(
-                {k: float(v.mean()) for k, v in pooled.items()}, cfg_d, 1e-8)
+        windows, tail = _windows_from_means(
+            {k: float(v.mean()) for k, v in pooled.items()}, cfg_d, 1e-8)
+        tails.append(tuple(tail))
         value_r = _zero_mode_values(pooled, cfg_d, windows)
         values.append(coulomb * float(value_r.mean()))
         errs.append(coulomb * float(value_r.std(ddof=1) / math.sqrt(replicas)))
@@ -776,4 +787,4 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         slope = 0.0
     return FusionReport(slope, exponent, correction, tuple(ladder),
                         tuple(float(v) for v in values),
-                        tuple(float(e) for e in errs))
+                        tuple(float(e) for e in errs), tuple(tails))

@@ -399,6 +399,13 @@ class TestFusionProbe:
                            eps=0.12, rho=0.003, replicas=1024, seed=3)
         assert rep.exponent == pytest.approx(-0.6534, abs=1e-12)
         assert rep.satisfied()
+        # every rung grows its own zero-mode window and reports its tails
+        assert len(rep.tail_increments) == len(rep.values)
+        for pair in rep.tail_increments:
+            assert len(pair) == 2
+            assert all(0 <= t <= 1e-8 for t in pair)
+        blob = rep.to_json()
+        assert blob["tail_increments"] == [list(p) for p in rep.tail_increments]
 
     def test_rungs_reweight_shared_exponentials_bitwise(self):
         cfg = mu_config()
@@ -427,6 +434,7 @@ class TestFusionProbe:
         blob = rep.to_json()
         assert blob["bound"] == -0.48
         assert blob["satisfied"] is True
+        assert blob["tail_increments"] == []
 
     def test_ladder_below_mollification_scale(self):
         with pytest.raises(AlgebraError, match="mollification scale"):
