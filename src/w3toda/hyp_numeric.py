@@ -359,7 +359,10 @@ def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
 
     ``y0`` is the triple (value, first, second derivative) at ``u0``; the
     returned triple is the state at ``u1``.  The path may not touch or
-    cross the singular points 0 and 1.
+    cross the singular points 0 and 1.  The absolute tolerance is a
+    thousandth of ``rtol`` at the scale of the initial data, so a solution
+    of any magnitude is integrated to ``rtol``; zero initial data stays
+    zero, since the system is linear and homogeneous.
     """
     if u0 in (0.0, 1.0) or u1 in (0.0, 1.0):
         raise AlgebraError("endpoints must avoid the singular points 0 and 1")
@@ -369,7 +372,7 @@ def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
     y0 = tuple(float(v) for v in y0)
     if len(y0) != 3:
         raise AlgebraError("initial data must be (value, first, second derivative)")
-    if u0 == u1:
+    if u0 == u1 or not any(y0):
         return y0
     coeffs = derivative_coefficients(spec)
 
@@ -379,7 +382,8 @@ def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
         return (y[1], y[2], -forcing / lead)
 
     sol = solve_ivp(rhs, (u0, u1), y0, method="DOP853",
-                    rtol=rtol, atol=1e-13, dense_output=False)
+                    rtol=rtol, atol=1e-3 * rtol * max(map(abs, y0)),
+                    dense_output=False)
     if not sol.success:
         raise AlgebraError(
             f"integration from {u0} to {u1} failed: {sol.message}")
@@ -399,17 +403,20 @@ def fundamental_matrix(spec: HypergeometricSpec, u0: float = 0.1) -> tuple:
 def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
              step: float) -> list:
     """Rows (u, three solution values, three operator residuals) on the
-    grid start, start+step, ..., up to stop (inclusive within 1e-12)."""
+    grid start + i * step up to stop (inclusive within 1e-12; a last point
+    within 1e-12 of stop is stop itself)."""
     if not 0 < start <= stop < 1:
         raise AlgebraError("grid must sit inside (0, 1)")
     if step <= 0:
         raise AlgebraError("grid step must be positive")
     roots = _indicial_roots(spec)
+    grid = [start + i * step
+            for i in range(int((stop + 1e-12 - start) // step) + 1)]
+    if abs(grid[-1] - stop) <= 1e-12:
+        grid[-1] = stop
     rows = []
-    u = start
-    while u <= stop + 1e-12:
+    for u in grid:
         values = [series_eval(spec, s, u) for s in roots]
         residuals = [operator_residual(spec, s, u) for s in roots]
         rows.append((u, *values, *residuals))
-        u += step
     return rows

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3toda.algebra_core import AlgebraError, CartanVector
+from w3toda.algebra_core import OMEGA2, AlgebraError, CartanVector
 from w3toda.hyp_numeric import (
     SeriesSolution,
     derivative_coefficients,
@@ -304,6 +304,22 @@ class TestOdeIntegrate:
             ref = series_eval(spec, sigma, u1)
             assert got == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
+    def test_tiny_solution_meets_rtol(self):
+        # a large indicial exponent (about 10.32) makes the solution about
+        # 5e-11 at u = 0.1; a fixed absolute tolerance of 1e-13 left it
+        # 5.7e-7 off the series at 0.85
+        spec = bpz_spec("bulk_boundary",
+                        (CartanVector(F(1), F(1, 2)), F(1, 2) * OMEGA2),
+                        "2/gamma", F(9, 20))
+        sigma = max(1 - float(b) for b in spec.b)
+        assert sigma == pytest.approx(10.32, abs=0.01)
+        y0 = series_derivatives(spec, sigma, 0.1, orders=2)
+        assert abs(y0[0]) < 1e-10
+        got = ode_integrate(spec, 0.1, y0, 0.85)
+        ref = series_derivatives(spec, sigma, 0.85, orders=2)
+        for x, y in zip(got, ref):
+            assert abs(x - y) < 1e-7 * abs(y)
+
 
 class TestFundamentalMatrix:
     def test_nonsingular_at_default_point(self):
@@ -329,6 +345,15 @@ class TestHypGrid:
         assert rows[0][0] == pytest.approx(0.1)
         for row in rows:
             assert all(abs(x) < 1e-9 for x in row[4:])
+
+    @pytest.mark.parametrize("rows", [5, 11, 21, 91, 101])
+    def test_last_point_is_stop(self, rows):
+        start, stop = 0.05, 0.5
+        grid = hyp_grid(mkspec(*GENERIC), start, stop,
+                        (stop - start) / (rows - 1))
+        assert len(grid) == rows
+        assert grid[-1][0] == stop
+        assert grid[0][0] == start
 
     def test_grid_guards(self):
         spec = mkspec(*GENERIC)
