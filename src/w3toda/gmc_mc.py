@@ -12,8 +12,8 @@ increment is reported.
 The mass quadrature runs in two steps: ``exponentials`` exponentiates a
 block of field replicas once (it depends on gamma and the grids only), and
 ``masses`` applies the insertion-dependent weights to the result.  The
-fusion probe keeps one block set of exponentials for all ladder rungs and
-rebinds only the weights per rung.
+fusion probe exponentiates its blocks once, shares them across all ladder
+rungs and rebinds only the weights per rung.
 
 Conventions, fixed here and used consistently throughout:
 
