@@ -306,8 +306,8 @@ class TestOdeIntegrate:
 
     def test_tiny_solution_meets_rtol(self):
         # a large indicial exponent (about 10.32) makes the solution about
-        # 5e-11 at u = 0.1; a fixed absolute tolerance of 1e-13 left it
-        # 5.7e-7 off the series at 0.85
+        # 5e-11 at u = 0.1, far below an absolute tolerance fit for O(1)
+        # solutions
         spec = bpz_spec("bulk_boundary",
                         (CartanVector(F(1), F(1, 2)), F(1, 2) * OMEGA2),
                         "2/gamma", F(9, 20))
