@@ -217,17 +217,29 @@ class CorrelatorConfig:
     def neutral(self) -> bool:
         return self.s_vector.is_zero
 
+    def convergence_failure(self):
+        """The first failing charge condition of the interacting
+        correlator, as a message, or None when all hold: the total charge
+        pairs positively with both fundamental weights, and every bulk
+        weight pairs below the background charge along both simple roots."""
+        s = self.s_vector
+        for name, omega in (("first", OMEGA1), ("second", OMEGA2)):
+            if not inner(s, omega) > 0:
+                return ("zero-mode integral does not converge: the total "
+                        "charge must pair positively with the "
+                        f"{name} fundamental weight")
+        Qv = self.Q
+        for k, (_, alpha) in enumerate(self.bulk, start=1):
+            for idx, e in ((1, E1), (2, E2)):
+                if not inner(alpha - Qv, e) < 0:
+                    return (f"charge bound fails at bulk insertion {k}: the "
+                            "weight must pair below the background charge "
+                            f"along simple root {idx}")
+        return None
+
     @property
     def seiberg_ok(self) -> bool:
-        s = self.s_vector
-        if not (inner(s, OMEGA1) > 0 and inner(s, OMEGA2) > 0):
-            return False
-        Qv = self.Q
-        for _, alpha in self.bulk:
-            for e in (E1, E2):
-                if not inner(alpha - Qv, e) < 0:
-                    return False
-        return True
+        return self.convergence_failure() is None
 
     # -- serialization -----------------------------------------------------
 

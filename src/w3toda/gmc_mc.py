@@ -2,12 +2,16 @@
 
 Desk-scale probabilistic checks of the exact layer.  The two-component free
 field is sampled exactly on a finite point set (dense Cholesky of the
-mollified covariance, factorized once and shared across replicas); the
+mollified covariance, factorized once and shared across replicas; each
+block of standard normals is multiplied by the triangular factor in place,
+through BLAS ``dtrmm``, and handed on as a view of that buffer); the
 interaction masses are grid quadratures of the renormalized exponential
 field against the insertion-dependent shift weights; the zero-mode integral
 factorizes over the two fundamental-weight directions and is evaluated by
 Gauss-Legendre quadrature on an adaptively grown window whose tail
-increment is reported.
+increment is reported, together with the quadrature error (the change
+under a doubled node count, on the first sampling block).  Boundary arcs
+left without grid points by the exclusion radius are reported as well.
 
 The mass quadrature runs in two steps: ``exponentials`` exponentiates a
 block of field replicas once (it depends on gamma and the grids only), and
@@ -45,11 +49,13 @@ deterministically and partial runs merge by summing moments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from scipy.linalg.blas import dtrmm
 from scipy.special import exp1
 
 from .algebra_core import (
@@ -66,7 +72,7 @@ from .free_field import CorrelatorConfig, doubled_insertions
 BLOCK = 512
 MAX_GRID = 4096
 _SQRT3 = math.sqrt(3.0)
-_QUAD_NODES = 64
+_QUAD_NODES = 128
 
 _FRAME = (E1, E1 + 2 * E2)          # orthogonal frame, norms sqrt(2), sqrt(6)
 _FRAME_NORM = (math.sqrt(2.0), math.sqrt(6.0))
@@ -103,16 +109,22 @@ def _smoothed_log(d2: np.ndarray, tau: float) -> np.ndarray:
     """E[-ln|d + Z|] for complex Gaussian Z with E|Z|^2 = tau^2: the exact
     Gaussian smoothing of the log kernel, -ln d - E1(d^2/tau^2)/2, finite
     at zero.  E1 is evaluated only where it does not underflow, which at
-    separations of a few tau is a small share of the entries."""
+    separations of a few tau is a small share of the entries; the result
+    is built in one buffer."""
     d2 = np.asarray(d2, dtype=float)
-    safe = np.where(d2 > 0, d2, 1.0)
-    x = safe / (tau * tau)
-    near = x < _EXP1_ZERO
-    e1 = np.zeros_like(x)
-    e1[near] = exp1(x[near])
-    smooth = -0.5 * np.log(safe) - 0.5 * e1
-    at_zero = 0.5 * (_EULER_GAMMA - 2.0 * math.log(tau))
-    return np.where(d2 > 0, smooth, at_zero)
+    pos = d2 > 0
+    out = np.where(pos, d2, 1.0)
+    # the cutoff is applied to d2, not d2 / tau^2, so it may move by an ulp;
+    # exp1 is exactly 0.0 on both sides of it
+    near = out < _EXP1_ZERO * (tau * tau)
+    e1 = out[near] / (tau * tau)
+    np.log(out, out=out)
+    out *= -0.5
+    exp1(e1, out=e1)
+    e1 *= 0.5
+    out[near] -= e1
+    out[~pos] = 0.5 * (_EULER_GAMMA - 2.0 * math.log(tau))
+    return out
 
 
 def _smoothed_log_plus(p: np.ndarray, rho: float) -> np.ndarray:
@@ -139,10 +151,21 @@ def mollified_covariance(points, rho: float) -> np.ndarray:
     kernel exponentially fast."""
     p = np.asarray(points, dtype=complex)
     tau = 2.0 * rho
-    direct = _smoothed_log(np.abs(p[:, None] - p[None, :]) ** 2, tau)
-    mirror = _smoothed_log(np.abs(p[:, None] - np.conj(p)[None, :]) ** 2, tau)
+    cov = _smoothed_log(_abs2(p[:, None] - p[None, :]), tau)
+    mirror = _smoothed_log(_abs2(p[:, None] - np.conj(p)[None, :]), tau)
+    cov += mirror
     lplus = _smoothed_log_plus(p, rho)
-    return direct + mirror + 2.0 * (lplus[:, None] + lplus[None, :])
+    np.add(lplus[:, None], lplus[None, :], out=mirror)
+    mirror *= 2.0
+    cov += mirror
+    return cov
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, dropping the complex input before squaring in place."""
+    out = np.abs(z)
+    out **= 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,11 +213,19 @@ class GffEnsemble:
         return self.points.size
 
     def sample_block(self, seed: int, block: int) -> np.ndarray:
-        """Replicas [block*BLOCK, (block+1)*BLOCK) as an array (2, n, BLOCK)."""
+        """Replicas [block*BLOCK, (block+1)*BLOCK) as an array (2, n, BLOCK).
+
+        The normals (n, 2*BLOCK) are multiplied by the lower-triangular
+        factor in place: BLAS ``dtrmm`` forms ``normals.T @ chol.T`` on the
+        Fortran-ordered transposes, so neither operand is copied.  Column
+        ``r`` of the draw is replica ``r`` of component 0 and column
+        ``BLOCK + r`` replica ``r`` of component 1; the result is a
+        (2, n, BLOCK) view of that buffer."""
         rng = np.random.default_rng([int(seed), int(block)])
         normals = rng.standard_normal((self.n, 2 * BLOCK))
-        mixed = self.chol @ normals
-        return np.stack((mixed[:, :BLOCK], mixed[:, BLOCK:]))
+        mixed = dtrmm(1.0, self.chol.T, normals.T, side=1, lower=0,
+                      overwrite_b=1).T
+        return mixed.reshape(self.n, 2, BLOCK).transpose(1, 0, 2)
 
     def sample(self, seed: int, replica: int = 0) -> GffSample:
         block = self.sample_block(seed, replica // BLOCK)
@@ -298,7 +329,9 @@ class _MassModel:
     ``base_i . exp(field_i)``.  The grids depend only on the truncation data
     and exclusion set; ``rebound`` swaps the insertion weights while keeping
     the grids (and hence any shared field samples and their
-    ``exponentials``) fixed."""
+    ``exponentials``) fixed.  ``empty_arcs`` lists the (direction, arc)
+    boundary masses that have no grid point, and so are identically zero:
+    an exclusion radius wider than an arc removes all of it."""
 
     def __init__(self, cfg, delta, eps, rho, spec, extra_exclusions=()):
         self.rho = float(rho)
@@ -320,6 +353,9 @@ class _MassModel:
     def _bind(self, cfg):
         self.cfg = cfg
         self.bnd_arc = _arc_index(self.bnd_pts, cfg)
+        arcs = max(cfg.n_boundary, 1)
+        self.empty_arcs = tuple((i, a) for i in (1, 2) for a in range(arcs)
+                                if not np.any(self.bnd_arc == a))
         g = float(cfg.gamma)
         log_rho = math.log(self.rho)
         self.bulk_base, self.bnd_base = [], []
@@ -352,8 +388,13 @@ class _MassModel:
         nb = self.n_bulk_pts
         out = []
         for c1, c2 in _ROOT_COEFFS:
-            phi = g * (c1 * fields[0] + c2 * fields[1])
-            out.append((np.exp(phi[:nb]), np.exp(0.5 * phi[nb:])))
+            phi = c1 * fields[0]
+            if c2:
+                phi += c2 * fields[1]
+            phi *= g
+            phi[nb:] *= 0.5
+            np.exp(phi, out=phi)
+            out.append((phi[:nb], phi[nb:]))
         return tuple(out)
 
     def masses(self, exps: tuple) -> dict:
@@ -464,8 +505,17 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
         f"stabilize (last increment {tail:.3e})")
 
 
-def _gauss_nodes(window: tuple, sigma: float) -> tuple:
-    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
+@functools.lru_cache(maxsize=4)
+def _legendre(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: the rule
+    costs tens of milliseconds at a few hundred nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(window: tuple, sigma: float, nodes: int) -> tuple:
+    x, w = _legendre(nodes)
     lo, hi = window
     v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     return v, 0.5 * (hi - lo) * w * np.exp(sigma * v)
@@ -479,27 +529,26 @@ def _mu_totals(cfg) -> tuple:
     return mub, mu_arc
 
 
-def _check_convergence_conditions(cfg) -> None:
-    s = cfg.s_vector
-    for name, omega in (("first", OMEGA1), ("second", OMEGA2)):
-        if not inner(s, omega) > 0:
+def _check_convergence_conditions(cfg) -> bool:
+    """Raise unless the correlator of ``cfg`` can be estimated; True in the
+    free case (every measure zero), where the configuration must be neutral
+    and the value is the closed-form Coulomb product."""
+    if cfg.all_mu_zero:
+        if not cfg.neutral:
             raise AlgebraError(
-                "zero-mode integral does not converge: the total charge "
-                f"must pair positively with the {name} fundamental weight")
-    Qv = cfg.Q
-    for k, (_, alpha) in enumerate(cfg.bulk, start=1):
-        for idx, e in ((1, E1), (2, E2)):
-            if not inner(alpha - Qv, e) < 0:
-                raise AlgebraError(
-                    "charge bound fails at bulk insertion "
-                    f"{k}: the weight must pair below the background charge "
-                    f"along simple root {idx}")
+                "zero-mode integral does not converge: with all measures "
+                "zero the total charge must be neutral")
+        return True
+    failure = cfg.convergence_failure()
+    if failure:
+        raise AlgebraError(failure)
     mub, mu_arc = _mu_totals(cfg)
     for i in (1, 2):
         if mub[i - 1] <= 0 and sum(mu_arc[i - 1]) <= 0:
             raise AlgebraError(
                 "zero-mode integral does not converge: no interaction "
                 f"measure suppresses direction {i}")
+    return False
 
 
 def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
@@ -520,33 +569,51 @@ def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
     return windows, tails
 
 
-def _zero_mode_values(masses: dict, cfg, windows,
-                      chunk: int = 16384) -> np.ndarray:
-    """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica)."""
-    n = np.atleast_1d(masses[("bulk", 1)]).size
-    if n > chunk:
-        parts = []
-        for lo in range(0, n, chunk):
-            piece = {k: np.atleast_1d(v)[lo:lo + chunk]
-                     for k, v in masses.items()}
-            parts.append(_zero_mode_values(piece, cfg, windows, chunk))
-        return np.concatenate(parts)
+def _quad_error(values: np.ndarray, masses: dict, cfg, windows) -> float:
+    """Relative change of the mean zero-mode integral over the first
+    sampling block when the node count doubles."""
+    first = {k: v[:BLOCK] for k, v in masses.items()}
+    ref = float(_zero_mode_values(first, cfg, windows, 2 * _QUAD_NODES).mean())
+    return abs(float(values[:BLOCK].mean()) - ref) / ref
+
+
+def _zero_mode_values(masses: dict, cfg, windows, nodes: int = _QUAD_NODES,
+                      chunk: int = 4096) -> np.ndarray:
+    """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica),
+    each I_i by ``nodes``-point Gauss-Legendre quadrature on its window.
+    Replicas go through in chunks that reuse two (nodes, chunk) buffers."""
     gamma = float(cfg.gamma)
     mub, mu_arc = _mu_totals(cfg)
     arcs = max(cfg.n_boundary, 1)
     s = cfg.s_vector
     sigma = (float(inner(s, OMEGA1)), float(inner(s, OMEGA2)))
-    total = None
+    terms = []
     for i in (1, 2):
-        v, lin = _gauss_nodes(windows[i - 1], sigma[i - 1])
+        v, lin = _gauss_nodes(windows[i - 1], sigma[i - 1], nodes)
         bulk = mub[i - 1] * np.atleast_1d(masses[("bulk", i)])
         bnd = sum(mu_arc[i - 1][a] * np.atleast_1d(masses[("boundary", i, a)])
                   for a in range(arcs))
-        expo = (-np.exp(gamma * v)[:, None] * bulk[None, :]
-                - np.exp(0.5 * gamma * v)[:, None] * bnd[None, :])
-        part = lin @ np.exp(expo)
-        total = part if total is None else total * part
-    return total / _SQRT3
+        terms.append((lin, -np.exp(gamma * v), bulk,
+                      np.exp(0.5 * gamma * v), bnd))
+    n = terms[0][2].size
+    total = np.empty(n)
+    buf = np.empty(2 * nodes * min(n, chunk))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        size = nodes * (hi - lo)
+        expo = buf[:size].reshape(nodes, hi - lo)
+        scratch = buf[size:2 * size].reshape(nodes, hi - lo)
+        for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
+            np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
+            np.multiply.outer(half_e, bnd[lo:hi], out=scratch)
+            expo -= scratch
+            part = lin @ np.exp(expo, out=expo)
+            if i == 0:
+                total[lo:hi] = part
+            else:
+                total[lo:hi] *= part
+    total /= _SQRT3
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +625,11 @@ class GmcEstimate:
     """Monte Carlo value with per-direction chaos masses.
 
     ``masses`` maps ("bulk", i) and ("boundary", i, arc) to (mean, stderr);
-    ``diagnostics`` records the zero-mode windows, tail increments, grid
-    sizes, the closed-form Coulomb factor, and the deterministic mass
+    ``diagnostics`` records the zero-mode windows, tail increments and
+    quadrature error (``quad_error``: the relative change of the first
+    block's mean integral under a doubled node count), grid sizes, the
+    boundary masses with no grid point (``empty_arcs``, as (direction,
+    arc) pairs), the closed-form Coulomb factor, and the deterministic mass
     expectations."""
 
     value: float
@@ -603,14 +673,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     if not (delta > 0 and eps > 0 and rho > 0):
         raise AlgebraError(
             "truncation and mollification scales must be positive")
-    free_case = cfg.all_mu_zero
-    if free_case:
-        if not cfg.neutral:
-            raise AlgebraError(
-                "zero-mode integral does not converge: with all measures "
-                "zero the total charge must be neutral")
-    else:
-        _check_convergence_conditions(cfg)
+    free_case = _check_convergence_conditions(cfg)
 
     model = _MassModel(cfg, delta, eps, rho, grid)
     ensemble = GffEnsemble(model.points, rho)
@@ -630,6 +693,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
         "coulomb": coulomb,
         "grid_bulk": int(model.n_bulk_pts),
         "grid_boundary": int(model.bnd_pts.size),
+        "empty_arcs": model.empty_arcs,
         "rho": float(rho), "delta": float(delta), "eps": float(eps),
         "expected_masses": model.expected_masses(cov_diag),
     }
@@ -643,6 +707,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     diagnostics["tail_increment"] = tuple(tails)
 
     values = _zero_mode_values(pooled, cfg, windows)
+    diagnostics["quad_error"] = _quad_error(values, pooled, cfg, windows)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(replicas)) \
         if replicas > 1 else 0.0
@@ -658,8 +723,11 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
 class FusionReport:
     """Log-log slope of the estimated correlator along a merging ladder,
     next to the short-distance exponent and its positive-part correction.
-    ``tail_increments`` holds, per sampled rung, the zero-mode tail
-    increment of each direction on that rung's own window."""
+    Per sampled rung, ``tail_increments`` holds the zero-mode tail
+    increment of each direction on that rung's own window,
+    ``quad_errors`` the zero-mode quadrature error and ``empty_arcs`` the
+    (direction, arc) boundary masses with no grid point (see
+    ``GmcEstimate``)."""
 
     slope: float
     exponent: float
@@ -668,6 +736,8 @@ class FusionReport:
     values: tuple
     stderrs: tuple
     tail_increments: tuple = ()
+    quad_errors: tuple = ()
+    empty_arcs: tuple = ()
 
     @property
     def bound(self) -> float:
@@ -682,7 +752,10 @@ class FusionReport:
                 "satisfied": self.satisfied(),
                 "distances": list(self.distances),
                 "values": list(self.values), "stderrs": list(self.stderrs),
-                "tail_increments": [list(t) for t in self.tail_increments]}
+                "tail_increments": [list(t) for t in self.tail_increments],
+                "quad_errors": list(self.quad_errors),
+                "empty_arcs": [[list(k) for k in rung]
+                               for rung in self.empty_arcs]}
 
 
 def _moved_config(cfg, kind, i, j, d):
@@ -744,15 +817,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     correction = (0.5 if kind == "bulk" else 0.25) * gap * gap \
         if gap > 0 else 0.0
 
-    free_case = cfg.all_mu_zero
-    if free_case:
-        if not cfg.neutral:
-            raise AlgebraError(
-                "zero-mode integral does not converge: with all measures "
-                "zero the total charge must be neutral")
-    else:
-        _check_convergence_conditions(cfg)
-
+    free_case = _check_convergence_conditions(cfg)
     if not free_case:
         if kind == "bulk":
             anchor = complex(store[i][0].re, store[i][0].im)
@@ -764,7 +829,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         ensemble = GffEnsemble(base_model.points, rho)
         exps = list(_exponential_blocks(base_model, ensemble, seed, replicas))
 
-    values, errs, tails = [], [], []
+    values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
     for d in ladder:
         cfg_d = _moved_config(cfg, kind, i, j, d)
         coulomb = coulomb_value(cfg_d)
@@ -772,11 +837,14 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
             values.append(coulomb)
             errs.append(0.0)
             continue
-        pooled = _pooled_masses(base_model.rebound(cfg_d), exps)
+        model = base_model.rebound(cfg_d)
+        pooled = _pooled_masses(model, exps)
         windows, tail = _windows_from_means(
             {k: float(v.mean()) for k, v in pooled.items()}, cfg_d, 1e-8)
         tails.append(tuple(tail))
+        empty_arcs.append(model.empty_arcs)
         value_r = _zero_mode_values(pooled, cfg_d, windows)
+        quad_errors.append(_quad_error(value_r, pooled, cfg_d, windows))
         values.append(coulomb * float(value_r.mean()))
         errs.append(coulomb * float(value_r.std(ddof=1) / math.sqrt(replicas)))
 
@@ -787,4 +855,5 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         slope = 0.0
     return FusionReport(slope, exponent, correction, tuple(ladder),
                         tuple(float(v) for v in values),
-                        tuple(float(e) for e in errs), tuple(tails))
+                        tuple(float(e) for e in errs), tuple(tails),
+                        tuple(quad_errors), tuple(empty_arcs))

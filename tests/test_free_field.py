@@ -156,6 +156,15 @@ class TestCorrelatorConfig:
         a = QV + CartanVector(F(-1, 10), F(-1, 10))
         ok = CorrelatorConfig(GAMMA, ((CFrac(0, 1), a), (CFrac(1, 1), a)))
         assert ok.seiberg_ok
+        assert ok.convergence_failure() is None
+        assert "first fundamental weight" in small.convergence_failure()
+        # one insertion above Q along the first root: the total passes,
+        # the per-insertion bound names the insertion and the root
+        heavy = CorrelatorConfig(
+            GAMMA, ((CFrac(0, 1), a), (CFrac(1, 1), QV + CartanVector(1, 0))))
+        assert not heavy.seiberg_ok
+        assert heavy.convergence_failure().startswith(
+            "charge bound fails at bulk insertion 2")
 
     def test_json_roundtrip(self):
         cfg = CorrelatorConfig(

@@ -36,7 +36,14 @@ from w3toda.gmc_mc import (
     sample_gff,
     zero_mode_window,
 )
-from w3toda.gmc_mc import _EXP1_ZERO, _MassModel, _moved_config, _smoothed_log
+from w3toda.gmc_mc import (
+    _CIRCLE_NODES,
+    _EXP1_ZERO,
+    _ROOT_COEFFS,
+    _MassModel,
+    _moved_config,
+    _smoothed_log,
+)
 
 # ---------------------------------------------------------------------------
 # shared fixture configurations (all weights exact rationals)
@@ -191,6 +198,57 @@ class TestSampler:
         with pytest.raises(AlgebraError, match="positive"):
             GffEnsemble([1j], -0.1)
 
+    def test_block_matches_dense_product(self):
+        # the in-place triangular multiply against chol @ normals of the
+        # same draw, split into the two components
+        model = _MassModel(mu_config(), 0.12, 0.1, 0.03, GridSpec())
+        ens = GffEnsemble(model.points, 0.03)
+        for seed, b in ((0, 0), (5, 3)):
+            block = ens.sample_block(seed, b)
+            normals = np.random.default_rng([seed, b]).standard_normal(
+                (ens.n, 2 * BLOCK))
+            mixed = ens.chol @ normals
+            dense = np.stack((mixed[:, :BLOCK], mixed[:, BLOCK:]))
+            assert block.shape == (2, ens.n, BLOCK)
+            assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def plain_smoothed_log(d2, tau):
+    safe = np.where(d2 > 0, d2, 1.0)
+    return np.where(d2 > 0, -0.5 * np.log(safe) - 0.5 * exp1(safe / (tau * tau)),
+                    0.5 * (np.euler_gamma - 2.0 * math.log(tau)))
+
+
+def plain_covariance(points, rho):
+    """The mollified covariance written out term by term, without the
+    exp1 cutoff or in-place buffers."""
+    p = np.asarray(points, dtype=complex)
+    theta = 2 * math.pi * (np.arange(_CIRCLE_NODES) + 0.5) / _CIRCLE_NODES
+    circle = np.exp(1j * theta)
+    lplus = -plain_smoothed_log(np.abs(p[:, None] - circle[None, :]) ** 2,
+                                math.sqrt(2.0) * rho).mean(axis=1)
+    direct = plain_smoothed_log(np.abs(p[:, None] - p[None, :]) ** 2, 2 * rho)
+    mirror = plain_smoothed_log(np.abs(p[:, None] - np.conj(p)[None, :]) ** 2,
+                                2 * rho)
+    return direct + mirror + 2.0 * (lplus[:, None] + lplus[None, :])
+
+
+@pytest.mark.parametrize("rho", [0.003, 0.03, 0.1])
+def test_mollified_covariance_matches_plain_formula_bitwise(rho):
+    points = _MassModel(mu_config(), 0.12, 0.1, rho, GridSpec()).points
+    cov = mollified_covariance(points, rho)
+    assert cov.tobytes() == plain_covariance(points, rho).tobytes()
+
+
+def test_exponentials_match_plain_formula_bitwise():
+    model = _MassModel(mu_config(), 0.12, 0.1, 0.03, GridSpec())
+    fields = GffEnsemble(model.points, 0.03).sample_block(2, 1)[:, :, :100]
+    g, nb = float(model.cfg.gamma), model.n_bulk_pts
+    for (bulk, bnd), (c1, c2) in zip(model.exponentials(fields), _ROOT_COEFFS):
+        phi = g * (c1 * fields[0] + c2 * fields[1])
+        assert bulk.tobytes() == np.exp(phi[:nb]).tobytes()
+        assert bnd.tobytes() == np.exp(0.5 * phi[nb:]).tobytes()
+
 
 class TestSmoothedLogCutoff:
     def test_exp1_is_zero_from_the_cutoff_on(self):
@@ -212,6 +270,27 @@ class TestSmoothedLogCutoff:
             0.5 * (np.euler_gamma - 2.0 * math.log(tau)))
         assert exp1(738.0) > 0.0        # some inputs still need exp1
         assert _smoothed_log(d2, tau).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("tau", [0.006, 0.06, 0.5])
+    def test_matches_radial_integral(self, tau):
+        # E[-ln|d + Z|] = -int_0^inf ln max(d, r) (2r/tau^2) e^{-r^2/tau^2} dr,
+        # the circle average of ln|d + r e^{i theta}| being ln max(d, r)
+        mpmath = pytest.importorskip("mpmath")
+        ratios = [0.0, 1e-3, 0.5, 1.0, 4.0, 50.0, 700.0, 738.0, 739.0,
+                  _EXP1_ZERO, 745.0, 2000.0]
+        d2 = np.array([x * tau * tau for x in ratios])
+        got = _smoothed_log(d2, tau)
+        with mpmath.workdps(30):
+            t = mpmath.mpf(tau)
+            for x, value in zip(ratios, got):
+                d = t * mpmath.sqrt(x)
+
+                def integrand(r):
+                    return (mpmath.log(max(d, r)) * 2 * r / t ** 2
+                            * mpmath.exp(-(r / t) ** 2))
+                cuts = [0, d, mpmath.inf] if d > 0 else [0, mpmath.inf]
+                exact = -mpmath.quad(integrand, cuts)
+                assert abs(value - float(exact)) <= 1e-14 * max(1.0, abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +346,8 @@ class TestEstimateCorrelator:
         assert w1[0] < w1[1] and w2[0] < w2[1]
         for tail in mu_estimate.diagnostics["tail_increment"]:
             assert tail < 1e-8
+        assert 0 <= mu_estimate.diagnostics["quad_error"] < 1e-5
+        assert mu_estimate.diagnostics["empty_arcs"] == ()
 
     def test_stderr_scales_with_replicas(self, mu_estimate):
         est4 = estimate_correlator(mu_config(), delta=0.12, eps=0.1,
@@ -404,8 +485,14 @@ class TestFusionProbe:
         for pair in rep.tail_increments:
             assert len(pair) == 2
             assert all(0 <= t <= 1e-8 for t in pair)
+        assert len(rep.quad_errors) == len(rep.values)
+        assert all(0 <= e < 1e-5 for e in rep.quad_errors)
+        # eps = 0.12 covers the whole arc between the merging pair
+        assert rep.empty_arcs == (((1, 0), (2, 0)),) * len(rep.values)
         blob = rep.to_json()
         assert blob["tail_increments"] == [list(p) for p in rep.tail_increments]
+        assert blob["quad_errors"] == list(rep.quad_errors)
+        assert blob["empty_arcs"] == [[[1, 0], [2, 0]]] * len(rep.values)
 
     def test_rungs_reweight_shared_exponentials_bitwise(self):
         cfg = mu_config()
@@ -435,6 +522,7 @@ class TestFusionProbe:
         assert blob["bound"] == -0.48
         assert blob["satisfied"] is True
         assert blob["tail_increments"] == []
+        assert blob["quad_errors"] == [] and blob["empty_arcs"] == []
 
     def test_ladder_below_mollification_scale(self):
         with pytest.raises(AlgebraError, match="mollification scale"):
