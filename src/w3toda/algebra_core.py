@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 DEGREE_CAP = 64
 
@@ -30,13 +29,6 @@ class AlgebraError(ValueError):
 
 class DegreeOverflowError(AlgebraError):
     """A polynomial operation exceeded DEGREE_CAP (runaway computation guard)."""
-
-
-def register_variable(name: str, level: int = 0) -> None:
-    existing = VAR_LEVEL.get(name)
-    if existing is not None and existing != level:
-        raise AlgebraError(f"variable {name!r} already registered at level {existing}")
-    VAR_LEVEL[name] = level
 
 
 def _as_coeff(x):
@@ -133,10 +125,21 @@ def poly_gcd(a, b) -> tuple:
 
 
 def poly_eval(a, x):
-    res = Fraction(0)
+    """Horner evaluation; exact for exact coefficients, float for floats."""
+    res = 0
     for c in reversed(a):
         res = res * x + c
     return res
+
+
+def poly_from_shifts(scale, shifts) -> tuple:
+    """Coefficients of scale * prod_s (x + s), one linear factor at a time;
+    exact for exact inputs, float for floats."""
+    poly = [scale]
+    for s in shifts:
+        poly = [poly[0] * s] + [poly[i] * s + poly[i - 1]
+                                for i in range(1, len(poly))] + [poly[-1]]
+    return tuple(poly)
 
 
 def _poly_str(a, var: str) -> str:
@@ -576,6 +579,7 @@ RHO = CartanVector(1, 1)
 H1 = OMEGA1
 H2 = CartanVector(Fraction(-1, 3), Fraction(1, 3))
 H3 = CartanVector(Fraction(-1, 3), Fraction(-2, 3))
+_HVECS = (H1, H2, H3)
 
 
 def q_of_gamma(gamma=None):
@@ -618,6 +622,15 @@ def conformal_weight(alpha: CartanVector, q=None):
     return inner(alpha, Qv) - inner(alpha, alpha) * Fraction(1, 2)
 
 
+def _spin_product(alpha: CartanVector, q):
+    """prod_i <h_i, alpha - Q> over the weights h_i of the fundamental."""
+    shifted = alpha - background_charge(q)
+    prod = Fraction(1)
+    for h in _HVECS:
+        prod = prod * inner(h, shifted)
+    return prod
+
+
 @lru_cache(maxsize=1)
 def cw_constant() -> Fraction:
     """Spin normalization solved from the degenerate-weight ratio identity.
@@ -629,13 +642,8 @@ def cw_constant() -> Fraction:
     q = variable("q")
     kappa = variable("kappa")
     alpha = kappa * OMEGA1
-    Qv = background_charge(q)
-    prod = Fraction(1)
-    for h in (H1, H2, H3):
-        prod = prod * inner(h, alpha - Qv)
-    delta = inner(alpha, Qv) - inner(alpha, alpha) * Fraction(1, 2)
     target = q - kappa * Fraction(2, 3)
-    cw = target * 2 * delta / (3 * prod)
+    cw = target * 2 * conformal_weight(alpha, q) / (3 * _spin_product(alpha, q))
     value = cw.as_constant() if isinstance(cw, RatFunc) else cw
     if not isinstance(value, Fraction):
         raise AlgebraError("spin normalization did not reduce to a constant")
@@ -646,8 +654,4 @@ def spin(alpha: CartanVector, q=None):
     """w(alpha) = c_w * prod_i <h_i, alpha - Q>, antisymmetric about Q."""
     if q is None:
         q = q_of_gamma()
-    Qv = background_charge(q)
-    prod = cw_constant()
-    for h in (H1, H2, H3):
-        prod = prod * inner(h, alpha - Qv)
-    return prod
+    return cw_constant() * _spin_product(alpha, q)

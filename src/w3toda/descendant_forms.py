@@ -29,23 +29,20 @@ from itertools import permutations
 from math import factorial
 
 from .algebra_core import (
-    H1,
-    H2,
-    H3,
     OMEGA1,
     OMEGA2,
     RHO,
     AlgebraError,
     CartanVector,
+    CFrac,
     RatFunc,
+    _HVECS,
     _as_coeff,
     inner,
     q_of_gamma,
     ratfunc_from_json,
     variable,
 )
-
-_HVECS = (H1, H2, H3)
 
 # Inverse Cartan matrix, used to expand <d^p Phi, d^r Phi> over basis factors.
 _AINV = (
@@ -71,6 +68,18 @@ def scalar_from_json(data) -> object:
     if "var" in data:
         return ratfunc_from_json(data["var"], data)
     return Fraction(int(data["num"]), int(data["den"]))
+
+
+def _scalar_json(c):
+    """Display encoding of a scalar in the records' ``to_json``: floats and
+    None as they are, complex rationals as [re, im] strings, other exact
+    scalars as their string.  It is not read back; the round-trip format
+    is ``scalar_to_json``."""
+    if c is None or isinstance(c, float):
+        return c
+    if isinstance(c, CFrac):
+        return [str(c.re), str(c.im)]
+    return str(c)
 
 
 @dataclass(frozen=True)
@@ -278,6 +287,29 @@ class Weight:
 
 
 Weight.__hash__ = None
+
+
+def screening_branch(chi, gamma=None) -> tuple:
+    """(branch, value) of a screening scale chi in {gamma, 2/gamma}.
+
+    ``chi`` is the branch name ``"gamma"``/``"2/gamma"``, resolved against
+    ``gamma`` (symbolic by default), or a numeric or symbolic scale, which
+    needs ``gamma`` and must equal one of the two values.
+    """
+    if chi in ("gamma", "2/gamma"):
+        g = variable("gamma") if gamma is None else gamma
+        return chi, (g if chi == "gamma" else 2 / (Fraction(1) * g))
+    if gamma is None:
+        raise AlgebraError(
+            "a screening scale given by value needs gamma to fix the "
+            "background charge")
+    if chi == gamma:
+        return "gamma", chi
+    if chi * gamma == 2:
+        return "2/gamma", chi
+    raise AlgebraError(
+        "screening scale must equal gamma or 2/gamma for the given gamma, "
+        f"got {chi!r}")
 
 
 def vec_factor(u: CartanVector, p: int) -> FieldPolynomial:

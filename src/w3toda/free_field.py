@@ -32,9 +32,6 @@ from math import comb, factorial
 from .algebra_core import (
     E1,
     E2,
-    H1,
-    H2,
-    H3,
     OMEGA1,
     OMEGA2,
     AlgebraError,
@@ -44,6 +41,7 @@ from .algebra_core import (
     conformal_weight,
     inner,
     q_of_gamma,
+    spin,
 )
 from .descendant_forms import (
     FieldPolynomial,
@@ -459,6 +457,8 @@ def _pair_product(points, k, p, l, q):
 # ---------------------------------------------------------------------------
 
 def _ipp_factor(u: CartanVector, p: int, insertions) -> RationalField:
+    """The pole sum (p-1)! * sum_k <u, w_k> / (2 (z_k - t)^p) of one factor
+    <u, d^p Phi> over the (point, weight) list."""
     points = tuple(z for z, _ in insertions)
     terms = {}
     pref = Fraction(factorial(p - 1), 2)
@@ -475,8 +475,7 @@ def _ipp_field(form: FieldPolynomial, insertions) -> RationalField:
     for m, coeff in form.terms.items():
         piece = None
         for p, i in m.factors:
-            u = CartanVector(1, 0) if i == 1 else CartanVector(0, 1)
-            f = _ipp_factor(u, p, insertions)
+            f = _ipp_factor((E1, E2)[i - 1], p, insertions)
             piece = f if piece is None else piece * f
         if piece is None:
             continue
@@ -581,11 +580,7 @@ def engine_spin(alpha_hat: CartanVector, q) -> Fraction:
     Equals half the closed-form spin of the doubled weight; it is the exact
     triple-pole coefficient of the current insertion at that point.
     """
-    Qv = background_charge(q)
-    prod = Fraction(1)
-    for h in (H1, H2, H3):
-        prod = prod * inner(h, alpha_hat - Qv)
-    return prod
+    return spin(alpha_hat, q=q) / 2
 
 
 def descendant_ratio_at(cfg: CorrelatorConfig, k: int,
@@ -597,17 +592,16 @@ def descendant_ratio_at(cfg: CorrelatorConfig, k: int,
         raise AlgebraError(f"doubled index {k} out of range")
     zk = insertions[k][0]
     others = [(z, w) for i, (z, w) in enumerate(insertions) if i != k]
+    sums = {}   # pole sum at z_k of each distinct (order, index) factor
     total = CFrac(0)
     for m, coeff in form.terms.items():
         piece = CFrac.of(coeff) if not isinstance(coeff, CFrac) else coeff
-        for p, i in m.factors:
-            u = CartanVector(1, 0) if i == 1 else CartanVector(0, 1)
-            s = CFrac(0)
-            pref = Fraction(factorial(p - 1), 2)
-            for z, w in others:
-                c = pref * inner(u, w)
-                if c != 0:
-                    s = s + CFrac.of(c) * ((z - zk).reciprocal() ** p)
+        for factor in m.factors:
+            s = sums.get(factor)
+            if s is None:
+                p, i = factor
+                s = sums[factor] = _ipp_factor(
+                    (E1, E2)[i - 1], p, others).evaluate(zk)
             piece = piece * s
         total = total + piece
     return total
@@ -627,13 +621,7 @@ def w_current_field(cfg: CorrelatorConfig) -> RationalField:
     for coeff, factors in miura_current_terms(q=q):
         piece = None
         for u, p in factors:
-            terms = {}
-            pref = Fraction(factorial(p - 1), 2)
-            for k, (_, w) in enumerate(insertions):
-                c = pref * inner(u, w)
-                if c != 0:
-                    terms[(k, p)] = CFrac.of(c)
-            f = RationalField(points, terms)
+            f = _ipp_factor(u, p, insertions)
             piece = f if piece is None else piece * f
         if piece is not None:
             total = total + piece * coeff

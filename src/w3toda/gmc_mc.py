@@ -73,6 +73,7 @@ BLOCK = 512
 MAX_GRID = 4096
 _SQRT3 = math.sqrt(3.0)
 _QUAD_NODES = 128
+_ZERO_MODE_CHUNK = 4096             # replicas per zero-mode buffer pass
 
 _FRAME = (E1, E1 + 2 * E2)          # orthogonal frame, norms sqrt(2), sqrt(6)
 _FRAME_NORM = (math.sqrt(2.0), math.sqrt(6.0))
@@ -551,12 +552,25 @@ def _check_convergence_conditions(cfg) -> bool:
     return False
 
 
+def _sigma_pair(cfg) -> tuple:
+    """Pairings of the total charge s with omega_1 and omega_2, the linear
+    rates of the two zero-mode directions."""
+    s = cfg.s_vector
+    return float(inner(s, OMEGA1)), float(inner(s, OMEGA2))
+
+
+def _mean_stderr(values: np.ndarray) -> tuple:
+    """Sample mean and standard error of the mean (0.0 for one sample)."""
+    err = float(values.std(ddof=1) / math.sqrt(values.size)) \
+        if values.size > 1 else 0.0
+    return float(values.mean()), err
+
+
 def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
     gamma = float(cfg.gamma)
     mub, mu_arc = _mu_totals(cfg)
     arcs = max(cfg.n_boundary, 1)
-    s = cfg.s_vector
-    sigma = (float(inner(s, OMEGA1)), float(inner(s, OMEGA2)))
+    sigma = _sigma_pair(cfg)
     windows, tails = [], []
     for i in (1, 2):
         bulk_term = mub[i - 1] * mean_masses[("bulk", i)]
@@ -577,16 +591,16 @@ def _quad_error(values: np.ndarray, masses: dict, cfg, windows) -> float:
     return abs(float(values[:BLOCK].mean()) - ref) / ref
 
 
-def _zero_mode_values(masses: dict, cfg, windows, nodes: int = _QUAD_NODES,
-                      chunk: int = 4096) -> np.ndarray:
+def _zero_mode_values(masses: dict, cfg, windows,
+                      nodes: int = _QUAD_NODES) -> np.ndarray:
     """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica),
     each I_i by ``nodes``-point Gauss-Legendre quadrature on its window.
-    Replicas go through in chunks that reuse two (nodes, chunk) buffers."""
+    Replicas go through in chunks that reuse two (nodes, _ZERO_MODE_CHUNK)
+    buffers."""
     gamma = float(cfg.gamma)
     mub, mu_arc = _mu_totals(cfg)
     arcs = max(cfg.n_boundary, 1)
-    s = cfg.s_vector
-    sigma = (float(inner(s, OMEGA1)), float(inner(s, OMEGA2)))
+    sigma = _sigma_pair(cfg)
     terms = []
     for i in (1, 2):
         v, lin = _gauss_nodes(windows[i - 1], sigma[i - 1], nodes)
@@ -597,9 +611,9 @@ def _zero_mode_values(masses: dict, cfg, windows, nodes: int = _QUAD_NODES,
                       np.exp(0.5 * gamma * v), bnd))
     n = terms[0][2].size
     total = np.empty(n)
-    buf = np.empty(2 * nodes * min(n, chunk))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    buf = np.empty(2 * nodes * min(n, _ZERO_MODE_CHUNK))
+    for lo in range(0, n, _ZERO_MODE_CHUNK):
+        hi = min(lo + _ZERO_MODE_CHUNK, n)
         size = nodes * (hi - lo)
         expo = buf[:size].reshape(nodes, hi - lo)
         scratch = buf[size:2 * size].reshape(nodes, hi - lo)
@@ -681,12 +695,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     pooled = _pooled_masses(
         model, _exponential_blocks(model, ensemble, seed, replicas))
 
-    mass_stats = {}
-    for k, v in pooled.items():
-        mean = float(v.mean())
-        err = float(v.std(ddof=1) / math.sqrt(replicas)) \
-            if replicas > 1 else 0.0
-        mass_stats[k] = (mean, err)
+    mass_stats = {k: _mean_stderr(v) for k, v in pooled.items()}
 
     coulomb = coulomb_value(cfg)
     diagnostics = {
@@ -708,9 +717,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
 
     values = _zero_mode_values(pooled, cfg, windows)
     diagnostics["quad_error"] = _quad_error(values, pooled, cfg, windows)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(replicas)) \
-        if replicas > 1 else 0.0
+    mean, stderr = _mean_stderr(values)
     return GmcEstimate(coulomb * mean, coulomb * stderr, replicas,
                        mass_stats, diagnostics)
 
@@ -846,8 +853,9 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         empty_arcs.append(model.empty_arcs)
         value_r = _zero_mode_values(pooled, cfg_d, windows)
         quad_errors.append(_quad_error(value_r, pooled, cfg_d, windows))
-        values.append(coulomb * float(value_r.mean()))
-        errs.append(coulomb * float(value_r.std(ddof=1) / math.sqrt(replicas)))
+        mean, err = _mean_stderr(value_r)
+        values.append(coulomb * mean)
+        errs.append(coulomb * err)
 
     logs = np.log(np.asarray(values))
     if np.ptp(logs) > 1e-14:

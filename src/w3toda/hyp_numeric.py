@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .algebra_core import AlgebraError, RatFunc
+from .algebra_core import AlgebraError, RatFunc, poly_eval, poly_from_shifts
 from .ward_bpz import HypergeometricSpec
 
 _TRUNC = 1e-15
@@ -299,22 +299,13 @@ def _stirling2(n: int) -> tuple:
     return tuple(row)
 
 
-def _poly_from_shifts(scale: float, shifts) -> list:
-    """Coefficients (low first) of scale * prod_s (x + s)."""
-    poly = [scale]
-    for s in shifts:
-        poly = [poly[0] * s] + [poly[i] * s + poly[i - 1]
-                                for i in range(1, len(poly))] + [poly[-1]]
-    return poly
-
-
 def derivative_coefficients(spec: HypergeometricSpec) -> tuple:
     """u-polynomials (coefficient lists, low degree first) multiplying
     f, f', f'', f''' in the expanded operator, derived from the encoding
     via theta^k = sum_j S(k, j) u^j d^j."""
     polys = [[], [], [], []]
     for scale, p, shifts in _float_terms(spec):
-        theta_poly = _poly_from_shifts(scale, shifts)
+        theta_poly = poly_from_shifts(scale, shifts)
         for k, alpha in enumerate(theta_poly):
             if alpha == 0:
                 continue
@@ -330,19 +321,12 @@ def derivative_coefficients(spec: HypergeometricSpec) -> tuple:
     return tuple(tuple(c) for c in polys)
 
 
-def _poly_at(coeffs, u: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * u + c
-    return total
-
-
 def operator_residual(spec: HypergeometricSpec, sigma, u: float) -> float:
     """Value of the differential operator applied to the Frobenius solution
     at ``u``; numerically zero for a valid solution."""
     coeffs = derivative_coefficients(spec)
     derivs = series_derivatives(spec, sigma, u, orders=3)
-    return sum(_poly_at(c, u) * d for c, d in zip(coeffs, derivs))
+    return sum(poly_eval(c, u) * d for c, d in zip(coeffs, derivs))
 
 
 def _segment(u: float) -> int:
@@ -377,8 +361,8 @@ def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
     coeffs = derivative_coefficients(spec)
 
     def rhs(u, y):
-        lead = _poly_at(coeffs[3], u)
-        forcing = sum(_poly_at(coeffs[k], u) * y[k] for k in range(3))
+        lead = poly_eval(coeffs[3], u)
+        forcing = sum(poly_eval(coeffs[k], u) * y[k] for k in range(3))
         return (y[1], y[2], -forcing / lead)
 
     sol = solve_ivp(rhs, (u0, u1), y0, method="DOP853",

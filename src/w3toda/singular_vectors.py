@@ -40,9 +40,11 @@ from .descendant_forms import (
     FieldMonomial,
     FieldPolynomial,
     Weight,
+    _scalar_json,
     combine,
     l_form,
     miura_w_form,
+    screening_branch,
 )
 
 #: Key used for the spin-3 form in a coefficient map; every other key is a
@@ -53,14 +55,6 @@ _LEVEL_PARTITIONS = {1: ((1,),), 2: ((1, 1), (2,)), 3: ((3,), (1, 2), (1, 1, 1))
 
 _M1 = FieldMonomial(((1, 1),))
 _M2 = FieldMonomial(((1, 2),))
-
-
-def _scalar_json(c):
-    if c is None:
-        return None
-    if isinstance(c, float):
-        return c
-    return str(c)
 
 
 def _vector_json(v: CartanVector) -> list:
@@ -255,17 +249,6 @@ class EomConstant:
                             self.mu_b1)
 
 
-def _chi_branch(chi, gamma) -> str:
-    """Which screening value chi matches: ``"gamma"`` or ``"2/gamma"``."""
-    if chi == gamma:
-        return "gamma"
-    if chi * gamma == 2:
-        return "2/gamma"
-    raise AlgebraError(
-        "screening scale must equal gamma or 2/gamma for the given gamma, "
-        f"got {chi!r}")
-
-
 @dataclass(frozen=True)
 class D2Table:
     """Recorded second-order substitution at a shifted weight.
@@ -308,7 +291,7 @@ def d2_table(weight: Weight, gamma=None) -> D2Table:
             "second-order substitution is recorded for fully degenerate "
             f"weights, got tag {weight.tag!r}")
     chi = weight.parameter
-    _chi_branch(chi, g)
+    screening_branch(chi, g)
     beta = weight.vector
     sg = g * E2
     shifted = beta + sg
@@ -419,7 +402,7 @@ def eom_rhs(level: int, weight: Weight, cfg, at=None) -> EomRecord:
         term = EomTerm("primary", coeff, beta + g * E2)
         return EomRecord(1, weight, "ok", (term,))
 
-    branch = _chi_branch(weight.parameter, g)
+    branch, _ = screening_branch(weight.parameter, g)
     notes = []
 
     if level == 2:

@@ -37,18 +37,26 @@ from .algebra_core import (
     E2,
     H1,
     H2,
-    H3,
     OMEGA1,
     AlgebraError,
     CartanVector,
     CFrac,
-    RatFunc,
+    _HVECS,
     background_charge,
     inner,
+    poly_add,
+    poly_eval,
+    poly_from_shifts,
     q_of_gamma,
     variable,
 )
-from .descendant_forms import Weight, l_form, miura_w_form
+from .descendant_forms import (
+    Weight,
+    _scalar_json,
+    l_form,
+    miura_w_form,
+    screening_branch,
+)
 from .free_field import (
     CorrelatorConfig,
     descendant_ratio_at,
@@ -56,17 +64,6 @@ from .free_field import (
     engine_spin,
     engine_weight,
 )
-
-_HVECS = (H1, H2, H3)
-
-
-def _scalar_json(c):
-    if c is None or isinstance(c, float):
-        return c
-    if isinstance(c, CFrac):
-        return [str(c.re), str(c.im)]
-    return str(c)
-
 
 def weight_ray(vector: CartanVector):
     """``"omega1"``/``"omega2"`` if the nonzero vector lies on a
@@ -78,25 +75,6 @@ def weight_ray(vector: CartanVector):
     if vector.c2 == 2 * vector.c1:
         return "omega2"
     return None
-
-
-def _resolve_chi(chi, gamma):
-    """Return the screening scale as an exact scalar.
-
-    ``chi`` may be the branch name ``"gamma"``/``"2/gamma"`` (resolved
-    against ``gamma``, symbolic by default) or a numeric scale, in which
-    case ``gamma`` is required and membership in {gamma, 2/gamma} checked.
-    """
-    if chi in ("gamma", "2/gamma"):
-        g = variable("gamma") if gamma is None else gamma
-        return g if chi == "gamma" else 2 / (Fraction(1) * g)
-    if gamma is None:
-        raise AlgebraError(
-            "a numeric screening scale needs gamma to fix the background charge")
-    if chi == gamma or chi * gamma == 2:
-        return chi
-    raise AlgebraError(
-        f"screening scale must equal gamma or 2/gamma for the given gamma, got {chi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +511,7 @@ def mu_condition_check(chi, gamma, mu_left, mu_right, mu_bulk1,
     the quadratic relation whose angle is pi*gamma^2/2, sourced by the
     first bulk measure.
     """
-    branch = _resolve_chi_branch(chi, gamma)
+    branch, _ = screening_branch(chi, gamma)
     ml1, ml2 = mu_left
     mr1, mr2 = mu_right
     if not _measures_close(ml2, mr2, tol):
@@ -544,19 +522,6 @@ def mu_condition_check(chi, gamma, mu_left, mu_right, mu_bulk1,
     lhs = float(ml1) ** 2 + float(mr1) ** 2 - 2 * float(ml1) * float(mr1) * cos(theta)
     rhs = float(mu_bulk1) * sin(theta)
     return isclose(lhs, rhs, rel_tol=tol, abs_tol=tol)
-
-
-def _resolve_chi_branch(chi, gamma) -> str:
-    if chi in ("gamma", "2/gamma"):
-        return chi
-    if gamma is None:
-        raise AlgebraError("a numeric screening scale needs gamma")
-    if chi == gamma:
-        return "gamma"
-    if chi * gamma == 2:
-        return "2/gamma"
-    raise AlgebraError(
-        f"screening scale must equal gamma or 2/gamma for the given gamma, got {chi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -596,34 +561,11 @@ class HypergeometricSpec:
 def indicial_polynomial(spec: HypergeometricSpec) -> tuple:
     """Coefficients (low degree first) of the indicial polynomial at 0,
     expanded from the operator terms that carry no power of the variable."""
-    coeffs = [Fraction(0)]
+    coeffs = ()
     for scale, u_power, shifts in spec.operator_terms():
-        if u_power != 0:
-            continue
-        term = [scale]
-        for s in shifts:
-            term = _poly_shift_mul(term, s)
-        while len(coeffs) < len(term):
-            coeffs.append(Fraction(0))
-        for i, c in enumerate(term):
-            coeffs[i] = coeffs[i] + c
-    return tuple(coeffs)
-
-
-def _poly_shift_mul(poly, s):
-    """Multiply the polynomial by (x + s), coefficients low degree first."""
-    out = [poly[0] * s]
-    for i in range(1, len(poly)):
-        out.append(poly[i] * s + poly[i - 1])
-    out.append(poly[-1])
-    return out
-
-
-def _poly_eval(coeffs, x):
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
+        if u_power == 0:
+            coeffs = poly_add(coeffs, poly_from_shifts(scale, shifts))
+    return coeffs
 
 
 def indicial_exponents(spec: HypergeometricSpec) -> tuple:
@@ -635,7 +577,7 @@ def indicial_exponents(spec: HypergeometricSpec) -> tuple:
     if len(poly) != 4:
         raise AlgebraError("indicial polynomial is not cubic")
     for sigma in candidates:
-        if _poly_eval(poly, sigma) != 0:
+        if poly_eval(poly, sigma) != 0:
             raise AlgebraError(
                 f"indicial candidate {sigma!r} is not a root of the derived "
                 "indicial polynomial")
@@ -668,9 +610,8 @@ def bpz_spec(family: str, weights, chi, gamma=None, *,
     branch, ``semi_mu_ok`` that the first boundary measure is continuous
     across the semi-degenerate insertion.  A false flag is refused.
     """
-    chi_val = _resolve_chi(chi, gamma)
+    branch, chi_val = screening_branch(chi, gamma)
     if not degenerate_mu_ok:
-        branch = _resolve_chi_branch(chi, gamma)
         if branch == "2/gamma":
             named = ("equal second measures and opposite first measures "
                      "around the probe")

@@ -30,6 +30,7 @@ from w3toda.algebra_core import (
     spin,
     variable,
 )
+from w3toda.free_field import engine_spin
 
 # ---------------------------------------------------------------------------
 # Cartan data
@@ -123,6 +124,46 @@ def test_weight_reflection_symmetry_random():
 def test_cw_constant_value():
     # Derived by expanding the ratio identity; frozen as an oracle.
     assert cw_constant() == 2
+
+
+def _sympy_spin_oracle(sympy):
+    """(c_w, P) from plain sympy: c_w solved from 3 c_w P(kappa omega_1) /
+    (2 Delta) = q - 2 kappa / 3, and P(a1, a2, q) = prod_h <h, alpha - Q>,
+    all in simple-root coordinates with the Cartan-matrix pairing."""
+    R = sympy.Rational
+    q, kappa, cw, a1, a2 = sympy.symbols("q kappa c_w a1 a2")
+    cartan = sympy.Matrix([[2, -1], [-1, 2]])
+
+    def pair(u, v):
+        return (sympy.Matrix([u]) * cartan * sympy.Matrix(v))[0, 0]
+
+    omega1 = (R(2, 3), R(1, 3))
+    hs = (omega1, (R(-1, 3), R(1, 3)), (R(-1, 3), R(-2, 3)))
+    big_q = (q, q)
+
+    def product(alpha):
+        shifted = tuple(x - y for x, y in zip(alpha, big_q))
+        return sympy.prod(pair(h, shifted) for h in hs)
+
+    alpha = tuple(kappa * x for x in omega1)
+    delta = pair(alpha, big_q) - pair(alpha, alpha) / 2
+    (c,) = sympy.solve(sympy.Eq(3 * cw * product(alpha) / (2 * delta),
+                                q - 2 * kappa / 3), cw)
+    return sympy.simplify(c), sympy.Lambda((a1, a2, q), product((a1, a2)))
+
+
+def test_spin_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    c, product = _sympy_spin_oracle(sympy)
+    assert c == 2 and cw_constant() == 2
+    for a1, a2, q in ((Fraction(1, 2), Fraction(1, 3), Fraction(43, 15)),
+                      (Fraction(-2), Fraction(5, 7), Fraction(13, 4)),
+                      (Fraction(7, 9), Fraction(-3, 11), Fraction(-5, 2))):
+        want = product(*(sympy.Rational(x.numerator, x.denominator)
+                         for x in (a1, a2, q)))
+        alpha = CartanVector(a1, a2)
+        assert spin(alpha, q) == Fraction(str(c * want))
+        assert engine_spin(alpha, q) == Fraction(str(c * want / 2))
 
 
 def test_spin_zeros():

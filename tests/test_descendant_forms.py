@@ -35,6 +35,7 @@ from w3toda.descendant_forms import (
     miura_w_form,
     scalar_from_json,
     scalar_to_json,
+    screening_branch,
     vec_factor,
 )
 
@@ -395,3 +396,17 @@ class TestWeight:
             Weight(kap * OMEGA1, "fully_degenerate", None, kap)
         with pytest.raises(AlgebraError, match="do not take an index"):
             Weight((-1) * kap * OMEGA1, "fully_degenerate", 1, kap)
+
+    def test_screening_branch(self):
+        # one resolver for a branch name, a numeric or a symbolic scale
+        g = variable("gamma")
+        f = Fraction
+        assert screening_branch("gamma") == ("gamma", g)
+        assert screening_branch("2/gamma", f(4, 5)) == ("2/gamma", f(5, 2))
+        assert screening_branch(f(4, 5), f(4, 5)) == ("gamma", f(4, 5))
+        assert screening_branch(2 / g, g) == ("2/gamma", 2 / g)
+        with pytest.raises(AlgebraError, match="needs gamma"):
+            screening_branch(f(4, 5))
+        with pytest.raises(AlgebraError,
+                           match="screening scale must equal gamma or 2/gamma"):
+            screening_branch(f(1, 3), f(4, 5))

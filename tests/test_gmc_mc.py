@@ -41,6 +41,7 @@ from w3toda.gmc_mc import (
     _EXP1_ZERO,
     _ROOT_COEFFS,
     _MassModel,
+    _mean_stderr,
     _moved_config,
     _smoothed_log,
 )
@@ -371,6 +372,13 @@ class TestEstimateCorrelator:
         m_a, s_a = est_a.masses[("bulk", 1)]
         m_b, s_b = est_b.masses[("bulk", 1)]
         assert abs(m_a - m_b) < 3 * math.hypot(s_a, s_b)
+
+    def test_mean_stderr_is_the_sample_formula(self):
+        # sample variance with n - 1: (6.25 + 2.25 + 0.25 + 12.25) / 3 = 7
+        mean, err = _mean_stderr(np.array([1.0, 2.0, 4.0, 7.0]))
+        assert mean == 3.5
+        assert err == pytest.approx(math.sqrt(7.0) / 2, rel=1e-15)
+        assert _mean_stderr(np.array([5.0])) == (5.0, 0.0)
 
     def test_to_json_round_trip_keys(self, mu_estimate):
         blob = mu_estimate.to_json()

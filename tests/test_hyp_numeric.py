@@ -363,6 +363,65 @@ class TestHypGrid:
             hyp_grid(spec, 0.1, 0.5, 0.0)
 
 
+# Both bpz_spec families at gamma = 7/10, each screening branch; none has
+# indicial exponents an integer apart, so sigma = 0 gives the plain 3F2.
+BPZ_CASES = (
+    ("bulk_boundary", (CartanVector(F(1, 3), F(1, 2)), F(5, 4) * OMEGA2),
+     "gamma"),
+    ("bulk_boundary", (CartanVector(F(2, 3), F(1, 6)), F(3, 4) * OMEGA2),
+     "2/gamma"),
+    ("boundary_4pt", (CartanVector(F(1, 4), F(1, 2)),
+                      CartanVector(F(3, 5), F(1, 5)), F(2, 3) * OMEGA2),
+     "gamma"),
+    ("boundary_4pt", (CartanVector(F(1, 2), F(1, 4)),
+                      CartanVector(F(1, 5), F(2, 5)), F(4, 3) * OMEGA2),
+     "2/gamma"),
+)
+BPZ_IDS = [f"{family}-{chi}" for family, _, chi in BPZ_CASES]
+
+
+class TestMpmathOracle:
+    """At sigma = 0 the Frobenius solution of the reduced operator is
+    3F2(A1, A2, A3; B1, B2; u), evaluated independently by mpmath."""
+
+    @staticmethod
+    def mpmath_3f2(spec, u):
+        """(value, sum of the absolute series terms) at 30 digits.  Summing
+        in floating point cannot beat rounding error times that sum."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a = [mpmath.mpf(x.numerator) / x.denominator for x in spec.a]
+            b = [mpmath.mpf(x.numerator) / x.denominator for x in spec.b]
+            x = mpmath.mpf(u)
+            term = total = mpmath.mpf(1)
+            m = 0
+            while abs(term) > mpmath.mpf(10) ** -40 * total:
+                term *= ((a[0] + m) * (a[1] + m) * (a[2] + m) * x
+                         / ((1 + m) * (b[0] + m) * (b[1] + m)))
+                total += abs(term)
+                m += 1
+            return float(mpmath.hyp3f2(*a, *b, x)), float(total)
+
+    @pytest.mark.parametrize("family, weights, chi", BPZ_CASES, ids=BPZ_IDS)
+    def test_series_matches_hyp3f2(self, family, weights, chi):
+        spec = bpz_spec(family, weights, chi, F(7, 10))
+        for u in (0.1, 0.35, 0.6, 0.85):
+            ref, scale = self.mpmath_3f2(spec, u)
+            # observed: at most 2.2e-15 of the term sum
+            assert abs(series_eval(spec, 0, u) - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("family, weights, chi", BPZ_CASES, ids=BPZ_IDS)
+    def test_operator_residual_near_zero(self, family, weights, chi):
+        # observed: at most 1e-11 of the largest derivative up to u = 0.6;
+        # at u = 0.85 up to 7e-10, since the derivative sums stop when the
+        # value terms do
+        spec = bpz_spec(family, weights, chi, F(7, 10))
+        for u in (0.1, 0.35, 0.6):
+            derivs = series_derivatives(spec, 0, u, orders=3)
+            scale = max(1.0, *(abs(d) for d in derivs))
+            assert abs(operator_residual(spec, 0, u)) <= 1e-9 * scale
+
+
 class TestSubstituteGamma:
     def test_pinned_instance_runs_numerically(self):
         alpha = CartanVector(F(1, 2), F(1, 3))

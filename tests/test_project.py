@@ -1,18 +1,19 @@
-"""Tests of the package metadata in pyproject.toml."""
+"""Tests of the package metadata in pyproject.toml and of the source tree."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_script_entry_points_resolve():
     # an installed console script imports its target on start; a target
     # that does not exist fails only then
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -20,3 +21,33 @@ def test_script_entry_points_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name}: {target} is not callable"
+
+
+def _referenced_names(paths) -> set:
+    """Identifiers used (read, written, called, an attribute or imported)
+    anywhere in the files; definitions do not count."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_module_level_definition_is_referenced():
+    # a module-level function or class that nothing in src/ or tests/
+    # names is dead code
+    modules = sorted((ROOT / "src" / "w3toda").glob("*.py"))
+    refs = _referenced_names(modules + sorted((ROOT / "tests").glob("*.py")))
+    unreferenced = [
+        f"{path.name}: {node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name not in refs]
+    assert unreferenced == []
