@@ -8,16 +8,17 @@ share one derivation path instead of hard-coded parameter formulas:
 * ``gamma_fn`` guards the Gamma function (pole and overflow checks);
 * ``paper_integrals`` evaluates three quadrature/closed-form pairs built
   from the Gamma factor G = Gamma(g^2/2) Gamma(1-g^2) / Gamma(1-g^2/2);
-* ``series_eval`` / ``frobenius_solution`` sum the Frobenius series at an
-  indicial exponent, coefficients from the recurrence read off the
-  operator terms; logarithmic (resonant) cases are refused;
+* ``series_eval`` / ``series_derivatives`` / ``SeriesSolution`` sum the
+  Frobenius series at an indicial exponent, from the recurrence read off the
+  operator terms, in one loop stopped by a proven tail bound on every
+  derivative; logarithmic (resonant) cases are refused;
 * ``ode_integrate`` runs adaptive Runge-Kutta on the order-3 companion
   system, whose derivative coefficient polynomials come from the same
   encoding via the Euler-to-derivative (Stirling) conversion;
 * ``fundamental_matrix`` reports the value/derivative matrix of the three
   Frobenius solutions with its condition number;
 * ``hyp_grid`` tabulates the solutions and their operator residuals on a
-  grid, for CSV export.
+  grid, for CSV export, from one summation per root and point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.integrate import quad, solve_ivp
 from .algebra_core import AlgebraError, RatFunc, poly_eval, poly_from_shifts
 from .ward_bpz import HypergeometricSpec
 
-_TRUNC = 1e-15
+_TRUNC = 2.0 ** -53  # unit roundoff: tails drop below summation rounding
 _MAX_TERMS = 20000
 _ROOT_TOL = 1e-9
 
@@ -144,9 +145,13 @@ def _term_poly(x: float, scale: float, shifts) -> float:
     return value
 
 
+def _params(spec: HypergeometricSpec) -> tuple:
+    return (tuple(_as_float(x, "A") for x in spec.a),
+            tuple(_as_float(x, "B") for x in spec.b))
+
+
 def _indicial_roots(spec: HypergeometricSpec) -> tuple:
-    b1 = _as_float(spec.b[0], "B1")
-    b2 = _as_float(spec.b[1], "B2")
+    b1, b2 = _params(spec)[1]
     return (0.0, 1.0 - b1, 1.0 - b2)
 
 
@@ -197,23 +202,20 @@ def _coefficient_stream(spec: HypergeometricSpec, sigma: float):
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Frobenius solution data: parameters, shift exponent, the leading
-    coefficients, and the convergence radius guard."""
+    """Frobenius solution data: parameters, shift exponent and the leading
+    coefficients; ``evaluate`` raises if they end before the tail bound."""
 
     a: tuple
     b: tuple
     sigma: float
     coefficients: tuple
-    radius: float = 1.0
 
     def evaluate(self, u: float) -> float:
-        _check_argument(u, self.sigma, self.radius)
+        _check_argument(u, self.sigma)
         if u == 0:
             return 1.0 if self.sigma == 0 else 0.0
-        total = 0.0
-        for m, c in enumerate(self.coefficients):
-            total += c * u ** (self.sigma + m)
-        return total
+        return _frobenius_sums(self.coefficients, self.a, self.b,
+                               self.sigma, u, 0)[0][0]
 
 
 def frobenius_solution(spec: HypergeometricSpec, sigma,
@@ -221,26 +223,62 @@ def frobenius_solution(spec: HypergeometricSpec, sigma,
     sf = _check_sigma(spec, sigma)
     stream = _coefficient_stream(spec, sf)
     coeffs = tuple(next(stream) for _ in range(n_terms))
-    return SeriesSolution(tuple(float(x) for x in spec.a),
-                          tuple(float(x) for x in spec.b), sf, coeffs)
+    return SeriesSolution(*_params(spec), sf, coeffs)
 
 
-def _check_argument(u: float, sigma: float, radius: float = 1.0) -> None:
-    if abs(u) >= radius:
-        raise AlgebraError(
-            f"series argument must satisfy |u| < {radius}, got {u!r}")
+def _check_argument(u: float, sigma: float) -> None:
+    if abs(u) >= 1:
+        raise AlgebraError(f"series argument must satisfy |u| < 1, got {u!r}")
     if u < 0 and sigma != int(sigma):
         raise AlgebraError(
             "fractional power of a negative argument; the series is defined "
             "for u >= 0 at a non-integer shift")
 
 
+def _tail(t: float, u: float, e: float, pairs) -> float:
+    """Bound |t| r/(1-r) on the tail after the term t, with r = |u| prod
+    max(1, (e+p)/(e+q)); inf until every e+p, e+q > 0 and r < 1."""
+    if any(e + p <= 0 or e + q <= 0 for p, q in pairs):
+        return math.inf
+    r = abs(u) * math.prod(max(1.0, (e + p) / (e + q)) for p, q in pairs)
+    return abs(t) * r / (1 - r) if r < 1 else math.inf
+
+
+def _frobenius_sums(coefficients, a, b, sigma: float, u: float,
+                    orders: int) -> tuple:
+    """(sums, terms used, tail bounds) of u^sigma sum c_m u^m and its first
+    ``orders`` derivatives at u != 0.  Term c_m (e)_k u^(e-k) of order k,
+    e = sigma + m, times u (e+A1)/(e+B1) (e+A2)/(e+B2) (e+A3)/(e+1-k) is the
+    next; each factor tends to 1 monotonically once its parts are positive,
+    so ``_tail`` bounds the rest (Johansson, ACM TOMS 2019).  Once the terms
+    are small, stops when each bound is <= _TRUNC * its absolute-term sum."""
+    sums, mags = [0.0] * (orders + 1), [0.0] * (orders + 1)
+    for m, c in zip(range(_MAX_TERMS), coefficients):
+        e = sigma + m
+        terms = [c * u ** e]
+        for k in range(1, orders + 1):
+            terms.append(terms[-1] * (e - k + 1) / u)
+        for k, t in enumerate(terms):
+            sums[k] += t
+            mags[k] += abs(t)
+        if any(abs(t) > _TRUNC * s for t, s in zip(terms, mags)):
+            continue
+        tails = [_tail(t, u, e, ((a[0], b[0]), (a[1], b[1]), (a[2], 1 - k)))
+                 for k, t in enumerate(terms)]
+        if all(x <= _TRUNC * s for x, s in zip(tails, mags)):
+            return tuple(sums), m + 1, tuple(tails)
+    raise AlgebraError(f"series at u={u!r} missed its tail bound within the "
+                       f"available terms (at most {_MAX_TERMS})")
+
+
 def series_derivatives(spec: HypergeometricSpec, sigma, u: float,
                        orders: int = 3) -> tuple:
-    """Partial sums of the series and its first ``orders`` derivatives,
-    truncated when the value term drops below 1e-15 of the partial sum."""
+    """The series u^sigma sum c_m u^m and its first ``orders`` derivatives
+    at ``u``: exact at 0, else summed until a proven bound on each order's
+    tail is at most 2^-53 of its absolute-term sum (``_frobenius_sums``)."""
     sf = _check_sigma(spec, sigma)
     _check_argument(u, sf)
+    stream = _coefficient_stream(spec, sf)
     if u == 0:
         if sf < 0:
             raise AlgebraError("series diverges at 0 for a negative shift")
@@ -250,32 +288,12 @@ def series_derivatives(spec: HypergeometricSpec, sigma, u: float,
             raise AlgebraError(
                 "derivatives at 0 are singular for a non-integer shift")
         shift = int(sf)
-        stream = _coefficient_stream(spec, sf)
         coeffs = [next(stream) for _ in range(orders + 1)]
         base = [0.0] * (orders + 1)
         for k in range(shift, orders + 1):
             base[k] = math.factorial(k) * coeffs[k - shift]
         return tuple(base)
-    sums = [0.0] * (orders + 1)
-    quiet = 0
-    for m, c in enumerate(_coefficient_stream(spec, sf)):
-        e = sf + m
-        term = c * u ** e
-        sums[0] += term
-        for k in range(1, orders + 1):
-            fall = 1.0
-            for j in range(k):
-                fall *= e - j
-            sums[k] += c * fall * u ** (e - k)
-        if m >= 4 and abs(term) < _TRUNC * max(abs(sums[0]), 1e-300):
-            quiet += 1
-            if quiet >= 3:
-                return tuple(sums)
-        else:
-            quiet = 0
-        if m >= _MAX_TERMS:
-            raise AlgebraError(
-                f"series did not converge within {_MAX_TERMS} terms at u={u!r}")
+    return _frobenius_sums(stream, *_params(spec), sf, u, orders)[0]
 
 
 def series_eval(spec: HypergeometricSpec, sigma, u: float) -> float:
@@ -398,9 +416,11 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
             for i in range(int((stop + 1e-12 - start) // step) + 1)]
     if abs(grid[-1] - stop) <= 1e-12:
         grid[-1] = stop
+    polys = derivative_coefficients(spec)
     rows = []
     for u in grid:
-        values = [series_eval(spec, s, u) for s in roots]
-        residuals = [operator_residual(spec, s, u) for s in roots]
-        rows.append((u, *values, *residuals))
+        derivs = [series_derivatives(spec, s, u, orders=3) for s in roots]
+        residuals = [sum(poly_eval(c, u) * x for c, x in zip(polys, d))
+                     for d in derivs]
+        rows.append((u, *(d[0] for d in derivs), *residuals))
     return rows

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from w3toda import hyp_numeric
 from w3toda.algebra_core import OMEGA2, AlgebraError, CartanVector
 from w3toda.hyp_numeric import (
     SeriesSolution,
@@ -91,6 +92,24 @@ class TestPaperIntegrals:
             math.cos(math.pi * g2 / 2) * big_g, rel=1e-14)
         assert pairs[2].closed_form == pytest.approx(
             2 ** g2 * math.sin(math.pi * g2 / 2) * big_g, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_against_mpmath_special_functions(self, gamma):
+        """Each integral in closed form through mpmath's own special
+        functions: with y = 1/t the kernels become B(g^2/2, 1-g^2) and
+        (2/g^2) 2F1(g^2, g^2/2; 1+g^2/2; -1), and the profile is
+        B(1/2, (1-g^2)/2).  Plain mpmath.quad on the infinite ranges is too
+        inaccurate to serve (off by up to 3e-2 at g = 0.3)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            g2 = mpmath.mpf(gamma) ** 2
+            refs = (mpmath.beta(g2 / 2, 1 - g2),
+                    2 / g2 * mpmath.hyp2f1(g2, g2 / 2, 1 + g2 / 2, -1),
+                    mpmath.beta(mpmath.mpf(1) / 2, (1 - g2) / 2))
+        for pair, ref in zip(paper_integrals(gamma), map(float, refs)):
+            # observed: closed forms within 8e-16 relative
+            assert abs(pair.closed_form - ref) <= 1e-14 * abs(ref)
+            assert abs(pair.numeric - ref) <= pair.quad_error
 
     def test_small_gamma_limit(self):
         third = paper_integrals(0.01)[2]
@@ -192,11 +211,17 @@ class TestSeriesEval:
         spec = mkspec(*GENERIC)
         sol = frobenius_solution(spec, 0)
         assert isinstance(sol, SeriesSolution)
-        assert sol.radius == 1.0
-        assert sol.evaluate(0.3) == pytest.approx(
-            series_eval(spec, 0, 0.3), abs=1e-12)
+        # the same summation over the same coefficients
+        for u in (0.3, 0.6):
+            assert sol.evaluate(u) == series_eval(spec, 0, u)
         with pytest.raises(AlgebraError, match=r"\|u\|"):
             sol.evaluate(1.2)
+        # 64 coefficients cannot meet the tail bound at 0.85, where summing
+        # them all would be 2e-9 off
+        with pytest.raises(AlgebraError, match="tail bound"):
+            sol.evaluate(0.85)
+        longer = frobenius_solution(spec, 0, n_terms=400)
+        assert longer.evaluate(0.85) == series_eval(spec, 0, 0.85)
 
     @given(st.integers(-19, 19), st.integers(-19, 19), st.integers(-19, 19),
            st.integers(2, 18), st.integers(2, 18))
@@ -355,6 +380,19 @@ class TestHypGrid:
         assert grid[-1][0] == stop
         assert grid[0][0] == start
 
+    def test_one_operator_and_one_stream_per_root_and_point(
+            self, monkeypatch):
+        calls = {"derivative_coefficients": 0, "_coefficient_stream": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(hyp_numeric, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(hyp_numeric, name, counted)
+        rows = hyp_grid(mkspec(*GENERIC), 0.05, 0.5, 0.05)
+        assert len(rows) == 10
+        assert calls == {"derivative_coefficients": 1,
+                         "_coefficient_stream": 3 * len(rows)}
+
     def test_grid_guards(self):
         spec = mkspec(*GENERIC)
         with pytest.raises(AlgebraError, match="grid"):
@@ -385,38 +423,82 @@ class TestMpmathOracle:
     3F2(A1, A2, A3; B1, B2; u), evaluated independently by mpmath."""
 
     @staticmethod
-    def mpmath_3f2(spec, u):
-        """(value, sum of the absolute series terms) at 30 digits.  Summing
-        in floating point cannot beat rounding error times that sum."""
+    def abs_term_sums(spec, u, orders, start=0):
+        """Sums over m >= start of |c_m (m)_k u^(m-k)|, the absolute terms
+        of the k-th derivative, for k = 0..orders, at 30 digits.  From 0,
+        they scale the rounding error of any floating-point sum; from the
+        number of terms used, they are the tail a bound must cover."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             a = [mpmath.mpf(x.numerator) / x.denominator for x in spec.a]
             b = [mpmath.mpf(x.numerator) / x.denominator for x in spec.b]
             x = mpmath.mpf(u)
-            term = total = mpmath.mpf(1)
-            m = 0
-            while abs(term) > mpmath.mpf(10) ** -40 * total:
-                term *= ((a[0] + m) * (a[1] + m) * (a[2] + m) * x
-                         / ((1 + m) * (b[0] + m) * (b[1] + m)))
-                total += abs(term)
+            coeff, m = mpmath.mpf(1), 0
+            sums = [mpmath.mpf(0)] * (orders + 1)
+            while True:
+                terms = [abs(coeff) * x ** m]
+                for k in range(min(m, orders)):
+                    terms.append(terms[-1] * (m - k) / x)
+                if m >= start:
+                    for k, t in enumerate(terms):
+                        sums[k] += t
+                if m > max(orders, start) and terms[-1] <= 1e-40 * sums[-1]:
+                    return [float(v) for v in sums]
+                coeff *= ((a[0] + m) * (a[1] + m) * (a[2] + m)
+                          / ((1 + m) * (b[0] + m) * (b[1] + m)))
                 m += 1
-            return float(mpmath.hyp3f2(*a, *b, x)), float(total)
+
+    @classmethod
+    def mpmath_3f2(cls, spec, u, orders=0):
+        """The value and first ``orders`` derivatives at 30 digits, by
+        mpmath.diff of hyp3f2, with the absolute-term sum of each."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a = [mpmath.mpf(x.numerator) / x.denominator for x in spec.a]
+            b = [mpmath.mpf(x.numerator) / x.denominator for x in spec.b]
+            derivs = [mpmath.diff(lambda t: mpmath.hyp3f2(*a, *b, t),
+                                  mpmath.mpf(u), k)
+                      for k in range(orders + 1)]
+        return [float(d) for d in derivs], cls.abs_term_sums(spec, u, orders)
 
     @pytest.mark.parametrize("family, weights, chi", BPZ_CASES, ids=BPZ_IDS)
     def test_series_matches_hyp3f2(self, family, weights, chi):
         spec = bpz_spec(family, weights, chi, F(7, 10))
         for u in (0.1, 0.35, 0.6, 0.85):
-            ref, scale = self.mpmath_3f2(spec, u)
+            (ref,), (scale,) = self.mpmath_3f2(spec, u)
             # observed: at most 2.2e-15 of the term sum
             assert abs(series_eval(spec, 0, u) - ref) <= 1e-13 * scale
 
     @pytest.mark.parametrize("family, weights, chi", BPZ_CASES, ids=BPZ_IDS)
-    def test_operator_residual_near_zero(self, family, weights, chi):
-        # observed: at most 1e-11 of the largest derivative up to u = 0.6;
-        # at u = 0.85 up to 7e-10, since the derivative sums stop when the
-        # value terms do
+    def test_derivatives_within_tail_bound(self, family, weights, chi):
         spec = bpz_spec(family, weights, chi, F(7, 10))
-        for u in (0.1, 0.35, 0.6):
+        for u in (0.1, 0.35, 0.6, 0.85, 0.9, 0.95):
+            refs, scales = self.mpmath_3f2(spec, u, orders=3)
+            derivs = series_derivatives(spec, 0, u, orders=3)
+            if u <= 0.9:
+                # observed: at most 1.3e-14 relative through u = 0.95
+                for got, ref in zip(derivs, refs):
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+            sums, n, tails = hyp_numeric._frobenius_sums(
+                hyp_numeric._coefficient_stream(spec, 0.0),
+                *hyp_numeric._params(spec), 0.0, u, 3)
+            assert sums == derivs
+            rest = self.abs_term_sums(spec, u, 3, start=n)
+            for got, ref, tail, scale, dropped in zip(sums, refs, tails,
+                                                      scales, rest):
+                # the bound covers the dropped terms and meets the stop rule
+                assert dropped <= tail * (1 + 1e-9)
+                assert tail <= 2.0 ** -53 * scale * (1 + 1e-9)
+                # observed: at most 39 ulps of the term sum beyond the bound,
+                # mostly from rounding in the recurrence coefficients
+                assert abs(got - ref) <= tail + 64 * 2.0 ** -52 * scale
+
+    @pytest.mark.parametrize("family, weights, chi", BPZ_CASES, ids=BPZ_IDS)
+    def test_operator_residual_near_zero(self, family, weights, chi):
+        # observed: at most 7e-15 of the largest derivative through
+        # u = 0.85, since the sums stop on every derivative's tail bound
+        spec = bpz_spec(family, weights, chi, F(7, 10))
+        for u in (0.1, 0.35, 0.6, 0.85):
             derivs = series_derivatives(spec, 0, u, orders=3)
             scale = max(1.0, *(abs(d) for d in derivs))
             assert abs(operator_residual(spec, 0, u)) <= 1e-9 * scale
