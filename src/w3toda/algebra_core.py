@@ -300,9 +300,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self.num
 
-    def degrees(self):
-        return (len(self.num) - 1, len(self.den) - 1)
-
     def as_constant(self):
         """Return the underlying scalar if degree (<=0, 0), else None.
 

@@ -11,13 +11,14 @@ formulas (``l_form``).  The spin-3 forms (``miura_w_form``) are generated by
 composing three first-order symbols ``(q/2)*d + <h_i, dPhi>`` with the
 Leibniz rule, optionally shifting the cubic component by a multiple of the
 derivative of the quadratic one, and converting each term's action on a
-highest-weight vector into a multilinear form.  The halved derivative slot is
-forced by an internal anchor: the quadratic component of the same composition
-must reproduce the closed Virasoro formulas (``_t_form``).  The finite space
-of sign/ordering conventions is validated against three exact linear
-constraints and the unique passing realization is cached
-(``miura_convention``); an ambiguous or empty search is a hard error, never a
-silent pick.
+highest-weight vector into a multilinear form (``_read_form``).  The halved
+derivative slot is pinned by an anchor: the quadratic component of the same
+composition, read with normalization 2, reproduces the closed Virasoro
+formulas.  ``test_spin2_anchor_matches_closed_formulas`` checks this; the
+convention scan does not.  The finite space of sign/ordering conventions is
+validated against three exact linear constraints and the unique passing
+realization is cached (``miura_convention``); an ambiguous or empty search is
+a hard error, never a silent pick.
 """
 
 from __future__ import annotations
@@ -522,29 +523,17 @@ def _extract_sectors(words, n, alpha, q, order, s_b, s_q, par) -> dict:
     return {k: p for k, p in sectors.items() if not p.is_zero}
 
 
-def _w_sectors(n, alpha, q, order, s_b, s_q, par, shift) -> dict:
-    return _extract_sectors(_current_words(shift), n, alpha, q,
-                            order, s_b, s_q, par)
-
-
-def _w_form(n: int, alpha: CartanVector, q, conv: MiuraConvention) -> FieldPolynomial:
+def _read_form(words, n: int, alpha: CartanVector, q, conv: MiuraConvention,
+               normalization) -> FieldPolynomial:
+    """Level-n form of ``words`` on alpha under ``conv``: the sector with k
+    contracted factors times ``normalization * contraction ** k``.  The
+    current words with ``conv.normalization`` give W_{-n}; the quadratic
+    words with normalization 2 give the Virasoro forms."""
     total = FieldPolynomial.zero()
-    sectors = _w_sectors(n, alpha, q, conv.order, conv.sign_field, conv.sign_q,
-                         conv.parity, conv.shift)
-    for k, poly in sectors.items():
-        total = total + (conv.normalization * conv.contraction ** k) * poly
-    return total
-
-
-def _t_form(n: int, alpha: CartanVector, q, conv: MiuraConvention) -> FieldPolynomial:
-    """Spin-2 component of the same composed operator, read with the same
-    contraction constant; must reproduce the Virasoro forms with a fixed
-    normalization of 2."""
-    total = FieldPolynomial.zero()
-    sectors = _extract_sectors(_quad_words(), n, alpha, q, conv.order,
+    sectors = _extract_sectors(words, n, alpha, q, conv.order,
                                conv.sign_field, conv.sign_q, conv.parity)
     for k, poly in sectors.items():
-        total = total + (Fraction(2) * conv.contraction ** k) * poly
+        total = total + (normalization * conv.contraction ** k) * poly
     return total
 
 
@@ -565,7 +554,8 @@ def _try_convention(order, s_b, s_q, par, lam):
     and level-3 constraints also hold identically."""
     qv, kv = variable("q"), variable("kappa")
     alpha = kv * OMEGA1
-    sectors = _w_sectors(1, alpha, qv, order, s_b, s_q, par, lam)
+    words = _current_words(lam)
+    sectors = _extract_sectors(words, 1, alpha, qv, order, s_b, s_q, par)
     s1 = sectors.get(1, FieldPolynomial.zero())
     s2 = sectors.get(2, FieldPolynomial.zero())
     if set(sectors) - {1, 2}:
@@ -610,32 +600,11 @@ def _try_convention(order, s_b, s_q, par, lam):
     chiv = variable("chi")
     qs = chiv + 2 / chiv
     beta = (-chiv) * OMEGA1
-    if _w_form(2, beta, qs, conv) != _c2_target(beta, chiv, qs):
+    if _read_form(words, 2, beta, qs, conv, cw) != _c2_target(beta, chiv, qs):
         return None
-    if _w_form(3, beta, qs, conv) != _c3_target(beta, chiv, qs):
+    if _read_form(words, 3, beta, qs, conv, cw) != _c3_target(beta, chiv, qs):
         return None
     return conv
-
-
-def _fingerprint(conv: MiuraConvention) -> tuple:
-    """Serialized modes at a generic rational weight with symbolic q;
-    conventions producing identical forms collapse to one fingerprint."""
-    qv = variable("q")
-    alpha = CartanVector(Fraction(5, 7), Fraction(-3, 11))
-    out = []
-    for n in (1, 2, 3):
-        form = _w_form(n, alpha, qv, conv)
-        ser = []
-        for m, c in sorted(form.terms.items(), key=lambda kv_: kv_[0].factors):
-            if isinstance(c, RatFunc):
-                key = ("rf", c.var,
-                       tuple(str(x) for x in c.num),
-                       tuple(str(x) for x in c.den))
-            else:
-                key = ("fr", str(c))
-            ser.append((m.factors, key))
-        out.append(tuple(ser))
-    return tuple(out)
 
 
 _SHIFTS = tuple(Fraction(n, d) * s
@@ -672,14 +641,21 @@ def miura_convention(audit: bool = False) -> MiuraConvention:
     if not found:
         raise AlgebraError(
             "no sign/ordering convention satisfies the three spin-3 constraints")
-    distinct = {}
+    # conventions with equal modes W_{-1..3} at a generic rational weight
+    # and symbolic q are one realization; the first in scan order stands
+    qv = variable("q")
+    alpha = CartanVector(Fraction(5, 7), Fraction(-3, 11))
+    distinct = []
     for conv in found:
-        distinct.setdefault(_fingerprint(conv), conv)
+        modes = tuple(_read_form(_current_words(conv.shift), n, alpha, qv,
+                                 conv, conv.normalization) for n in (1, 2, 3))
+        if all(modes != seen for seen, _ in distinct):
+            distinct.append((modes, conv))
     if len(distinct) > 1:
         raise AlgebraError(
             "ambiguous spin-3 realization; distinct passing conventions: "
-            + repr(list(distinct.values())))
-    return next(iter(distinct.values()))
+            + repr([conv for _, conv in distinct]))
+    return distinct[0][1]
 
 
 def miura_w_form(n: int, alpha: CartanVector, q=None) -> FieldPolynomial:
@@ -688,7 +664,9 @@ def miura_w_form(n: int, alpha: CartanVector, q=None) -> FieldPolynomial:
         raise AlgebraError(f"spin-3 modes are realized for n in 1..3, got {n}")
     if q is None:
         q = q_of_gamma()
-    return _w_form(n, alpha, q, miura_convention())
+    conv = miura_convention()
+    return _read_form(_current_words(conv.shift), n, alpha, q, conv,
+                      conv.normalization)
 
 
 def miura_current_terms(q=None) -> list:

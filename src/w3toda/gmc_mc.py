@@ -13,11 +13,16 @@ increment is reported, together with the quadrature error (the change
 under a doubled node count, on the first sampling block).  Boundary arcs
 left without grid points by the exclusion radius are reported as well.
 
-The mass quadrature runs in two steps: ``exponentials`` exponentiates a
-block of field replicas once (it depends on gamma and the grids only), and
-``masses`` applies the insertion-dependent weights to the result.  The
-fusion probe exponentiates its blocks once, shares them across all ladder
-rungs and rebinds only the weights per rung.
+The quadrature grids are fixed midpoint lattices (``_EXTENT``,
+``_BULK_SHAPE``, ``_BOUNDARY_N``); only the truncation scales ``delta`` and
+``eps`` and the insertions move them.  The mass quadrature runs in two
+steps: ``exponentials`` exponentiates a block of field replicas once (it
+depends on gamma and the grids only), and ``masses`` applies the
+insertion-dependent weights to the result.  The fusion probe exponentiates
+its blocks once, shares them across all ladder rungs and rebinds only the
+weights per rung.  From pooled masses to a value there is one path,
+``_zero_mode_estimate``: the correlator estimate and every fusion rung go
+through it for their windows, quadrature error, mean and stderr.
 
 Conventions, fixed here and used consistently throughout:
 
@@ -169,22 +174,6 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GffSample:
-    """One replica of the two-component field on a fixed point set."""
-
-    points: np.ndarray
-    values: np.ndarray          # shape (2, n): the scalar components
-    seed: int
-    replica: int
-    rho: float
-
-    def pairing(self, u: CartanVector) -> np.ndarray:
-        """<u, X(x)> over the point set."""
-        c1, c2 = frame_coefficients(u)
-        return c1 * self.values[0] + c2 * self.values[1]
-
-
 class GffEnsemble:
     """Immutable covariance factorization shared by all replicas."""
 
@@ -228,16 +217,6 @@ class GffEnsemble:
                       overwrite_b=1).T
         return mixed.reshape(self.n, 2, BLOCK).transpose(1, 0, 2)
 
-    def sample(self, seed: int, replica: int = 0) -> GffSample:
-        block = self.sample_block(seed, replica // BLOCK)
-        return GffSample(self.points, block[:, :, replica % BLOCK],
-                         int(seed), int(replica), self.rho)
-
-
-def sample_gff(points, rho: float, seed: int) -> GffSample:
-    """One-shot sample; factorizes the covariance for this call only."""
-    return GffEnsemble(points, rho).sample(seed)
-
 
 # ---------------------------------------------------------------------------
 # Closed-form zero-measure correlator value
@@ -261,21 +240,18 @@ def coulomb_value(cfg: CorrelatorConfig) -> float:
 # Quadrature grids over the truncated domains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular bulk lattice over [-extent, extent] x [delta, extent] and
-    boundary lattice over [-extent, extent], with radius-eps neighbourhoods
-    of the insertions removed."""
-
-    extent: float = 2.0
-    bulk_shape: tuple = (34, 24)
-    boundary_n: int = 96
+# Midpoint lattices: bulk over [-_EXTENT, _EXTENT] x [delta, _EXTENT], and
+# boundary over [-_EXTENT, _EXTENT], with radius-eps neighbourhoods of the
+# insertions removed.
+_EXTENT = 2.0
+_BULK_SHAPE = (34, 24)
+_BOUNDARY_N = 96
 
 
-def _bulk_grid(delta, eps, spec, excluded):
-    ext, (nx, ny) = spec.extent, spec.bulk_shape
-    hx, hy = 2 * ext / nx, (ext - delta) / ny
-    xs = -ext + hx * (np.arange(nx) + 0.5)
+def _bulk_grid(delta, eps, excluded):
+    nx, ny = _BULK_SHAPE
+    hx, hy = 2 * _EXTENT / nx, (_EXTENT - delta) / ny
+    xs = -_EXTENT + hx * (np.arange(nx) + 0.5)
     ys = delta + hy * (np.arange(ny) + 0.5)
     pts = (xs[:, None] + 1j * ys[None, :]).ravel()
     keep = np.ones(pts.size, dtype=bool)
@@ -284,11 +260,10 @@ def _bulk_grid(delta, eps, spec, excluded):
     return pts[keep], np.full(int(keep.sum()), hx * hy)
 
 
-def _boundary_grid(eps, spec, excluded):
-    ext, n = spec.extent, spec.boundary_n
-    h = 2 * ext / n
-    xs = -ext + h * (np.arange(n) + 0.5)
-    keep = np.ones(n, dtype=bool)
+def _boundary_grid(eps, excluded):
+    h = 2 * _EXTENT / _BOUNDARY_N
+    xs = -_EXTENT + h * (np.arange(_BOUNDARY_N) + 0.5)
+    keep = np.ones(_BOUNDARY_N, dtype=bool)
     for s in excluded:
         keep &= np.abs(xs - s) >= eps
     xs = xs[keep]
@@ -334,9 +309,8 @@ class _MassModel:
     boundary masses that have no grid point, and so are identically zero:
     an exclusion radius wider than an arc removes all of it."""
 
-    def __init__(self, cfg, delta, eps, rho, spec, extra_exclusions=()):
+    def __init__(self, cfg, delta, eps, rho, extra_exclusions=()):
         self.rho = float(rho)
-        self.spec = spec
         bulk_excl = [complex(z.re, z.im) for z, _ in cfg.bulk]
         bnd_excl = [float(s) for s, _ in cfg.boundary]
         for z in extra_exclusions:
@@ -345,8 +319,8 @@ class _MassModel:
                 bulk_excl.append(z)
             else:
                 bnd_excl.append(z.real)
-        self.bulk_pts, self.bulk_w = _bulk_grid(delta, eps, spec, bulk_excl)
-        self.bnd_pts, self.bnd_w = _boundary_grid(eps, spec, bnd_excl)
+        self.bulk_pts, self.bulk_w = _bulk_grid(delta, eps, bulk_excl)
+        self.bnd_pts, self.bnd_w = _boundary_grid(eps, bnd_excl)
         self.points = np.concatenate([self.bulk_pts, self.bnd_pts])
         self.n_bulk_pts = self.bulk_pts.size
         self._bind(cfg)
@@ -412,21 +386,15 @@ class _MassModel:
         return out
 
     def expected_masses(self, cov_diag: np.ndarray) -> dict:
-        """Deterministic expectations of the replica masses: the Gaussian
-        exponential moment against the covariance diagonal."""
+        """Deterministic expectations of the replica masses: ``masses`` of
+        the Gaussian exponential moments against the covariance diagonal,
+        as a block of one column (the same in both directions)."""
         g = float(self.cfg.gamma)
         nb = self.n_bulk_pts
-        arcs = max(self.cfg.n_boundary, 1)
-        out = {}
-        for i in (1, 2):
-            out[("bulk", i)] = float(
-                self.bulk_base[i - 1] @ np.exp(g * g * cov_diag[:nb]))
-            weighted = self.bnd_base[i - 1] * np.exp(
-                0.25 * g * g * cov_diag[nb:])
-            for arc in range(arcs):
-                out[("boundary", i, arc)] = float(
-                    weighted[self.bnd_arc == arc].sum())
-        return out
+        moments = (np.exp(g * g * cov_diag[:nb])[:, None],
+                   np.exp(0.25 * g * g * cov_diag[nb:])[:, None])
+        return {k: float(v[0])
+                for k, v in self.masses((moments, moments)).items()}
 
 
 def _exponential_blocks(model, ensemble, seed: int, replicas: int):
@@ -566,29 +534,41 @@ def _mean_stderr(values: np.ndarray) -> tuple:
     return float(values.mean()), err
 
 
-def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
-    gamma = float(cfg.gamma)
+def _measure_terms(masses: dict, cfg) -> tuple:
+    """Per direction i, ``(mu_bulk_i * bulk mass, sum over arcs of
+    mu_arc_i * boundary mass)``: the coefficients of ``e^{gamma v}`` and
+    ``e^{gamma v / 2}`` in the zero-mode exponent.  The masses may be floats
+    or per-replica arrays."""
     mub, mu_arc = _mu_totals(cfg)
     arcs = max(cfg.n_boundary, 1)
-    sigma = _sigma_pair(cfg)
-    windows, tails = [], []
-    for i in (1, 2):
-        bulk_term = mub[i - 1] * mean_masses[("bulk", i)]
-        bnd_term = sum(mu_arc[i - 1][a] * mean_masses[("boundary", i, a)]
-                       for a in range(arcs))
-        window, tail = zero_mode_window(sigma[i - 1], gamma, bulk_term,
-                                        bnd_term, tol)
-        windows.append(window)
-        tails.append(tail)
-    return windows, tails
+    return tuple((mub[i - 1] * masses[("bulk", i)],
+                  sum(mu_arc[i - 1][a] * masses[("boundary", i, a)]
+                      for a in range(arcs)))
+                 for i in (1, 2))
 
 
-def _quad_error(values: np.ndarray, masses: dict, cfg, windows) -> float:
-    """Relative change of the mean zero-mode integral over the first
-    sampling block when the node count doubles."""
-    first = {k: v[:BLOCK] for k, v in masses.items()}
+def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
+    """(windows, tails) of the two directions, grown from the mean masses."""
+    gamma = float(cfg.gamma)
+    found = [zero_mode_window(sigma, gamma, bulk, bnd, tol)
+             for sigma, (bulk, bnd) in zip(_sigma_pair(cfg),
+                                           _measure_terms(mean_masses, cfg))]
+    return tuple(w for w, _ in found), tuple(t for _, t in found)
+
+
+def _zero_mode_estimate(pooled: dict, cfg, tol: float) -> tuple:
+    """(mean, stderr, windows, tails, quad_error) of the zero-mode integral
+    over the pooled replica masses: the windows grow from the mean masses,
+    and ``quad_error`` is the relative change of the first sampling block's
+    mean integral when the node count doubles."""
+    windows, tails = _windows_from_means(
+        {k: float(v.mean()) for k, v in pooled.items()}, cfg, tol)
+    values = _zero_mode_values(pooled, cfg, windows)
+    first = {k: v[:BLOCK] for k, v in pooled.items()}
     ref = float(_zero_mode_values(first, cfg, windows, 2 * _QUAD_NODES).mean())
-    return abs(float(values[:BLOCK].mean()) - ref) / ref
+    quad_error = abs(float(values[:BLOCK].mean()) - ref) / ref
+    mean, stderr = _mean_stderr(values)
+    return mean, stderr, windows, tails, quad_error
 
 
 def _zero_mode_values(masses: dict, cfg, windows,
@@ -598,15 +578,10 @@ def _zero_mode_values(masses: dict, cfg, windows,
     Replicas go through in chunks that reuse two (nodes, _ZERO_MODE_CHUNK)
     buffers."""
     gamma = float(cfg.gamma)
-    mub, mu_arc = _mu_totals(cfg)
-    arcs = max(cfg.n_boundary, 1)
-    sigma = _sigma_pair(cfg)
     terms = []
-    for i in (1, 2):
-        v, lin = _gauss_nodes(windows[i - 1], sigma[i - 1], nodes)
-        bulk = mub[i - 1] * np.atleast_1d(masses[("bulk", i)])
-        bnd = sum(mu_arc[i - 1][a] * np.atleast_1d(masses[("boundary", i, a)])
-                  for a in range(arcs))
+    for window, sigma, (bulk, bnd) in zip(windows, _sigma_pair(cfg),
+                                          _measure_terms(masses, cfg)):
+        v, lin = _gauss_nodes(window, sigma, nodes)
         terms.append((lin, -np.exp(gamma * v), bulk,
                       np.exp(0.5 * gamma * v), bnd))
     n = terms[0][2].size
@@ -671,7 +646,6 @@ class GmcEstimate:
 
 def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
                         rho: float, replicas: int, *, seed: int = 0,
-                        grid: GridSpec = GridSpec(),
                         window_tol: float = 1e-8) -> GmcEstimate:
     """Monte Carlo estimate of the correlator at truncation scales
     (delta, eps) and mollification rho.
@@ -689,7 +663,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
             "truncation and mollification scales must be positive")
     free_case = _check_convergence_conditions(cfg)
 
-    model = _MassModel(cfg, delta, eps, rho, grid)
+    model = _MassModel(cfg, delta, eps, rho)
     ensemble = GffEnsemble(model.points, rho)
     cov_diag = np.diag(ensemble.cov).copy()
     pooled = _pooled_masses(
@@ -710,14 +684,11 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     if free_case:
         return GmcEstimate(coulomb, 0.0, replicas, mass_stats, diagnostics)
 
-    windows, tails = _windows_from_means(
-        {k: v[0] for k, v in mass_stats.items()}, cfg, window_tol)
-    diagnostics["window"] = tuple(tuple(w) for w in windows)
-    diagnostics["tail_increment"] = tuple(tails)
-
-    values = _zero_mode_values(pooled, cfg, windows)
-    diagnostics["quad_error"] = _quad_error(values, pooled, cfg, windows)
-    mean, stderr = _mean_stderr(values)
+    mean, stderr, windows, tails, quad_error = _zero_mode_estimate(
+        pooled, cfg, window_tol)
+    diagnostics["window"] = windows
+    diagnostics["tail_increment"] = tails
+    diagnostics["quad_error"] = quad_error
     return GmcEstimate(coulomb * mean, coulomb * stderr, replicas,
                        mass_stats, diagnostics)
 
@@ -779,8 +750,8 @@ def _moved_config(cfg, kind, i, j, d):
 
 
 def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
-                 eps: float, rho: float, replicas: int, seed: int = 0,
-                 grid: GridSpec = GridSpec()) -> FusionReport:
+                 eps: float, rho: float, replicas: int,
+                 seed: int = 0) -> FusionReport:
     """Fit the merging exponent of the estimated correlator as insertion
     ``j`` of the pair is re-placed at each ladder distance to the right of
     insertion ``i``.
@@ -831,7 +802,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         else:
             anchor = complex(float(store[i][0]))
         positions = [anchor + d for d in ladder]
-        base_model = _MassModel(cfg, delta, eps, rho, grid,
+        base_model = _MassModel(cfg, delta, eps, rho,
                                 extra_exclusions=positions)
         # the factorization is dropped once the blocks are drawn
         exps = list(_exponential_blocks(
@@ -846,14 +817,11 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
             errs.append(0.0)
             continue
         model = base_model.rebound(cfg_d)
-        pooled = _pooled_masses(model, exps)
-        windows, tail = _windows_from_means(
-            {k: float(v.mean()) for k, v in pooled.items()}, cfg_d, 1e-8)
-        tails.append(tuple(tail))
+        mean, err, _, tail, quad_error = _zero_mode_estimate(
+            _pooled_masses(model, exps), cfg_d, 1e-8)
+        tails.append(tail)
+        quad_errors.append(quad_error)
         empty_arcs.append(model.empty_arcs)
-        value_r = _zero_mode_values(pooled, cfg_d, windows)
-        quad_errors.append(_quad_error(value_r, pooled, cfg_d, windows))
-        mean, err = _mean_stderr(value_r)
         values.append(coulomb * mean)
         errs.append(coulomb * err)
 

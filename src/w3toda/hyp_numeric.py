@@ -213,7 +213,7 @@ class SeriesSolution:
     def evaluate(self, u: float) -> float:
         _check_argument(u, self.sigma)
         if u == 0:
-            return 1.0 if self.sigma == 0 else 0.0
+            return _value_at_zero(self.sigma)
         return _frobenius_sums(self.coefficients, self.a, self.b,
                                self.sigma, u, 0)[0][0]
 
@@ -233,6 +233,13 @@ def _check_argument(u: float, sigma: float) -> None:
         raise AlgebraError(
             "fractional power of a negative argument; the series is defined "
             "for u >= 0 at a non-integer shift")
+
+
+def _value_at_zero(sigma: float) -> float:
+    """u^sigma sum c_m u^m at u = 0, with c_0 = 1."""
+    if sigma < 0:
+        raise AlgebraError("series diverges at 0 for a negative shift")
+    return 1.0 if sigma == 0 else 0.0
 
 
 def _tail(t: float, u: float, e: float, pairs) -> float:
@@ -280,10 +287,9 @@ def series_derivatives(spec: HypergeometricSpec, sigma, u: float,
     _check_argument(u, sf)
     stream = _coefficient_stream(spec, sf)
     if u == 0:
-        if sf < 0:
-            raise AlgebraError("series diverges at 0 for a negative shift")
+        value = _value_at_zero(sf)
         if orders == 0:
-            return (1.0 if sf == 0 else 0.0,)
+            return (value,)
         if sf != int(sf):
             raise AlgebraError(
                 "derivatives at 0 are singular for a non-integer shift")

@@ -267,12 +267,6 @@ class WardSystem:
     rows: tuple
     reductions: dict
 
-    def unknown_index(self, insertion: int, order: int) -> int:
-        for i, tag in enumerate(self.unknowns):
-            if (tag.insertion, tag.order) == (insertion, order):
-                return i
-        raise AlgebraError(f"no unknown tagged ({insertion}, {order})")
-
     def residuals(self, values: dict) -> tuple:
         """Row residuals under the substitution ``values`` (same layout as
         ``free_field_descendants`` output)."""

@@ -26,7 +26,8 @@ from w3toda.descendant_forms import (
     MiuraConvention,
     Weight,
     _current_words,
-    _t_form,
+    _quad_words,
+    _read_form,
     combine,
     contraction,
     l_form,
@@ -266,7 +267,8 @@ def test_frozen_convention():
 def test_spin2_anchor_matches_closed_formulas():
     conv = miura_convention()
     for n in (1, 2, 3, 4):
-        assert _t_form(n, ALPHA, QSYM, conv) == l_form((n,), ALPHA, q=QSYM)
+        assert _read_form(_quad_words(), n, ALPHA, QSYM, conv, Fraction(2)) \
+            == l_form((n,), ALPHA, q=QSYM)
 
 
 def test_level_one_constraint_symbolic():

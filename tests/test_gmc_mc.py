@@ -22,18 +22,17 @@ from w3toda.free_field import (
     coulomb_log_correlator,
     doubled_insertions,
 )
+from w3toda import gmc_mc
 from w3toda.gmc_mc import (
     BLOCK,
     FusionReport,
     GffEnsemble,
     GmcEstimate,
-    GridSpec,
     coulomb_value,
     estimate_correlator,
     frame_coefficients,
     fusion_probe,
     mollified_covariance,
-    sample_gff,
     zero_mode_window,
 )
 from w3toda.gmc_mc import (
@@ -159,21 +158,13 @@ class TestSampler:
         assert worst < 3.0
 
     def test_deterministic_replay(self):
-        ens = GffEnsemble(PROBE_POINTS, 0.05)
-        a = ens.sample(3, replica=700)
-        b = ens.sample(3, replica=700)
-        assert np.array_equal(a.values, b.values)
-        assert a.replica == 700 and a.rho == 0.05
-
-    def test_sample_gff_matches_ensemble(self):
-        ens = GffEnsemble(PROBE_POINTS, 0.05)
-        one = sample_gff(PROBE_POINTS, 0.05, 3)
-        assert np.array_equal(one.values, ens.sample(3).values)
-
-    def test_pairing_shape(self):
-        s = sample_gff(PROBE_POINTS, 0.05, 1)
-        x = s.pairing(E1)
-        assert x.shape == (len(PROBE_POINTS),)
+        # a block depends on (seed, block) only, not on the ensemble
+        # object or on the blocks drawn before it
+        a = GffEnsemble(PROBE_POINTS, 0.05).sample_block(3, 1)
+        fresh = GffEnsemble(PROBE_POINTS, 0.05)
+        fresh.sample_block(3, 0)
+        assert np.array_equal(a, fresh.sample_block(3, 1))
+        assert not np.array_equal(a, fresh.sample_block(3, 2))
 
     def test_mollified_covariance_symmetric_psd(self):
         cov = mollified_covariance(PROBE_POINTS, 0.05)
@@ -202,7 +193,7 @@ class TestSampler:
     def test_block_matches_dense_product(self):
         # the in-place triangular multiply against chol @ normals of the
         # same draw, split into the two components
-        model = _MassModel(mu_config(), 0.12, 0.1, 0.03, GridSpec())
+        model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
         ens = GffEnsemble(model.points, 0.03)
         for seed, b in ((0, 0), (5, 3)):
             block = ens.sample_block(seed, b)
@@ -237,13 +228,13 @@ def plain_covariance(points, rho):
 
 @pytest.mark.parametrize("rho", [0.003, 0.03, 0.1])
 def test_mollified_covariance_matches_plain_formula_bitwise(rho):
-    points = _MassModel(mu_config(), 0.12, 0.1, rho, GridSpec()).points
+    points = _MassModel(mu_config(), 0.12, 0.1, rho).points
     cov = mollified_covariance(points, rho)
     assert cov.tobytes() == plain_covariance(points, rho).tobytes()
 
 
 def test_exponentials_match_plain_formula_bitwise():
-    model = _MassModel(mu_config(), 0.12, 0.1, 0.03, GridSpec())
+    model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
     fields = GffEnsemble(model.points, 0.03).sample_block(2, 1)[:, :, :100]
     g, nb = float(model.cfg.gamma), model.n_bulk_pts
     for (bulk, bnd), (c1, c2) in zip(model.exponentials(fields), _ROOT_COEFFS):
@@ -372,6 +363,30 @@ class TestEstimateCorrelator:
         m_a, s_a = est_a.masses[("bulk", 1)]
         m_b, s_b = est_b.masses[("bulk", 1)]
         assert abs(m_a - m_b) < 3 * math.hypot(s_a, s_b)
+
+    def test_one_zero_mode_estimate_per_value(self, monkeypatch):
+        calls = []
+        real = gmc_mc._zero_mode_estimate
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(gmc_mc, "_zero_mode_estimate", counted)
+        estimate_correlator(mu_config(), delta=0.12, eps=0.1, rho=0.03,
+                            replicas=64, seed=1)
+        assert len(calls) == 1
+        estimate_correlator(bench_config(), delta=0.1, eps=0.08, rho=0.03,
+                            replicas=64, seed=1)
+        assert len(calls) == 1          # the free case has no zero mode
+        ladder = [0.006, 0.009, 0.0135]
+        rep = fusion_probe(mu_config(), ("boundary", 0, 1), ladder,
+                           delta=0.12, eps=0.12, rho=0.003, replicas=64,
+                           seed=3)
+        assert len(calls) == 1 + len(ladder) == 1 + len(rep.values)
+        # one call per rung, each on that rung's moved configuration
+        assert [float(c.boundary[1][0]) for c in calls[1:]] == \
+            pytest.approx([-0.5 + d for d in ladder], abs=1e-12)
 
     def test_mean_stderr_is_the_sample_formula(self):
         # sample variance with n - 1: (6.25 + 2.25 + 0.25 + 12.25) / 3 = 7
@@ -504,7 +519,7 @@ class TestFusionProbe:
         cfg = mu_config()
         ladder = [0.006, 0.02]
         anchor = complex(float(cfg.boundary[0][0]))
-        base = _MassModel(cfg, 0.12, 0.12, 0.003, GridSpec(),
+        base = _MassModel(cfg, 0.12, 0.12, 0.003,
                           extra_exclusions=[anchor + d for d in ladder])
         fields = GffEnsemble(base.points, 0.003).sample_block(3, 0)[:, :, :64]
         shared = base.exponentials(fields)

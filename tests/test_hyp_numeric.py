@@ -134,6 +134,18 @@ class TestSeriesEval:
         assert series_eval(spec, 0, 0.0) == 1.0
         assert series_eval(spec, 1 - GENERIC[1][0], 0.0) == 0.0
 
+    def test_solution_at_origin_follows_series_eval(self):
+        # the shifts are 0, 1 - b1 = 2/5 and 1 - b2 = -2/5
+        spec = mkspec(*GENERIC)
+        for sigma in (0, 1 - GENERIC[1][0]):
+            assert frobenius_solution(spec, sigma).evaluate(0.0) == \
+                series_eval(spec, sigma, 0.0)
+        negative = 1 - GENERIC[1][1]
+        with pytest.raises(AlgebraError, match="diverges at 0"):
+            series_eval(spec, negative, 0.0)
+        with pytest.raises(AlgebraError, match="diverges at 0"):
+            frobenius_solution(spec, negative).evaluate(0.0)
+
     @pytest.mark.parametrize("u", [0.1, 0.35, -0.2, 0.49])
     def test_matches_pochhammer_reference(self, u):
         a = tuple(float(x) for x in GENERIC[0])

@@ -38,16 +38,29 @@ def _referenced_names(paths) -> set:
     return names
 
 
+def _definitions(tree):
+    """(qualified name, name) of the module-level functions and classes,
+    and of the non-dunder methods and properties of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_module_level_definition_is_referenced():
-    # a module-level function or class that nothing in src/ or tests/
-    # names is dead code
+    # a module-level function or class, or a method or property of such a
+    # class, that nothing in src/ or tests/ names is dead code
     modules = sorted((ROOT / "src" / "w3toda").glob("*.py"))
     refs = _referenced_names(modules + sorted((ROOT / "tests").glob("*.py")))
     unreferenced = [
-        f"{path.name}: {node.name}"
+        f"{path.name}: {qualified}"
         for path in modules
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
-        and node.name not in refs]
+        for qualified, name in _definitions(ast.parse(path.read_text()))
+        if name not in refs]
     assert unreferenced == []
