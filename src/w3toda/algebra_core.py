@@ -169,7 +169,10 @@ class RatFunc:
     Coefficients are Fractions or RatFuncs in a strictly lower-level variable.
     The representation is reduced with monic denominator, so ``==`` decides
     mathematical equality; mixed operations with int/Fraction and lower-level
-    RatFuncs lift the smaller operand to a constant.
+    RatFuncs lift the smaller operand to a constant.  A constant denominator
+    skips the gcd, which is then always 1, a denominator that is already
+    monic is not rescaled, and equal denominators add without being
+    multiplied.
     """
 
     __slots__ = ("var", "num", "den")
@@ -181,12 +184,16 @@ class RatFunc:
         den = poly_trim(tuple(_as_coeff(c) for c in den))
         if not den:
             raise AlgebraError("zero denominator")
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        lead_inv = 1 / den[-1]
+        if len(den) > 1:
+            g = poly_gcd(num, den)
+            if len(g) > 1:
+                num, _ = poly_divmod(num, g)
+                den, _ = poly_divmod(den, g)
         self.var = var
+        if isinstance(den[-1], Fraction) and den[-1] == 1:
+            self.num, self.den = num, den
+            return
+        lead_inv = 1 / den[-1]
         self.num = poly_scale(num, lead_inv)
         self.den = poly_scale(den, lead_inv) if not _is_zero(lead_inv - 1) else den
 
@@ -218,6 +225,8 @@ class RatFunc:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if a.den == b.den:
+            return RatFunc(a.var, poly_add(a.num, b.num), a.den)
         num = poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
         return RatFunc(a.var, num, poly_mul(a.den, b.den))
 

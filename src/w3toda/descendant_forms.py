@@ -11,7 +11,13 @@ formulas (``l_form``).  The spin-3 forms (``miura_w_form``) are generated by
 composing three first-order symbols ``(q/2)*d + <h_i, dPhi>`` with the
 Leibniz rule, optionally shifting the cubic component by a multiple of the
 derivative of the quadratic one, and converting each term's action on a
-highest-weight vector into a multilinear form (``_read_form``).  The halved
+highest-weight vector into a multilinear form (``_read_form``).  The weight
+alpha and the scalar q enter that reading only through q**qpow and the three
+contracted products <h_i, alpha>, so it is done in two steps: a template
+over Q, keyed by the power of q and the contracted h-indices, is built in
+``Fraction`` arithmetic (``_sector_templates``), then alpha and q are
+substituted into it (``_substitute``).  The frozen convention's templates
+for W_{-1..3} are built once per process (``_frozen_template``).  The halved
 derivative slot is pinned by an anchor: the quadratic component of the same
 composition, read with normalization 2, reproduces the closed Virasoro
 formulas.  ``test_spin2_anchor_matches_closed_formulas`` checks this; the
@@ -477,14 +483,17 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _extract_sectors(words, n, alpha, q, order, s_b, s_q, par) -> dict:
-    """Level-n reading of a list of current words on the highest-weight
-    vector alpha, split by how many factors were contracted, with unit
-    contraction constant and unit normalization.
+def _sector_templates(words, n, order, s_b, s_q, par) -> dict:
+    """Weight-free part of the level-n reading of ``words``, in ``Fraction``
+    arithmetic only: {k: {(qpow, idx): poly}} with k the number of
+    contracted factors, idx the sorted h-indices of those factors and poly a
+    form over Q, so that sector k on alpha is the sum of
+    q**qpow * prod_{i in idx} <h_i, alpha> * poly (``_substitute``).
 
     Per current term c * prod_j <u_j, d^{p_j} Phi>, a factor is either
     contracted into parity^(p-1) * (p-1)! * <u, alpha> or kept with r >= p
-    derivatives and Taylor weight 1/(r-p)!; the kept degrees sum to n.
+    derivatives and Taylor weight 1/(r-p)!; the kept degrees sum to n.  The
+    unit contraction constant and unit normalization apply.
     """
     sectors = {}
     for (qpow, factors), c in words:
@@ -495,46 +504,96 @@ def _extract_sectors(words, n, alpha, q, order, s_b, s_q, par) -> dict:
             base = -base
         if s_b < 0 and len(factors) % 2:
             base = -base
-        scalar0 = base * q ** qpow if qpow else base
-        us = tuple(_HVECS[order[slot - 1] - 1] for slot, _ in factors)
+        hs = tuple(order[slot - 1] for slot, _ in factors)
         ps = tuple(d + 1 for _, d in factors)
         for rs in _compositions(n, len(factors)):
             if any(0 < r < p for p, r in zip(ps, rs)):
                 continue
-            k = sum(1 for r in rs if r == 0)
-            scalar = scalar0
+            scalar = base
+            idx = []
             poly = None
-            for u, p, r in zip(us, ps, rs):
+            for h, p, r in zip(hs, ps, rs):
                 if r == 0:
-                    w = factorial(p - 1) * inner(u, alpha)
+                    w = factorial(p - 1)
                     if par < 0 and (p - 1) % 2:
                         w = -w
                     scalar = scalar * w
+                    idx.append(h)
                 else:
-                    f = vec_factor(u, r)
+                    f = vec_factor(_HVECS[h - 1], r)
                     if r > p:
                         f = Fraction(1, factorial(r - p)) * f
                     poly = f if poly is None else poly * f
             if poly is None:
                 continue
-            prev = sectors.get(k)
+            groups = sectors.setdefault(len(idx), {})
+            key = (qpow, tuple(sorted(idx)))
+            prev = groups.get(key)
             add = scalar * poly
-            sectors[k] = add if prev is None else prev + add
-    return {k: p for k, p in sectors.items() if not p.is_zero}
+            groups[key] = add if prev is None else prev + add
+    return {k: {key: p for key, p in groups.items() if not p.is_zero}
+            for k, groups in sectors.items()}
+
+
+def _substitute(groups, alpha: CartanVector, q) -> FieldPolynomial:
+    """sum of q**qpow * prod_{i in idx} <h_i, alpha> * poly over the
+    {(qpow, idx): poly} groups of a template, with the three contracted
+    inner products and the powers of q formed once."""
+    xs = tuple(inner(h, alpha) for h in _HVECS)
+    qpows = {}
+    out = {}
+    for (qpow, idx), poly in groups.items():
+        scalar = None
+        if qpow:
+            scalar = qpows.get(qpow)
+            if scalar is None:
+                scalar = qpows[qpow] = q ** qpow
+        for i in idx:
+            scalar = xs[i - 1] if scalar is None else scalar * xs[i - 1]
+        for m, v in poly.terms.items():
+            c = v if scalar is None else v * scalar
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+    return FieldPolynomial(out)
+
+
+def _extract_sectors(words, n, alpha, q, order, s_b, s_q, par) -> dict:
+    """Level-n reading of a list of current words on the highest-weight
+    vector alpha, split by how many factors were contracted, with unit
+    contraction constant and unit normalization: each weight-free sector
+    template of ``_sector_templates`` substituted at (alpha, q)."""
+    sectors = {}
+    for k, groups in _sector_templates(words, n, order, s_b, s_q, par).items():
+        poly = _substitute(groups, alpha, q)
+        if not poly.is_zero:
+            sectors[k] = poly
+    return sectors
+
+
+def _form_template(words, n: int, conv: MiuraConvention,
+                   normalization) -> dict:
+    """Sector templates of ``words`` under ``conv`` merged into one
+    {(qpow, idx): poly} map, the sector with k contracted factors weighted
+    by ``normalization * conv.contraction ** k``."""
+    out = {}
+    templates = _sector_templates(words, n, conv.order, conv.sign_field,
+                                  conv.sign_q, conv.parity)
+    for k, groups in templates.items():
+        weight = normalization * conv.contraction ** k
+        for key, poly in groups.items():
+            out[key] = weight * poly
+    return out
 
 
 def _read_form(words, n: int, alpha: CartanVector, q, conv: MiuraConvention,
                normalization) -> FieldPolynomial:
     """Level-n form of ``words`` on alpha under ``conv``: the sector with k
-    contracted factors times ``normalization * contraction ** k``.  The
-    current words with ``conv.normalization`` give W_{-n}; the quadratic
-    words with normalization 2 give the Virasoro forms."""
-    total = FieldPolynomial.zero()
-    sectors = _extract_sectors(words, n, alpha, q, conv.order,
-                               conv.sign_field, conv.sign_q, conv.parity)
-    for k, poly in sectors.items():
-        total = total + (normalization * conv.contraction ** k) * poly
-    return total
+    contracted factors times ``normalization * contraction ** k``, read by
+    building the weight-free template over Q (``_form_template``) and
+    substituting alpha and q into it.  The current words with
+    ``conv.normalization`` give W_{-n}; the quadratic words with
+    normalization 2 give the Virasoro forms."""
+    return _substitute(_form_template(words, n, conv, normalization), alpha, q)
 
 
 def _c2_target(beta, chi, q) -> FieldPolynomial:
@@ -664,9 +723,15 @@ def miura_w_form(n: int, alpha: CartanVector, q=None) -> FieldPolynomial:
         raise AlgebraError(f"spin-3 modes are realized for n in 1..3, got {n}")
     if q is None:
         q = q_of_gamma()
+    return _substitute(_frozen_template(n), alpha, q)
+
+
+@lru_cache(maxsize=3)
+def _frozen_template(n: int) -> dict:
+    """Template of W_{-n} under the frozen convention, built once per level."""
     conv = miura_convention()
-    return _read_form(_current_words(conv.shift), n, alpha, q, conv,
-                      conv.normalization)
+    return _form_template(_current_words(conv.shift), n, conv,
+                          conv.normalization)
 
 
 def miura_current_terms(q=None) -> list:

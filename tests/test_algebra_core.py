@@ -1,5 +1,6 @@
 """Unit tests for the exact scalar tower and the rank-2 Cartan-space layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -344,3 +345,81 @@ def test_cfrac_basics():
     assert (z**3) == z * z * z
     with pytest.raises(AlgebraError):
         CFrac(0).reciprocal()
+
+
+# ---------------------------------------------------------------------------
+# RatFunc against sympy.cancel
+# ---------------------------------------------------------------------------
+
+def _to_sympy(x, gens):
+    """An exact scalar, nested coefficients included, as an element of
+    sympy's field of rational functions, whose values ``sympy.cancel``
+    keeps reduced; ``gens`` maps variable names to its generators."""
+    if isinstance(x, Fraction):
+        return gens["q"].field(x)
+    v = gens[x.var]
+    num = sum((_to_sympy(c, gens) * v ** i for i, c in enumerate(x.num)),
+              gens[x.var].field.zero)
+    den = sum(_to_sympy(c, gens) * v ** i for i, c in enumerate(x.den))
+    return num / den
+
+
+def _random_operand(rng, x):
+    """A constant, a polynomial in q (constant denominator), a rational
+    function of q, a polynomial in kappa over Q(q), or a value sharing the
+    denominator of ``x``."""
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def q_poly(deg):
+        return RatFunc("q", [frac() for _ in range(deg)] + [Fraction(1)])
+
+    kind = rng.randrange(5)
+    if kind == 0:
+        return frac()
+    if kind == 1:
+        return frac() * q_poly(rng.randint(1, 2))
+    if kind == 2:
+        return q_poly(rng.randint(0, 2)) / q_poly(rng.randint(1, 2))
+    if kind == 3:
+        return (variable("kappa") - frac()) * q_poly(1) / q_poly(1)
+    return RatFunc(x.var, (frac(), frac()), x.den)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ratfunc_chains_match_sympy_cancel(seed):
+    # random + - * / chains mixing constant, equal and nested denominators
+    sympy = pytest.importorskip("sympy")
+    _, qs, ks = sympy.field("q,kappa", sympy.QQ)
+    gens = {"q": qs, "kappa": ks}
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    rng = random.Random(seed)
+    x = variable("q") + _random_operand(rng, variable("q"))
+    want = _to_sympy(x, gens)
+    for _ in range(7):
+        y = _random_operand(rng, x)
+        op = rng.choice("+-*/")
+        if op == "/" and y == 0:
+            op = "*"
+        x = ops[op](x, y)
+        want = ops[op](want, _to_sympy(y, gens))
+        assert _to_sympy(x, gens) == want
+        # canonical: monic denominator of the reduced degree
+        assert x.den[-1] == 1
+        assert want.denom.degree(gens[x.var].numer) == len(x.den) - 1
+        if all(isinstance(c, Fraction) for c in x.num + x.den):
+            data = x.to_json()
+            back = ratfunc_from_json(x.var, data)
+            assert back == x and back.to_json() == data
+    # the last value once more through sympy.cancel on plain expressions
+    syms = {name: sympy.Symbol(name) for name in gens}
+
+    def plain(c):
+        if isinstance(c, Fraction):
+            return sympy.Rational(c.numerator, c.denominator)
+        v = syms[c.var]
+        return (sum(plain(a) * v ** i for i, a in enumerate(c.num))
+                / sum(plain(a) * v ** i for i, a in enumerate(c.den)))
+
+    assert sympy.cancel(plain(x) - want.as_expr()) == 0

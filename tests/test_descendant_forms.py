@@ -1,6 +1,9 @@
 """Unit tests for derivative-field multilinear forms and the spin-3 realization."""
 
+import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,21 +14,27 @@ from w3toda.algebra_core import (
     H2,
     H3,
     OMEGA1,
+    OMEGA2,
     RHO,
     AlgebraError,
     CartanVector,
+    _HVECS,
+    _as_coeff,
     conformal_weight,
     inner,
     q_of_gamma,
     spin,
     variable,
 )
+from w3toda import descendant_forms
 from w3toda.descendant_forms import (
     FieldMonomial,
     FieldPolynomial,
     MiuraConvention,
     Weight,
+    _compositions,
     _current_words,
+    _extract_sectors,
     _quad_words,
     _read_form,
     combine,
@@ -412,3 +421,129 @@ class TestWeight:
         with pytest.raises(AlgebraError,
                            match="screening scale must equal gamma or 2/gamma"):
             screening_branch(f(1, 3), f(4, 5))
+
+
+# ---------------------------------------------------------------------------
+# Template-then-substitute reading against the plain per-weight loop
+# ---------------------------------------------------------------------------
+
+def plain_sectors(words, n, alpha, q, order, s_b, s_q, par) -> dict:
+    """The level-n sector reading written out term by term, with alpha and
+    q multiplied in inside the loop and no template."""
+    sectors = {}
+    for (qpow, factors), c in words:
+        # the composed operator's derivative slot carries q/2, matching the
+        # half-weight pairing of the free field
+        base = _as_coeff(c) * Fraction(1, 2) ** qpow
+        if s_q < 0 and qpow % 2:
+            base = -base
+        if s_b < 0 and len(factors) % 2:
+            base = -base
+        scalar0 = base * q ** qpow if qpow else base
+        us = tuple(_HVECS[order[slot - 1] - 1] for slot, _ in factors)
+        ps = tuple(d + 1 for _, d in factors)
+        for rs in _compositions(n, len(factors)):
+            if any(0 < r < p for p, r in zip(ps, rs)):
+                continue
+            k = sum(1 for r in rs if r == 0)
+            scalar = scalar0
+            poly = None
+            for u, p, r in zip(us, ps, rs):
+                if r == 0:
+                    w = factorial(p - 1) * inner(u, alpha)
+                    if par < 0 and (p - 1) % 2:
+                        w = -w
+                    scalar = scalar * w
+                else:
+                    f = vec_factor(u, r)
+                    if r > p:
+                        f = Fraction(1, factorial(r - p)) * f
+                    poly = f if poly is None else poly * f
+            if poly is None:
+                continue
+            prev = sectors.get(k)
+            add = scalar * poly
+            sectors[k] = add if prev is None else prev + add
+    return {k: p for k, p in sectors.items() if not p.is_zero}
+
+
+def plain_read_form(words, n, alpha, q, conv, normalization):
+    total = FieldPolynomial.zero()
+    sectors = plain_sectors(words, n, alpha, q, conv.order, conv.sign_field,
+                            conv.sign_q, conv.parity)
+    for k, poly in sectors.items():
+        total = total + (normalization * conv.contraction ** k) * poly
+    return total
+
+
+def _reading_cases():
+    q, kappa, gamma = variable("q"), variable("kappa"), variable("gamma")
+    cases = [(kappa * OMEGA1, q), (kappa * OMEGA2, q)]
+    cases += [((-1) * chi * OMEGA1, q_of_gamma()) for chi in (gamma, 2 / gamma)]
+    chi = variable("chi")
+    cases.append(((-1) * chi * OMEGA1, chi + 2 / chi))
+    rng = random.Random(11)
+    for _ in range(4):
+        alpha = CartanVector(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        cases.append((alpha, Fraction(rng.randint(1, 40), rng.randint(1, 9))))
+    return cases
+
+
+@pytest.mark.parametrize("alpha,q", _reading_cases())
+def test_w_forms_match_plain_reading(alpha, q):
+    conv = miura_convention()
+    for n in (1, 2, 3):
+        got = miura_w_form(n, alpha, q=q)
+        want = plain_read_form(_current_words(conv.shift), n, alpha, q, conv,
+                               conv.normalization)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("alpha,q", _reading_cases()[::2])
+def test_quadratic_forms_match_plain_reading(alpha, q):
+    conv = miura_convention()
+    for n in (1, 2, 3, 4):
+        got = _read_form(_quad_words(), n, alpha, q, conv, Fraction(2))
+        want = plain_read_form(_quad_words(), n, alpha, q, conv, Fraction(2))
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 3), (3, 1, 2)])
+def test_scan_sectors_match_plain_reading(order):
+    # the convention scan reads unfrozen conventions the same way
+    q, kappa = variable("q"), variable("kappa")
+    alpha = kappa * OMEGA1
+    for s_b, s_q, par, shift in ((1, 1, 1, Fraction(0)),
+                                 (-1, 1, -1, Fraction(3, 4)),
+                                 (1, -1, 1, Fraction(-1, 2))):
+        words = _current_words(shift)
+        for n in (1, 2, 3):
+            got = _extract_sectors(words, n, alpha, q, order, s_b, s_q, par)
+            want = plain_sectors(words, n, alpha, q, order, s_b, s_q, par)
+            assert sorted(got) == sorted(want)
+            for k in want:
+                assert repr(got[k]) == repr(want[k])
+
+
+def test_frozen_templates_built_once_per_level(monkeypatch):
+    miura_convention()
+    built = Counter()
+    real = descendant_forms._sector_templates
+
+    def counted(words, n, *rest):
+        built[n] += 1
+        return real(words, n, *rest)
+
+    monkeypatch.setattr(descendant_forms, "_sector_templates", counted)
+    descendant_forms._frozen_template.cache_clear()
+    rng = random.Random(5)
+    for _ in range(4):
+        alpha = CartanVector(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for n in (1, 2, 3):
+            miura_w_form(n, alpha, q=Fraction(rng.randint(1, 40), 7))
+            miura_w_form(n, alpha)
+    assert built == Counter({1: 1, 2: 1, 3: 1})

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,21 @@ def test_every_module_level_definition_is_referenced():
         for qualified, name in _definitions(ast.parse(path.read_text()))
         if name not in refs]
     assert unreferenced == []
+
+
+def test_benchmark_tracer_wraps_existing_attributes():
+    # bench/tracing.py wraps package functions by attribute name; one that
+    # a refactor renamed would leave its per-layer metrics silently at zero
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(name, owner, attr) for name, owner, attr in tracing.SPANS]
+    wrapped += [(name, owner, attr)
+                for name, owner, attr, _ in tracing.COUNTERS]
+    attrs = {attr for _, _, attr in wrapped}
+    assert {"__init__", "poly_gcd", "poly_divmod", "poly_mul", "vec_factor",
+            "miura_w_form"} <= attrs
+    missing = [name for name, owner, attr in wrapped
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
