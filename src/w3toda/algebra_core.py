@@ -573,8 +573,12 @@ class CartanVector:
 
 
 def inner(u: CartanVector, v: CartanVector):
-    """Cartan-matrix pairing <u, v> = sum_ij A_ij u_i v_j."""
-    return (2 * (u.c1 * v.c1 + u.c2 * v.c2)) - (u.c1 * v.c2 + u.c2 * v.c1)
+    """Cartan-matrix pairing <u, v> = sum_ij A_ij u_i v_j, formed as
+    v_1 (2 u_1 - u_2) + v_2 (2 u_2 - u_1) with a rational vector as u, so
+    that the other side's coordinates enter two products and one sum."""
+    if not (isinstance(u.c1, Fraction) and isinstance(u.c2, Fraction)):
+        u, v = v, u
+    return v.c1 * (2 * u.c1 - u.c2) + v.c2 * (2 * u.c2 - u.c1)
 
 
 E1 = CartanVector(1, 0)

@@ -403,9 +403,15 @@ class RationalField:
     def evaluate(self, t):
         if isinstance(t, CFrac) or isinstance(t, (int, Fraction)):
             t = t if isinstance(t, CFrac) else CFrac.of(t)
+            powers = {}         # k -> [1/(z_k - t), its square, ...]
             total = CFrac(0)
             for (k, p), c in self.terms.items():
-                total = total + c * (self.points[k] - t).reciprocal() ** p
+                pw = powers.get(k)
+                if pw is None:
+                    pw = powers[k] = [(self.points[k] - t).reciprocal()]
+                while len(pw) < p:
+                    pw.append(pw[-1] * pw[0])
+                total = total + c * pw[p - 1]
             return total
         t = complex(t)
         total = 0j
