@@ -138,10 +138,18 @@ def _float_terms(spec: HypergeometricSpec) -> tuple:
     return tuple(out)
 
 
+def _split_shift(s) -> tuple:
+    """(hi, lo) with hi = float(s) and lo the rounded remainder s - hi, so
+    that (x + hi) + lo keeps s exact until its one rounding: where x + s
+    cancels, x + hi is exact (Sterbenz) and only lo is rounded."""
+    hi = _as_float(s, "operator shift")
+    return hi, float(s - Fraction(hi)) if isinstance(s, Fraction) else 0.0
+
+
 def _term_poly(x: float, scale: float, shifts) -> float:
     value = scale
-    for s in shifts:
-        value *= x + s
+    for hi, lo in shifts:
+        value *= (x + hi) + lo
     return value
 
 
@@ -174,8 +182,12 @@ def _check_sigma(spec: HypergeometricSpec, sigma: float) -> float:
 def _coefficient_stream(spec: HypergeometricSpec, sigma: float):
     """Yield Frobenius coefficients c_0 = 1, c_1, ... from the recurrence
     sum_terms scale * P_shifts(sigma + m - p) * c_(m-p) = 0 read off the
-    operator encoding."""
-    terms = _float_terms(spec)
+    operator encoding.  Each shift enters as a (hi, lo) split, so a factor
+    sigma + m + s that nearly cancels is not dominated by the rounding of
+    s."""
+    terms = tuple((_as_float(scale, "operator scale"), p,
+                   tuple(map(_split_shift, shifts)))
+                  for scale, p, shifts in spec.operator_terms())
     zero_power = [t for t in terms if t[1] == 0]
     if len(zero_power) != 1:
         raise AlgebraError("operator encoding needs one variable-free term")

@@ -505,6 +505,18 @@ class TestMpmathOracle:
                 # mostly from rounding in the recurrence coefficients
                 assert abs(got - ref) <= tail + 64 * 2.0 ** -52 * scale
 
+    def test_near_zero_shift_keeps_its_exact_part(self):
+        # B2 = -21/800, so the recurrence factor m + B2 - 1 cancels at
+        # m = 1; rounding B2 - 1 before adding m missed the first
+        # derivative by 19 ulps of its term sum, and correctly rounded
+        # coefficients miss it by 0.4
+        family, weights, chi = BPZ_CASES[0]
+        spec = bpz_spec(family, weights, chi, F(7, 10))
+        assert spec.b[1] == F(-21, 800)
+        refs, scales = self.mpmath_3f2(spec, 0.1, orders=1)
+        got = series_derivatives(spec, 0, 0.1, orders=1)
+        assert abs(got[1] - refs[1]) <= 4 * 2.0 ** -52 * scales[1]
+
     @pytest.mark.parametrize("family, weights, chi", BPZ_CASES, ids=BPZ_IDS)
     def test_operator_residual_near_zero(self, family, weights, chi):
         # observed: at most 7e-15 of the largest derivative through
