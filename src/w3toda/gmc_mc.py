@@ -24,6 +24,13 @@ weights per rung.  From pooled masses to a value there is one path,
 ``_zero_mode_estimate``: the correlator estimate and every fusion rung go
 through it for their windows, quadrature error, mean and stderr.
 
+Replicas come in antithetic pairs: every sampled field phi is followed by
+its mirror -phi, which has the same law, needs no new normals and no
+triangular product, and whose exponentials are the reciprocals of the
+draw's.  A pair's two replicas are correlated, distinct pairs are not, so
+the stderr of the value and of every mass is taken from the pair means
+(``_paired_mean_stderr``), never from the correlated replicas themselves.
+
 Conventions, fixed here and used consistently throughout:
 
 * covariance ``E <u, X(x)> <v, X(y)> = <u, v> G(x, y)`` with
@@ -47,9 +54,12 @@ Conventions, fixed here and used consistently throughout:
 * insertions are expected inside the closed unit disk, where their own
   ``|zeta_k|_+`` normalization factors degenerate to one.
 
-Replicas are organized in fixed blocks of 512: block ``b`` of seed ``S``
-draws from ``default_rng([S, b])``, so any replica can be replayed
-deterministically and partial runs merge by summing moments.
+Field draws are organized in fixed blocks of 512: block ``b`` of seed
+``S`` draws from ``default_rng([S, b])`` and gives 1,024 replicas, its 512
+draws and then their mirrors.  Any replica can be replayed
+deterministically, and partial runs merge by summing the moments of their
+pair means.  ``replicas`` always counts field evaluations, draws and
+mirrors alike; for an odd count the last draw has no mirror.
 """
 
 from __future__ import annotations
@@ -203,7 +213,8 @@ class GffEnsemble:
         return self.points.size
 
     def sample_block(self, seed: int, block: int) -> np.ndarray:
-        """Replicas [block*BLOCK, (block+1)*BLOCK) as an array (2, n, BLOCK).
+        """Field draws [block*BLOCK, (block+1)*BLOCK) of the seed's stream
+        as an array (2, n, BLOCK).
 
         The normals (n, 2*BLOCK) are multiplied by the lower-triangular
         factor in place: BLAS ``dtrmm`` forms ``normals.T @ chol.T`` on the
@@ -397,12 +408,58 @@ class _MassModel:
                 for k, v in self.masses((moments, moments)).items()}
 
 
-def _exponential_blocks(model, ensemble, seed: int, replicas: int):
-    """``model.exponentials`` of each sampling block in turn, the last
-    block cut to the requested replica count."""
-    for b in range(-(-replicas // BLOCK)):
-        count = min(BLOCK, replicas - b * BLOCK)
-        yield model.exponentials(ensemble.sample_block(seed, b)[:, :, :count])
+def _exponential_blocks(model, ensemble, seed: int, replicas: int, *,
+                        kept: bool = False):
+    """``model.exponentials`` of the replicas, two yields per sampling
+    block: its draws phi, then their mirrors -phi.  A block holds 2 * BLOCK
+    replicas; the last one holds the rest of the requested count, and for
+    an odd count its last draw has no mirror.  The mirrors' exponentials
+    are the reciprocals of the draws' (exp(-phi) = 1 / exp(phi)), so they
+    cost no normals, no triangular product and no ``exp``.
+
+    By default they overwrite the draws' buffers, for a consumer that is
+    done with each yield before it asks for the next; with ``kept`` they
+    get their own arrays, so that every yield may be held."""
+    for b in range(-(-replicas // (2 * BLOCK))):
+        count = min(2 * BLOCK, replicas - 2 * BLOCK * b)
+        mirrors = count // 2
+        exps = model.exponentials(
+            ensemble.sample_block(seed, b)[:, :, :count - mirrors])
+        yield exps
+        exps = tuple(tuple(np.reciprocal(e[:, :mirrors],
+                                         out=None if kept else e[:, :mirrors])
+                           for e in pair) for pair in exps)
+        yield exps
+        del exps            # not held while the next block is drawn
+
+
+def _pair_means(values: np.ndarray) -> np.ndarray:
+    """Means of the (draw, mirror) pairs in replica values pooled in the
+    order of ``_exponential_blocks``; an unpaired last draw is left out."""
+    full = values.size - values.size % (2 * BLOCK)
+    head = values[:full].reshape(-1, 2, BLOCK)
+    tail = values[full:]
+    mirrors = tail.size // 2
+    return np.concatenate([0.5 * (head[:, 0] + head[:, 1]).ravel(),
+                           0.5 * (tail[:mirrors] + tail[tail.size - mirrors:])])
+
+
+def _paired_mean_stderr(values: np.ndarray) -> tuple:
+    """Mean of pooled replica values and its standard error, taken from
+    the pair means: a draw and its mirror are correlated, distinct pairs
+    are independent.  An unpaired last draw counts as half a pair, so the
+    stderr is that of the pair means scaled by sqrt(2 * pairs / replicas);
+    with fewer than two pairs it is 0.0."""
+    pairs = _pair_means(values)
+    err = _mean_stderr(pairs)[1] * math.sqrt(2 * pairs.size / values.size) \
+        if pairs.size > 1 else 0.0
+    return float(values.mean()), err
+
+
+def _pairing(replicas: int) -> dict:
+    """Pairing counts of a replica total, for the diagnostics."""
+    return {"pairs": replicas // 2, "unpaired": replicas % 2,
+            "draw_blocks": -(-replicas // (2 * BLOCK))}
 
 
 def _pooled_masses(model, exp_blocks) -> dict:
@@ -559,15 +616,17 @@ def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
 def _zero_mode_estimate(pooled: dict, cfg, tol: float) -> tuple:
     """(mean, stderr, windows, tails, quad_error) of the zero-mode integral
     over the pooled replica masses: the windows grow from the mean masses,
-    and ``quad_error`` is the relative change of the first sampling block's
-    mean integral when the node count doubles."""
+    the stderr comes from the pair means (``_paired_mean_stderr``), and
+    ``quad_error`` is the relative change of the first sampling block's
+    mean integral (its draws and their mirrors) when the node count
+    doubles."""
     windows, tails = _windows_from_means(
         {k: float(v.mean()) for k, v in pooled.items()}, cfg, tol)
     values = _zero_mode_values(pooled, cfg, windows)
-    first = {k: v[:BLOCK] for k, v in pooled.items()}
+    first = {k: v[:2 * BLOCK] for k, v in pooled.items()}
     ref = float(_zero_mode_values(first, cfg, windows, 2 * _QUAD_NODES).mean())
-    quad_error = abs(float(values[:BLOCK].mean()) - ref) / ref
-    mean, stderr = _mean_stderr(values)
+    quad_error = abs(float(values[:2 * BLOCK].mean()) - ref) / ref
+    mean, stderr = _paired_mean_stderr(values)
     return mean, stderr, windows, tails, quad_error
 
 
@@ -613,13 +672,17 @@ def _zero_mode_values(masses: dict, cfg, windows,
 class GmcEstimate:
     """Monte Carlo value with per-direction chaos masses.
 
+    ``replicas`` counts field evaluations, draws and mirrors alike;
     ``masses`` maps ("bulk", i) and ("boundary", i, arc) to (mean, stderr);
+    every stderr, the value's included, comes from the pair means.
     ``diagnostics`` records the zero-mode windows, tail increments and
     quadrature error (``quad_error``: the relative change of the first
-    block's mean integral under a doubled node count), grid sizes, the
-    boundary masses with no grid point (``empty_arcs``, as (direction,
-    arc) pairs), the closed-form Coulomb factor, and the deterministic mass
-    expectations."""
+    sampling block's mean integral under a doubled node count), grid sizes,
+    the boundary masses with no grid point (``empty_arcs``, as (direction,
+    arc) pairs), the closed-form Coulomb factor, the deterministic mass
+    expectations, and the pairing: ``pairs`` (draw, mirror) pairs,
+    ``unpaired`` draws (1 for an odd replica count, else 0) and
+    ``draw_blocks``, the number of sampled field blocks."""
 
     value: float
     stderr: float
@@ -655,6 +718,13 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     feed the mass diagnostics.  Otherwise the charge-convergence conditions
     must hold and the zero-mode integral is evaluated on the reported
     window, factorized over the two fundamental-weight directions.
+
+    The ``replicas`` field evaluations are ceil(replicas / 2) draws and
+    their mirrors, from ceil(replicas / 1024) sampled blocks.  Stderrs come
+    from the pair means, with an unpaired last draw counted as half a pair;
+    with fewer than two pairs (under four replicas) they are 0.0.  The
+    blocks stream through one at a time, the mirrors' reciprocals
+    overwriting the draws' exponentials once the draws' masses are taken.
     """
     if replicas <= 0:
         raise AlgebraError("no data: at least one replica is required")
@@ -669,7 +739,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     pooled = _pooled_masses(
         model, _exponential_blocks(model, ensemble, seed, replicas))
 
-    mass_stats = {k: _mean_stderr(v) for k, v in pooled.items()}
+    mass_stats = {k: _paired_mean_stderr(v) for k, v in pooled.items()}
 
     coulomb = coulomb_value(cfg)
     diagnostics = {
@@ -679,6 +749,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
         "empty_arcs": model.empty_arcs,
         "rho": float(rho), "delta": float(delta), "eps": float(eps),
         "expected_masses": model.expected_masses(cov_diag),
+        **_pairing(replicas),
     }
 
     if free_case:
@@ -705,7 +776,9 @@ class FusionReport:
     increment of each direction on that rung's own window,
     ``quad_errors`` the zero-mode quadrature error and ``empty_arcs`` the
     (direction, arc) boundary masses with no grid point (see
-    ``GmcEstimate``)."""
+    ``GmcEstimate``).  ``pairs`` and ``draw_blocks`` count the shared
+    antithetic pairs and sampled field blocks (both 0 in the free case,
+    which samples nothing)."""
 
     slope: float
     exponent: float
@@ -716,6 +789,8 @@ class FusionReport:
     tail_increments: tuple = ()
     quad_errors: tuple = ()
     empty_arcs: tuple = ()
+    pairs: int = 0
+    draw_blocks: int = 0
 
     @property
     def bound(self) -> float:
@@ -733,7 +808,8 @@ class FusionReport:
                 "tail_increments": [list(t) for t in self.tail_increments],
                 "quad_errors": list(self.quad_errors),
                 "empty_arcs": [[list(k) for k in rung]
-                               for rung in self.empty_arcs]}
+                               for rung in self.empty_arcs],
+                "pairs": self.pairs, "draw_blocks": self.draw_blocks}
 
 
 def _moved_config(cfg, kind, i, j, d):
@@ -758,9 +834,13 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
 
     The grids and field replicas are shared across ladder rungs (every rung
     position is excluded from the quadrature grid up front): each field
-    block is exponentiated once, and each rung only rebinds the
-    insertion-dependent weights, grows its own zero-mode window from its
-    mean masses and reports that window's tail increments.  The predicted
+    block is exponentiated once and kept with its mirrors' exponentials in
+    arrays of their own, and each rung only rebinds the insertion-dependent
+    weights, grows its own zero-mode window from its mean masses and
+    reports that window's tail increments.  The rungs thus re-weight the
+    same (draw, mirror) pairs, and take their stderrs from the pair means
+    as ``estimate_correlator`` does; at least two pairs (four replicas)
+    are required.  The predicted
     short-distance exponent is ``-inner`` of the pair weights for a bulk
     pair and ``-inner/2`` for a boundary pair, plus a positive-part
     correction in the second simple-root direction; the fitted slope is
@@ -772,9 +852,10 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     store = cfg.bulk if kind == "bulk" else cfg.boundary
     if not (0 <= i < len(store) and 0 <= j < len(store) and i != j):
         raise AlgebraError("pair indices must name two distinct insertions")
-    if replicas < 2:
+    if replicas < 4:
         raise AlgebraError(
-            "no data: the fusion fit needs at least two replicas")
+            "no data: the fusion fit needs at least two antithetic pairs "
+            "(four replicas) for its stderrs")
     ladder = sorted(float(d) for d in ladder)
     if len(ladder) < 2:
         raise AlgebraError("distance ladder needs at least two rungs")
@@ -796,6 +877,8 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         if gap > 0 else 0.0
 
     free_case = _check_convergence_conditions(cfg)
+    # the free case samples nothing
+    counts = _pairing(0 if free_case else replicas)
     if not free_case:
         if kind == "bulk":
             anchor = complex(store[i][0].re, store[i][0].im)
@@ -804,9 +887,11 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         positions = [anchor + d for d in ladder]
         base_model = _MassModel(cfg, delta, eps, rho,
                                 extra_exclusions=positions)
-        # the factorization is dropped once the blocks are drawn
+        # the factorization is dropped once the blocks are drawn; every
+        # rung re-weights the same stored draws and mirrors
         exps = list(_exponential_blocks(
-            base_model, GffEnsemble(base_model.points, rho), seed, replicas))
+            base_model, GffEnsemble(base_model.points, rho), seed, replicas,
+            kept=True))
 
     values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
     for d in ladder:
@@ -833,4 +918,5 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     return FusionReport(slope, exponent, correction, tuple(ladder),
                         tuple(float(v) for v in values),
                         tuple(float(e) for e in errs), tuple(tails),
-                        tuple(quad_errors), tuple(empty_arcs))
+                        tuple(quad_errors), tuple(empty_arcs),
+                        counts["pairs"], counts["draw_blocks"])

@@ -1,6 +1,7 @@
 """Tests for the Gaussian-field sampler and the multiplicative-chaos
 correlator estimator."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -40,9 +41,13 @@ from w3toda.gmc_mc import (
     _EXP1_ZERO,
     _ROOT_COEFFS,
     _MassModel,
+    _exponential_blocks,
     _mean_stderr,
     _moved_config,
+    _paired_mean_stderr,
+    _pooled_masses,
     _smoothed_log,
+    _zero_mode_values,
 )
 
 # ---------------------------------------------------------------------------
@@ -572,6 +577,169 @@ class TestFusionProbe:
             fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
                          self.LADDER, delta=0.1, eps=0.002, rho=0.004,
                          replicas=1)
+
+
+# ---------------------------------------------------------------------------
+# antithetic pairs: every draw phi is followed by its mirror -phi
+
+
+def reference_pair_means(values):
+    """Pair means walked block by block: a sampling block holds up to
+    2 * BLOCK replicas, its draws first, then their mirrors in the same
+    order; an odd count's last draw has no mirror."""
+    out, start = [], 0
+    while start < values.size:
+        count = min(2 * BLOCK, values.size - start)
+        mirrors = count // 2
+        draws = count - mirrors
+        out += [(values[start + j] + values[start + draws + j]) / 2
+                for j in range(mirrors)]
+        start += count
+    return np.array(out)
+
+
+class TestAntitheticPairs:
+    def test_mirror_exponentials_within_two_ulps_of_exp(self):
+        model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
+        ens = GffEnsemble(model.points, 0.03)
+        g, nb = float(model.cfg.gamma), model.n_bulk_pts
+        fields = ens.sample_block(2, 0)
+        draws, mirrors = _exponential_blocks(model, ens, 2, 2 * BLOCK,
+                                             kept=True)
+        for (bulk, bnd), (c1, c2) in zip(mirrors, _ROOT_COEFFS):
+            phi = g * (c1 * fields[0] + c2 * fields[1])
+            for got, want in ((bulk, np.exp(-phi[:nb])),
+                              (bnd, np.exp(-0.5 * phi[nb:]))):
+                assert got.shape == want.shape == (want.shape[0], BLOCK)
+                assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        # the streamed blocks, which reciprocate in place, hand a consumer
+        # that copies each yield the same bits as the kept blocks
+        streamed = [tuple(tuple(e.copy() for e in pair) for pair in exps)
+                    for exps in _exponential_blocks(model, ens, 2, 2 * BLOCK)]
+        for a, b in zip(streamed, (draws, mirrors)):
+            for pa, pb in zip(a, b):
+                for ea, eb in zip(pa, pb):
+                    assert ea.tobytes() == eb.tobytes()
+
+    def test_stderrs_are_the_sample_formula_on_pair_means(self):
+        cfg, replicas, seed = mu_config(), 2 * 2 * BLOCK + 300, 4
+        est = estimate_correlator(cfg, 0.12, 0.1, 0.03, replicas, seed=seed)
+        model = _MassModel(cfg, 0.12, 0.1, 0.03)
+        pooled = _pooled_masses(model, _exponential_blocks(
+            model, GffEnsemble(model.points, 0.03), seed, replicas))
+        for key, values in pooled.items():
+            mean, err = est.masses[key]
+            assert mean == float(values.mean())
+            pairs = reference_pair_means(values)
+            assert pairs.size == replicas // 2
+            assert err == pytest.approx(_mean_stderr(pairs)[1], rel=1e-12)
+        values = _zero_mode_values(pooled, cfg, est.diagnostics["window"])
+        coulomb = est.diagnostics["coulomb"]
+        assert est.value == pytest.approx(coulomb * values.mean(), rel=1e-15)
+        paired = coulomb * _mean_stderr(reference_pair_means(values))[1]
+        assert est.stderr == pytest.approx(paired, rel=1e-12)
+        # the replicas of a pair are correlated, so the naive formula on
+        # them is a different number
+        naive = coulomb * _mean_stderr(values)[1]
+        assert est.stderr != pytest.approx(naive, rel=1e-6)
+
+    @pytest.mark.parametrize("replicas", [2 * BLOCK + 301, 3, 1])
+    def test_unpaired_draw_counts_as_half_a_pair(self, replicas):
+        values = np.random.default_rng(replicas).lognormal(size=replicas)
+        mean, err = _paired_mean_stderr(values)
+        assert mean == float(values.mean())
+        pairs = reference_pair_means(values)
+        assert pairs.size == replicas // 2
+        if pairs.size < 2:
+            assert err == 0.0
+        else:
+            assert err == pytest.approx(_mean_stderr(pairs)[1] * math.sqrt(
+                2 * pairs.size / replicas), rel=1e-12)
+
+    @pytest.mark.parametrize("replicas", [1, 2, 3, BLOCK + 1, 2 * BLOCK + 1])
+    def test_odd_and_minimal_replica_counts(self, replicas):
+        est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, replicas,
+                                  seed=6)
+        assert est.replicas == replicas
+        assert math.isfinite(est.value) and est.value > 0
+        assert math.isfinite(est.stderr)
+        assert (est.stderr > 0) == (replicas >= 4)
+        for mean, err in est.masses.values():
+            assert math.isfinite(mean) and math.isfinite(err)
+        diag = est.diagnostics
+        assert diag["pairs"] == replicas // 2
+        assert diag["unpaired"] == replicas % 2
+        assert diag["draw_blocks"] == -(-replicas // (2 * BLOCK))
+
+    def test_one_draw_block_per_two_blocks_of_replicas(self, monkeypatch):
+        calls = []
+        real = GffEnsemble.sample_block
+
+        def counted(self, seed, block):
+            calls.append(block)
+            return real(self, seed, block)
+
+        monkeypatch.setattr(GffEnsemble, "sample_block", counted)
+        est = estimate_correlator(bench_config(), delta=0.1, eps=0.08,
+                                  rho=0.03, replicas=50_000, seed=1)
+        assert calls == list(range(49))     # ceil(50_000 / 1024)
+        assert est.replicas == 50_000
+        assert (est.diagnostics["pairs"], est.diagnostics["unpaired"],
+                est.diagnostics["draw_blocks"]) == (25_000, 0, 49)
+
+    def test_rungs_reweight_the_same_pairs_bitwise(self, monkeypatch):
+        cfg, ladder, replicas, seed = mu_config(), [0.006, 0.02], \
+            2 * BLOCK + 101, 3
+        seen = []
+        real = gmc_mc._zero_mode_estimate
+
+        def spy(pooled, cfg_d, tol):
+            seen.append((cfg_d, pooled))
+            return real(pooled, cfg_d, tol)
+
+        monkeypatch.setattr(gmc_mc, "_zero_mode_estimate", spy)
+        rep = fusion_probe(cfg, ("boundary", 0, 1), ladder, delta=0.12,
+                           eps=0.12, rho=0.003, replicas=replicas, seed=seed)
+        anchor = complex(float(cfg.boundary[0][0]))
+        base = _MassModel(cfg, 0.12, 0.12, 0.003,
+                          extra_exclusions=[anchor + d for d in ladder])
+        ens = GffEnsemble(base.points, 0.003)
+        assert len(seen) == len(ladder)
+        for cfg_d, pooled in seen:
+            # a fresh streamed pass for this rung alone: same pairs, same bits
+            model = base.rebound(cfg_d)
+            streamed = _pooled_masses(
+                model, _exponential_blocks(model, ens, seed, replicas))
+            assert pooled.keys() == streamed.keys()
+            for k in streamed:
+                assert pooled[k].size == replicas
+                assert pooled[k].tobytes() == streamed[k].tobytes()
+        assert (rep.pairs, rep.draw_blocks) == (replicas // 2, 2)
+
+    def test_fusion_needs_two_pairs(self):
+        kwargs = dict(delta=0.12, eps=0.12, rho=0.003, seed=3)
+        with pytest.raises(AlgebraError, match="no data"):
+            fusion_probe(mu_config(), ("boundary", 0, 1), [0.006, 0.02],
+                         replicas=3, **kwargs)
+        rep = fusion_probe(mu_config(), ("boundary", 0, 1), [0.006, 0.02],
+                           replicas=4, **kwargs)
+        assert all(math.isfinite(e) and e > 0 for e in rep.stderrs)
+        assert (rep.pairs, rep.draw_blocks) == (2, 1)
+
+    def test_pairing_keys_round_trip(self, mu_estimate):
+        diag = json.loads(json.dumps(mu_estimate.to_json()))["diagnostics"]
+        assert (diag["pairs"], diag["unpaired"], diag["draw_blocks"]) == \
+            (2048, 0, 4)
+        rep = fusion_probe(mu_config(), ("boundary", 0, 1), [0.006, 0.02],
+                           delta=0.12, eps=0.12, rho=0.003, replicas=1025,
+                           seed=3)
+        blob = json.loads(json.dumps(rep.to_json()))
+        assert (blob["pairs"], blob["draw_blocks"]) == (512, 2)
+        free = fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
+                            TestFusionProbe.LADDER, delta=0.1, eps=0.002,
+                            rho=0.004, replicas=16)
+        assert (free.to_json()["pairs"], free.to_json()["draw_blocks"]) == \
+            (0, 0)          # the free case samples nothing
 
 
 # ---------------------------------------------------------------------------
