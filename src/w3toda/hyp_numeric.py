@@ -131,19 +131,19 @@ def substitute_gamma(spec: HypergeometricSpec, gamma) -> HypergeometricSpec:
 
 
 def _float_terms(spec: HypergeometricSpec) -> tuple:
+    """Operator terms with a float scale and each shift split as (hi, lo):
+    hi = float(s) and lo the rounded remainder s - hi, so that (x + hi) + lo
+    keeps s exact until its one rounding.  Where x + s cancels, x + hi is
+    exact (Sterbenz) and only lo is rounded."""
     out = []
     for scale, p, shifts in spec.operator_terms():
-        out.append((_as_float(scale, "operator scale"), p,
-                    tuple(_as_float(s, "operator shift") for s in shifts)))
+        split = []
+        for s in shifts:
+            hi = _as_float(s, "operator shift")
+            split.append((hi, float(s - Fraction(hi))
+                          if isinstance(s, (int, Fraction)) else 0.0))
+        out.append((_as_float(scale, "operator scale"), p, tuple(split)))
     return tuple(out)
-
-
-def _split_shift(s) -> tuple:
-    """(hi, lo) with hi = float(s) and lo the rounded remainder s - hi, so
-    that (x + hi) + lo keeps s exact until its one rounding: where x + s
-    cancels, x + hi is exact (Sterbenz) and only lo is rounded."""
-    hi = _as_float(s, "operator shift")
-    return hi, float(s - Fraction(hi)) if isinstance(s, Fraction) else 0.0
 
 
 def _term_poly(x: float, scale: float, shifts) -> float:
@@ -185,9 +185,7 @@ def _coefficient_stream(spec: HypergeometricSpec, sigma: float):
     operator encoding.  Each shift enters as a (hi, lo) split, so a factor
     sigma + m + s that nearly cancels is not dominated by the rounding of
     s."""
-    terms = tuple((_as_float(scale, "operator scale"), p,
-                   tuple(map(_split_shift, shifts)))
-                  for scale, p, shifts in spec.operator_terms())
+    terms = _float_terms(spec)
     zero_power = [t for t in terms if t[1] == 0]
     if len(zero_power) != 1:
         raise AlgebraError("operator encoding needs one variable-free term")
@@ -341,7 +339,7 @@ def derivative_coefficients(spec: HypergeometricSpec) -> tuple:
     via theta^k = sum_j S(k, j) u^j d^j."""
     polys = [[], [], [], []]
     for scale, p, shifts in _float_terms(spec):
-        theta_poly = poly_from_shifts(scale, shifts)
+        theta_poly = poly_from_shifts(scale, [hi for hi, _ in shifts])
         for k, alpha in enumerate(theta_poly):
             if alpha == 0:
                 continue
