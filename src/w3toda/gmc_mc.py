@@ -219,8 +219,8 @@ class GffEnsemble:
         The normals (n, 2*BLOCK) are multiplied by the lower-triangular
         factor in place: BLAS ``dtrmm`` forms ``normals.T @ chol.T`` on the
         Fortran-ordered transposes, so neither operand is copied.  Column
-        ``r`` of the draw is replica ``r`` of component 0 and column
-        ``BLOCK + r`` replica ``r`` of component 1; the result is a
+        ``r`` of the normals is field ``r`` of component 0 and column
+        ``BLOCK + r`` field ``r`` of component 1; the result is a
         (2, n, BLOCK) view of that buffer."""
         rng = np.random.default_rng([int(seed), int(block)])
         normals = rng.standard_normal((self.n, 2 * BLOCK))
