@@ -18,9 +18,12 @@ functions of the probe point:
   which vanish identically on neutral configurations and double as the
   decisive cross-check of the spin-3 realization.
 
-Pole sums live in ``RationalField``: finite linear combinations of
-``(z_k - t)^{-p}`` with exact complex-rational coefficients, closed under
-sum, product (partial fractions) and d/dt.
+Pole sums as functions of the probe live in ``RationalField``: finite linear
+combinations of ``(z_k - t)^{-p}`` with exact complex-rational coefficients,
+closed under sum, product (partial fractions) and d/dt.  Pole sums evaluated
+at an insertion z_k, which the descendant ratios and the global rows read,
+come from one ``PoleSumTable`` per insertion: it forms each 1/(z_l - z_k)
+power once and each (order, direction) sum once, for every form read there.
 """
 
 from __future__ import annotations
@@ -589,28 +592,61 @@ def engine_spin(alpha_hat: CartanVector, q) -> Fraction:
     return spin(alpha_hat, q=q) / 2
 
 
+class PoleSumTable:
+    """Pole sums at one doubled insertion z_k over the other insertions.
+
+    The entry for a factor (p, i), i.e. <E_i, d^p Phi>, is the value at
+    t = z_k of (p-1)!/2 sum_{l != k} <E_i, w_l> / (z_l - t)^p.  Each
+    1/(z_l - z_k) and its powers are formed once and shared by both
+    directions i and every order p; each entry is summed once, on first
+    use.  ``ratio`` reads a whole form through the table.
+    """
+
+    __slots__ = ("_pairings", "_powers", "_sums")
+
+    def __init__(self, insertions, k: int):
+        if not 0 <= k < len(insertions):
+            raise AlgebraError(f"doubled index {k} out of range")
+        zk = insertions[k][0]
+        others = [(z, w) for l, (z, w) in enumerate(insertions) if l != k]
+        self._pairings = [(inner(E1, w), inner(E2, w)) for _, w in others]
+        self._powers = [[(z - zk).reciprocal()] for z, _ in others]
+        self._sums = {}
+
+    def __getitem__(self, factor) -> CFrac:
+        s = self._sums.get(factor)
+        if s is None:
+            p, i = factor
+            re = im = Fraction(0)
+            for pairing, pw in zip(self._pairings, self._powers):
+                c = pairing[i - 1]
+                if c == 0:
+                    continue
+                while len(pw) < p:
+                    pw.append(pw[-1] * pw[0])
+                re += c * pw[p - 1].re
+                im += c * pw[p - 1].im
+            pref = Fraction(factorial(p - 1), 2)
+            s = self._sums[factor] = CFrac(pref * re, pref * im)
+        return s
+
+    def ratio(self, form: FieldPolynomial) -> CFrac:
+        """Descendant/primary ratio of ``form`` inserted at z_k."""
+        total = CFrac(0)
+        for m, coeff in form.terms.items():
+            piece = CFrac.of(coeff)
+            for factor in m.factors:
+                piece = piece * self[factor]
+            total = total + piece
+        return total
+
+
 def descendant_ratio_at(cfg: CorrelatorConfig, k: int,
                         form: FieldPolynomial) -> CFrac:
     """Descendant/primary ratio for a form inserted at doubled index k,
-    with pole sums over the other doubled insertions evaluated at z_k."""
-    insertions = doubled_insertions(cfg)
-    if not 0 <= k < len(insertions):
-        raise AlgebraError(f"doubled index {k} out of range")
-    zk = insertions[k][0]
-    others = [(z, w) for i, (z, w) in enumerate(insertions) if i != k]
-    sums = {}   # pole sum at z_k of each distinct (order, index) factor
-    total = CFrac(0)
-    for m, coeff in form.terms.items():
-        piece = CFrac.of(coeff) if not isinstance(coeff, CFrac) else coeff
-        for factor in m.factors:
-            s = sums.get(factor)
-            if s is None:
-                p, i = factor
-                s = sums[factor] = _ipp_factor(
-                    (E1, E2)[i - 1], p, others).evaluate(zk)
-            piece = piece * s
-        total = total + piece
-    return total
+    with pole sums over the other doubled insertions evaluated at z_k
+    (read through a ``PoleSumTable``)."""
+    return PoleSumTable(doubled_insertions(cfg), k).ratio(form)
 
 
 def w_current_field(cfg: CorrelatorConfig) -> RationalField:
@@ -636,14 +672,15 @@ def w_current_field(cfg: CorrelatorConfig) -> RationalField:
 
 def global_virasoro_row(cfg: CorrelatorConfig, n: int) -> CFrac:
     """Residual of the degree-n global Virasoro row (n in 0..2); identically
-    zero on doubled-neutral configurations."""
+    zero on doubled-neutral configurations.  One ``PoleSumTable`` per
+    insertion."""
     if n not in (0, 1, 2):
         raise AlgebraError(f"global Virasoro rows exist for n in 0..2, got {n}")
     insertions = doubled_insertions(cfg)
     q = cfg.q
     total = CFrac(0)
     for k, (zk, wk) in enumerate(insertions):
-        l1 = descendant_ratio_at(cfg, k, l_form((1,), wk, q=q))
+        l1 = PoleSumTable(insertions, k).ratio(l_form((1,), wk, q=q))
         total = total + zk ** n * l1
         if n >= 1:
             total = total + CFrac.of(n * engine_weight(wk, q)) * zk ** (n - 1)
@@ -652,17 +689,19 @@ def global_virasoro_row(cfg: CorrelatorConfig, n: int) -> CFrac:
 
 def global_w_row(cfg: CorrelatorConfig, m: int) -> CFrac:
     """Residual of the degree-m global spin-3 row (m in 0..4); identically
-    zero on doubled-neutral configurations with the realized spin-3 forms."""
+    zero on doubled-neutral configurations with the realized spin-3 forms.
+    One ``PoleSumTable`` per insertion serves both forms."""
     if m not in (0, 1, 2, 3, 4):
         raise AlgebraError(f"global spin-3 rows exist for m in 0..4, got {m}")
     insertions = doubled_insertions(cfg)
     q = cfg.q
     total = CFrac(0)
     for k, (zk, wk) in enumerate(insertions):
-        w2 = descendant_ratio_at(cfg, k, miura_w_form(2, wk, q=q))
+        sums = PoleSumTable(insertions, k)
+        w2 = sums.ratio(miura_w_form(2, wk, q=q))
         total = total + zk ** m * w2
         if m >= 1:
-            w1 = descendant_ratio_at(cfg, k, miura_w_form(1, wk, q=q))
+            w1 = sums.ratio(miura_w_form(1, wk, q=q))
             total = total + CFrac.of(m) * zk ** (m - 1) * w1
         if m >= 2:
             total = total + (CFrac.of(Fraction(m * (m - 1), 2))

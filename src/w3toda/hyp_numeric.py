@@ -18,11 +18,13 @@ share one derivation path instead of hard-coded parameter formulas:
 * ``fundamental_matrix`` reports the value/derivative matrix of the three
   Frobenius solutions with its condition number;
 * ``hyp_grid`` tabulates the solutions and their operator residuals on a
-  grid, for CSV export, from one summation per root and point.
+  grid, for CSV export: it derives the operator once per grid and grows one
+  coefficient list per root, which the summation at every point reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,6 +210,16 @@ def _coefficient_stream(spec: HypergeometricSpec, sigma: float):
         history.append(c)
         yield c
         m += 1
+
+
+def _replay(seen: list, stream):
+    """Iterate the coefficients in ``seen``, appending from ``stream`` once
+    a reader needs more, so readers that share both compute each
+    coefficient once."""
+    for m in itertools.count():
+        if m == len(seen):
+            seen.append(next(stream))
+        yield seen[m]
 
 
 @dataclass(frozen=True)
@@ -422,7 +434,9 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
              step: float) -> list:
     """Rows (u, three solution values, three operator residuals) on the
     grid start + i * step up to stop (inclusive within 1e-12; a last point
-    within 1e-12 of stop is stop itself)."""
+    within 1e-12 of stop is stop itself).  Each root's coefficients are
+    computed once, for the point that needs the most terms, and every point
+    sums the same list (``_replay``)."""
     if not 0 < start <= stop < 1:
         raise AlgebraError("grid must sit inside (0, 1)")
     if step <= 0:
@@ -433,10 +447,17 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
     if abs(grid[-1] - stop) <= 1e-12:
         grid[-1] = stop
     polys = derivative_coefficients(spec)
+    a, b = _params(spec)
+    columns = []
+    for sigma in roots:
+        sf = _check_sigma(spec, sigma)
+        seen, stream = [], _coefficient_stream(spec, sf)
+        columns.append([
+            _frobenius_sums(_replay(seen, stream), a, b, sf, u, 3)[0]
+            for u in grid])
     rows = []
-    for u in grid:
-        derivs = [series_derivatives(spec, s, u, orders=3) for s in roots]
-        residuals = [sum(poly_eval(c, u) * x for c, x in zip(polys, d))
-                     for d in derivs]
+    for u, *derivs in zip(grid, *columns):
+        weights = [poly_eval(c, u) for c in polys]
+        residuals = [sum(w * x for w, x in zip(weights, d)) for d in derivs]
         rows.append((u, *(d[0] for d in derivs), *residuals))
     return rows

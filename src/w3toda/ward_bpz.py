@@ -59,7 +59,7 @@ from .descendant_forms import (
 )
 from .free_field import (
     CorrelatorConfig,
-    descendant_ratio_at,
+    PoleSumTable,
     doubled_insertions,
     engine_spin,
     engine_weight,
@@ -163,7 +163,8 @@ def local_ward_rhs(n: int, t, cfg: CorrelatorConfig) -> LocalWardRhs:
 def free_field_descendants(cfg: CorrelatorConfig, indices=None) -> dict:
     """Exact zero-measure values of the quantities a constraint row can
     reference, per doubled index: ``"derivative"`` holds the level-1
-    derivative ratio, ``"w1"``/``"w2"`` the spin-3 descendant ratios."""
+    derivative ratio, ``"w1"``/``"w2"`` the spin-3 descendant ratios.  The
+    three forms at an insertion read one ``PoleSumTable``."""
     insertions = doubled_insertions(cfg)
     if indices is None:
         indices = range(len(insertions))
@@ -171,10 +172,11 @@ def free_field_descendants(cfg: CorrelatorConfig, indices=None) -> dict:
     out = {"derivative": {}, "w1": {}, "w2": {},
            "positions": {k: z for k, (z, _) in enumerate(insertions)}}
     for k in indices:
+        sums = PoleSumTable(insertions, k)
         wk = insertions[k][1]
-        out["derivative"][k] = descendant_ratio_at(cfg, k, l_form((1,), wk, q=q))
-        out["w1"][k] = descendant_ratio_at(cfg, k, miura_w_form(1, wk, q=q))
-        out["w2"][k] = descendant_ratio_at(cfg, k, miura_w_form(2, wk, q=q))
+        out["derivative"][k] = sums.ratio(l_form((1,), wk, q=q))
+        out["w1"][k] = sums.ratio(miura_w_form(1, wk, q=q))
+        out["w2"][k] = sums.ratio(miura_w_form(2, wk, q=q))
     return out
 
 
@@ -320,30 +322,40 @@ def global_ward_system(cfg: CorrelatorConfig) -> WardSystem:
         unknowns.append(DescendantTag(k, 1, mirror))
         unknowns.append(DescendantTag(k, 2, mirror))
 
+    # per insertion: z^0..z^4 by running product, weight and spin constants
+    powers = []
+    for zk in positions:
+        pw = [CFrac(1)]
+        for _ in range(4):
+            pw.append(pw[-1] * zk)
+        powers.append(pw)
+    h = [engine_weight(w, q) for w in weights]
+    s3 = [CFrac.of(engine_spin(w, q)) for w in weights]
+
     rows = []
     for idx in range(3):
         affine = []
-        for k, zk in enumerate(positions):
-            affine.append(AffineTerm(k, "derivative", zk ** idx))
+        for k, pw in enumerate(powers):
+            affine.append(AffineTerm(k, "derivative", pw[idx]))
             if idx >= 1:
-                c = CFrac.of(idx * engine_weight(weights[k], q)) * zk ** (idx - 1)
+                c = CFrac.of(idx * h[k]) * pw[idx - 1]
                 if c != 0:
                     affine.append(AffineTerm(k, "scalar", c))
         rows.append(WardRow("virasoro", idx, (), tuple(affine)))
     for idx in range(5):
         entries = []
         affine = []
-        for k, zk in enumerate(positions):
-            c2 = zk ** idx
+        for k, pw in enumerate(powers):
+            c2 = pw[idx]
             if c2 != 0:
                 entries.append(RowTerm(2 * k + 1, c2))
             if idx >= 1:
-                c1 = CFrac.of(idx) * zk ** (idx - 1)
+                c1 = CFrac.of(idx) * pw[idx - 1]
                 if c1 != 0:
                     entries.append(RowTerm(2 * k, c1))
             if idx >= 2:
                 c0 = (CFrac.of(Fraction(idx * (idx - 1), 2))
-                      * zk ** (idx - 2) * CFrac.of(engine_spin(weights[k], q)))
+                      * pw[idx - 2] * s3[k])
                 if c0 != 0:
                     affine.append(AffineTerm(k, "scalar", c0))
         rows.append(WardRow("spin3", idx, tuple(entries), tuple(affine)))

@@ -1,11 +1,14 @@
 """Tests for the exact zero-measure Coulomb-gas layer."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from w3toda.algebra_core import (
+    E1,
+    E2,
     AlgebraError,
     CartanVector,
     CFrac,
@@ -18,7 +21,9 @@ from w3toda.algebra_core import (
 from w3toda.descendant_forms import l_form, miura_w_form
 from w3toda.free_field import (
     CorrelatorConfig,
+    PoleSumTable,
     RationalField,
+    _ipp_factor,
     coulomb_log_correlator,
     descendant_ratio_at,
     doubled_insertions,
@@ -31,6 +36,7 @@ from w3toda.free_field import (
     verify_derivative_identity,
     w_current_field,
 )
+from w3toda.ward_bpz import free_field_descendants
 
 GAMMA = F(6, 5)
 QV = background_charge(q_of_gamma(GAMMA))
@@ -519,3 +525,132 @@ def test_global_rows_on_randomized_neutral_configs(data):
         assert global_virasoro_row(cfg, n) == CFrac(0)
     for m in range(5):
         assert global_w_row(cfg, m) == CFrac(0)
+
+
+# ---------------------------------------------------------------------------
+# Pole-sum tables against the per-factor RationalField reading
+# ---------------------------------------------------------------------------
+
+def reference_ratio(cfg, k, form):
+    """``descendant_ratio_at`` read without a table: one pole sum
+    ``_ipp_factor(u, p, others).evaluate(z_k)`` per distinct factor."""
+    insertions = doubled_insertions(cfg)
+    zk = insertions[k][0]
+    others = [(z, w) for i, (z, w) in enumerate(insertions) if i != k]
+    sums = {}
+    total = CFrac(0)
+    for m, coeff in form.terms.items():
+        piece = CFrac.of(coeff)
+        for p, i in m.factors:
+            if (p, i) not in sums:
+                sums[p, i] = _ipp_factor((E1, E2)[i - 1], p,
+                                         others).evaluate(zk)
+            piece = piece * sums[p, i]
+        total = total + piece
+    return total
+
+
+def reference_virasoro_row(cfg, n):
+    q = cfg.q
+    total = CFrac(0)
+    for k, (zk, wk) in enumerate(doubled_insertions(cfg)):
+        total = total + zk ** n * reference_ratio(cfg, k, l_form((1,), wk, q=q))
+        if n >= 1:
+            total = total + CFrac.of(n * engine_weight(wk, q)) * zk ** (n - 1)
+    return total
+
+
+def reference_w_row(cfg, m):
+    q = cfg.q
+    total = CFrac(0)
+    for k, (zk, wk) in enumerate(doubled_insertions(cfg)):
+        w2 = reference_ratio(cfg, k, miura_w_form(2, wk, q=q))
+        total = total + zk ** m * w2
+        if m >= 1:
+            w1 = reference_ratio(cfg, k, miura_w_form(1, wk, q=q))
+            total = total + CFrac.of(m) * zk ** (m - 1) * w1
+        if m >= 2:
+            total = total + (CFrac.of(F(m * (m - 1), 2)) * zk ** (m - 2)
+                             * CFrac.of(engine_spin(wk, q)))
+    return total
+
+
+def seeded_neutral_cfg(rng, n_bulk, m_boundary):
+    """Neutral configuration with bulk and boundary points and small random
+    rational weights; the last boundary weight balances the charge."""
+    gamma = F(rng.randint(7, 13), 10)
+    qv = background_charge(gamma + 2 / gamma)
+    def small():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+    xs = rng.sample(range(-9, 10), n_bulk + m_boundary)
+    total = CartanVector(0, 0)
+    bulk = []
+    for x in xs[:n_bulk]:
+        alpha = CartanVector(small(), small())
+        bulk.append((CFrac(F(x, 2), F(rng.randint(1, 6), 3)), alpha))
+        total = total + 2 * alpha
+    ss = sorted(xs[n_bulk:])
+    boundary = []
+    for s in ss[:-1]:
+        beta = CartanVector(small(), small())
+        boundary.append((F(s), beta))
+        total = total + beta
+    boundary.append((F(ss[-1]), 2 * qv - total))
+    return CorrelatorConfig(gamma, tuple(bulk), tuple(boundary))
+
+
+SEEDED_SHAPES = ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pole_sum_tables_match_the_factor_reading(seed):
+    rng = random.Random(seed)
+    for shape in SEEDED_SHAPES:
+        cfg = seeded_neutral_cfg(rng, *shape)
+        q = cfg.q
+        values = free_field_descendants(cfg)
+        beta = CartanVector(F(rng.randint(-5, 5), 3), F(rng.randint(-5, 5), 7))
+        for k, (_, wk) in enumerate(doubled_insertions(cfg)):
+            forms = {"derivative": l_form((1,), wk, q=q),
+                     "w1": miura_w_form(1, wk, q=q),
+                     "w2": miura_w_form(2, wk, q=q),
+                     "probe": l_form((1, 2), beta, q=q)}
+            for key, form in forms.items():
+                want = reference_ratio(cfg, k, form)
+                got = descendant_ratio_at(cfg, k, form)
+                assert repr(got) == repr(want)
+                if key != "probe":
+                    assert repr(values[key][k]) == repr(want)
+        for n in range(3):
+            assert repr(global_virasoro_row(cfg, n)) \
+                == repr(reference_virasoro_row(cfg, n))
+        for m in range(5):
+            assert repr(global_w_row(cfg, m)) == repr(reference_w_row(cfg, m))
+
+
+def test_one_pole_sum_table_per_insertion(monkeypatch):
+    built = []
+    real = PoleSumTable.__init__
+
+    def counted(self, insertions, k):
+        built.append(k)
+        real(self, insertions, k)
+
+    monkeypatch.setattr(PoleSumTable, "__init__", counted)
+    reciprocals = []
+    real_reciprocal = CFrac.reciprocal
+    monkeypatch.setattr(
+        CFrac, "reciprocal",
+        lambda self: reciprocals.append(1) or real_reciprocal(self))
+    cfg = seeded_neutral_cfg(random.Random(7), 2, 2)
+    n = len(doubled_insertions(cfg))
+    free_field_descendants(cfg)
+    # one table per insertion, and one 1/(z_l - z_k) per pair, shared by
+    # both directions and every order of the three forms
+    assert built == list(range(n))
+    assert len(reciprocals) == n * (n - 1)
+    for row in (lambda: global_w_row(cfg, 4),
+                lambda: global_virasoro_row(cfg, 2)):
+        built.clear()
+        row()
+        assert built == list(range(n))

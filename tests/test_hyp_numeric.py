@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from w3toda import hyp_numeric
-from w3toda.algebra_core import OMEGA2, AlgebraError, CartanVector
+from w3toda.algebra_core import OMEGA2, AlgebraError, CartanVector, poly_eval
 from w3toda.hyp_numeric import (
     SeriesSolution,
     derivative_coefficients,
@@ -392,8 +392,7 @@ class TestHypGrid:
         assert grid[-1][0] == stop
         assert grid[0][0] == start
 
-    def test_one_operator_and_one_stream_per_root_and_point(
-            self, monkeypatch):
+    def test_one_operator_and_one_stream_per_root(self, monkeypatch):
         calls = {"derivative_coefficients": 0, "_coefficient_stream": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(hyp_numeric, name)):
@@ -403,7 +402,7 @@ class TestHypGrid:
         rows = hyp_grid(mkspec(*GENERIC), 0.05, 0.5, 0.05)
         assert len(rows) == 10
         assert calls == {"derivative_coefficients": 1,
-                         "_coefficient_stream": 3 * len(rows)}
+                         "_coefficient_stream": 3}
 
     def test_grid_guards(self):
         spec = mkspec(*GENERIC)
@@ -428,6 +427,42 @@ BPZ_CASES = (
      "2/gamma"),
 )
 BPZ_IDS = [f"{family}-{chi}" for family, _, chi in BPZ_CASES]
+
+
+def pointwise_grid(spec, start, stop, step) -> list:
+    """``hyp_grid`` built point by point, as it was before the roots shared
+    one coefficient list: a fresh ``series_derivatives`` per root and point,
+    and residuals from ``derivative_coefficients``."""
+    roots = hyp_numeric._indicial_roots(spec)
+    grid = [start + i * step
+            for i in range(int((stop + 1e-12 - start) // step) + 1)]
+    if abs(grid[-1] - stop) <= 1e-12:
+        grid[-1] = stop
+    polys = derivative_coefficients(spec)
+    rows = []
+    for u in grid:
+        derivs = [series_derivatives(spec, s, u, orders=3) for s in roots]
+        residuals = [sum(poly_eval(c, u) * x for c, x in zip(polys, d))
+                     for d in derivs]
+        rows.append((u, *(d[0] for d in derivs), *residuals))
+    return rows
+
+
+@pytest.mark.parametrize("spec", [mkspec(*GENERIC)] + [
+    bpz_spec(family, weights, chi, F(7, 10))
+    for family, weights, chi in BPZ_CASES], ids=["generic"] + BPZ_IDS)
+def test_hyp_grid_equals_pointwise_rows(spec):
+    # through u = 0.95 the points need from about 15 terms to (for three of
+    # the cases) hundreds, so later points read coefficients that earlier
+    # ones did not need
+    start, stop, step = 0.05, 0.95, 0.03
+    rows = hyp_grid(spec, start, stop, step)
+    assert rows[-1][0] == stop
+    assert rows == pointwise_grid(spec, start, stop, step)
+    used = [hyp_numeric._frobenius_sums(
+        hyp_numeric._coefficient_stream(spec, 0.0),
+        *hyp_numeric._params(spec), 0.0, u, 3)[1] for u in (start, stop)]
+    assert used[1] > used[0]
 
 
 class TestMpmathOracle:

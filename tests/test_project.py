@@ -83,3 +83,17 @@ def test_benchmark_tracer_wraps_existing_attributes():
     missing = [name for name, owner, attr in wrapped
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_benchmark_patch_markers_are_in_hyp_numeric():
+    # bench/tests/test_bench.py breaks a copy of hyp_numeric.py by replacing
+    # literal lines (its ``marker`` strings); a refactor that rewrote one of
+    # them would fail those tests, which run outside this suite
+    tree = ast.parse((ROOT / "bench" / "tests" / "test_bench.py").read_text())
+    markers = [node.value.value for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["marker"]
+               and isinstance(node.value, ast.Constant)]
+    assert len(markers) == 2
+    source = (ROOT / "src" / "w3toda" / "hyp_numeric.py").read_text()
+    assert [m for m in markers if m not in source] == []

@@ -39,7 +39,10 @@ from w3toda.free_field import (
 )
 from w3toda.singular_vectors import eom_constant
 from w3toda.ward_bpz import (
+    AffineTerm,
     HypergeometricSpec,
+    RowTerm,
+    WardRow,
     bpz_spec,
     closability_deficit,
     closable,
@@ -214,6 +217,43 @@ class TestGlobalWardSystem:
             assert cfg.neutral
             assert all(r == 0 for r in free_field_residuals(cfg))
             done += 1
+
+    def test_rows_match_powers_formed_per_row(self):
+        # each row reads z_k^0..z_k^4 and the two constants formed once per
+        # insertion; here every power and constant is formed where it is used
+        rng = random.Random(20261018)
+        for n, m in ((0, 3), (1, 2), (2, 1), (2, 2)):
+            cfg = random_neutral_cfg(rng, n, m)
+            q = cfg.q
+            ins = doubled_insertions(cfg)
+            want = []
+            for idx in range(3):
+                affine = []
+                for k, (zk, wk) in enumerate(ins):
+                    affine.append(AffineTerm(k, "derivative", zk ** idx))
+                    c = (CFrac.of(idx * engine_weight(wk, q))
+                         * zk ** (idx - 1)) if idx else CFrac(0)
+                    if c != 0:
+                        affine.append(AffineTerm(k, "scalar", c))
+                want.append(WardRow("virasoro", idx, (), tuple(affine)))
+            for idx in range(5):
+                entries, affine = [], []
+                for k, (zk, wk) in enumerate(ins):
+                    if zk ** idx != 0:
+                        entries.append(RowTerm(2 * k + 1, zk ** idx))
+                    if idx >= 1 and CFrac.of(idx) * zk ** (idx - 1) != 0:
+                        entries.append(
+                            RowTerm(2 * k, CFrac.of(idx) * zk ** (idx - 1)))
+                    c0 = (CFrac.of(F(idx * (idx - 1), 2)) * zk ** (idx - 2)
+                          * CFrac.of(engine_spin(wk, q))) if idx >= 2 \
+                        else CFrac(0)
+                    if c0 != 0:
+                        affine.append(AffineTerm(k, "scalar", c0))
+                want.append(WardRow("spin3", idx, tuple(entries),
+                                    tuple(affine)))
+            got = global_ward_system(cfg).rows
+            assert json.dumps([r.to_json() for r in got]) \
+                == json.dumps([r.to_json() for r in want])
 
     def test_assembly_matches_direct_rows_off_neutrality(self):
         q = Q_NUM
