@@ -89,6 +89,7 @@ MAX_GRID = 4096
 _SQRT3 = math.sqrt(3.0)
 _QUAD_NODES = 128
 _ZERO_MODE_CHUNK = 4096             # replicas per zero-mode buffer pass
+_EXP_UNDERFLOW = -745.2             # exp(x) rounds to exactly 0.0 below this
 
 _FRAME = (E1, E1 + 2 * E2)          # orthogonal frame, norms sqrt(2), sqrt(6)
 _FRAME_NORM = (math.sqrt(2.0), math.sqrt(6.0))
@@ -635,7 +636,9 @@ def _zero_mode_values(masses: dict, cfg, windows,
     """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica),
     each I_i by ``nodes``-point Gauss-Legendre quadrature on its window.
     Replicas go through in chunks that reuse two (nodes, _ZERO_MODE_CHUNK)
-    buffers."""
+    buffers and one mask.  Far out in a window the exponent reaches -1e9;
+    ``np.exp`` runs only where it is at least _EXP_UNDERFLOW, and the rest
+    is set to the 0.0 it would round to."""
     gamma = float(cfg.gamma)
     terms = []
     for window, sigma, (bulk, bnd) in zip(windows, _sigma_pair(cfg),
@@ -646,16 +649,21 @@ def _zero_mode_values(masses: dict, cfg, windows,
     n = terms[0][2].size
     total = np.empty(n)
     buf = np.empty(2 * nodes * min(n, _ZERO_MODE_CHUNK))
+    mask = np.empty(nodes * min(n, _ZERO_MODE_CHUNK), dtype=bool)
     for lo in range(0, n, _ZERO_MODE_CHUNK):
         hi = min(lo + _ZERO_MODE_CHUNK, n)
         size = nodes * (hi - lo)
         expo = buf[:size].reshape(nodes, hi - lo)
         scratch = buf[size:2 * size].reshape(nodes, hi - lo)
+        live = mask[:size].reshape(nodes, hi - lo)
         for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
             np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
             np.multiply.outer(half_e, bnd[lo:hi], out=scratch)
             expo -= scratch
-            part = lin @ np.exp(expo, out=expo)
+            np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
+            np.exp(expo, out=expo, where=live)
+            np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
+            part = lin @ expo
             if i == 0:
                 total[lo:hi] = part
             else:
