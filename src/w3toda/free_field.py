@@ -624,8 +624,9 @@ class PoleSumTable:
                     continue
                 while len(pw) < p:
                     pw.append(pw[-1] * pw[0])
-                re += c * pw[p - 1].re
-                im += c * pw[p - 1].im
+                r = pw[p - 1]
+                re += c * r.re
+                im += c * r.im
             pref = Fraction(factorial(p - 1), 2)
             s = self._sums[factor] = CFrac(pref * re, pref * im)
         return s
