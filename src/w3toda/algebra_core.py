@@ -429,6 +429,11 @@ class CFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a real factor scales the other's parts: two products, not four
+        if o.im == 0:
+            return CFrac(self.re * o.re, self.im * o.re)
+        if self.im == 0:
+            return CFrac(self.re * o.re, self.re * o.im)
         return CFrac(self.re * o.re - self.im * o.im,
                      self.re * o.im + self.im * o.re)
 

@@ -596,15 +596,20 @@ def _read_form(words, n: int, alpha: CartanVector, q, conv: MiuraConvention,
     return _substitute(_form_template(words, n, conv, normalization), alpha, q)
 
 
-def _c2_target(beta, chi, q) -> FieldPolynomial:
-    return (-4 / chi) * l_form((1, 1), beta, q=q) \
+@lru_cache(maxsize=1)
+def _scan_targets() -> tuple:
+    """(beta, q, level-2 target, level-3 target) at symbolic chi, with
+    beta = -chi omega_1 and q = chi + 2/chi.  No target depends on the
+    convention, so every trial of the scan reads the same ones."""
+    chi = variable("chi")
+    q = chi + 2 / chi
+    beta = (-chi) * OMEGA1
+    c2 = (-4 / chi) * l_form((1, 1), beta, q=q) \
         - (chi * Fraction(4, 3)) * l_form((2,), beta, q=q)
-
-
-def _c3_target(beta, chi, q) -> FieldPolynomial:
-    return (-(chi / 3 + 2 / chi)) * l_form((3,), beta, q=q) \
+    c3 = (-(chi / 3 + 2 / chi)) * l_form((3,), beta, q=q) \
         + (4 / chi) * l_form((1, 2), beta, q=q) \
         + (8 / chi ** 3) * l_form((1, 1, 1), beta, q=q)
+    return beta, q, c2, c3
 
 
 def _try_convention(order, s_b, s_q, par, lam):
@@ -656,12 +661,10 @@ def _try_convention(order, s_b, s_q, par, lam):
     if u0 * s1 + v0 * s2 != target1:
         return None
     conv = MiuraConvention(order, s_b, s_q, par, lam, sigma, cw)
-    chiv = variable("chi")
-    qs = chiv + 2 / chiv
-    beta = (-chiv) * OMEGA1
-    if _read_form(words, 2, beta, qs, conv, cw) != _c2_target(beta, chiv, qs):
+    beta, qs, c2, c3 = _scan_targets()
+    if _read_form(words, 2, beta, qs, conv, cw) != c2:
         return None
-    if _read_form(words, 3, beta, qs, conv, cw) != _c3_target(beta, chiv, qs):
+    if _read_form(words, 3, beta, qs, conv, cw) != c3:
         return None
     return conv
 

@@ -10,16 +10,17 @@ share one derivation path instead of hard-coded parameter formulas:
   from the Gamma factor G = Gamma(g^2/2) Gamma(1-g^2) / Gamma(1-g^2/2);
 * ``series_eval`` / ``series_derivatives`` / ``SeriesSolution`` sum the
   Frobenius series at an indicial exponent, from the recurrence read off the
-  operator terms, in one loop stopped by a proven tail bound on every
-  derivative; logarithmic (resonant) cases are refused;
+  operator terms; the one summation, ``_frobenius_pass``, adds the terms of
+  a whole grid of points in numpy and stops each point by a proven tail
+  bound on every derivative; logarithmic (resonant) cases are refused;
 * ``ode_integrate`` runs adaptive Runge-Kutta on the order-3 companion
   system, whose derivative coefficient polynomials come from the same
   encoding via the Euler-to-derivative (Stirling) conversion;
 * ``fundamental_matrix`` reports the value/derivative matrix of the three
   Frobenius solutions with its condition number;
 * ``hyp_grid`` tabulates the solutions and their operator residuals on a
-  grid, for CSV export: it derives the operator once per grid and grows one
-  coefficient list per root, which the summation at every point reads.
+  grid, for CSV export: it derives the operator once per grid and sums each
+  root's series at every point in one ``_frobenius_pass``.
 """
 
 from __future__ import annotations
@@ -212,16 +213,6 @@ def _coefficient_stream(spec: HypergeometricSpec, sigma: float):
         m += 1
 
 
-def _replay(seen: list, stream):
-    """Iterate the coefficients in ``seen``, appending from ``stream`` once
-    a reader needs more, so readers that share both compute each
-    coefficient once."""
-    for m in itertools.count():
-        if m == len(seen):
-            seen.append(next(stream))
-        yield seen[m]
-
-
 @dataclass(frozen=True)
 class SeriesSolution:
     """Frobenius solution data: parameters, shift exponent and the leading
@@ -264,40 +255,94 @@ def _value_at_zero(sigma: float) -> float:
     return 1.0 if sigma == 0 else 0.0
 
 
-def _tail(t: float, u: float, e: float, pairs) -> float:
+def _tail(t, u, e, pairs):
     """Bound |t| r/(1-r) on the tail after the term t, with r = |u| prod
-    max(1, (e+p)/(e+q)); inf until every e+p, e+q > 0 and r < 1."""
-    if any(e + p <= 0 or e + q <= 0 for p, q in pairs):
-        return math.inf
-    r = abs(u) * math.prod(max(1.0, (e + p) / (e + q)) for p, q in pairs)
-    return abs(t) * r / (1 - r) if r < 1 else math.inf
+    max(1, (e+p)/(e+q)); inf until every e+p, e+q > 0 and r < 1.  The
+    arguments are numpy arrays that broadcast together."""
+    valid, prod = True, 1.0
+    for p, q in pairs:
+        ep, eq = e + p, e + q
+        valid = valid & (np.minimum(ep, eq) > 0)
+        prod = prod * np.maximum(1.0, ep / eq)
+    r = np.abs(u) * prod
+    return np.where(valid & (r < 1), np.abs(t) * r / (1 - r), np.inf)
+
+
+def _powers(u, e):
+    """The matrix u ** e of a column and a row of floats, each entry by
+    Python's float ``**``: numpy's object loop calls it per pair, whereas
+    np.power on float64 rounds differently on some pairs."""
+    return np.power(u.astype(object), e.astype(object)).astype(float)
+
+
+def _frobenius_pass(coefficients, a, b, sigma: float, us, orders: int):
+    """(sums, terms used, tail bounds) of u^sigma sum c_m u^m and its first
+    ``orders`` derivatives at every u != 0 in ``us``, as arrays with one row
+    per point.  Term c_m (e)_k u^(e-k) of order k, e = sigma + m, times
+    u (e+A1)/(e+B1) (e+A2)/(e+B2) (e+A3)/(e+1-k) is the next; each factor
+    tends to 1 monotonically once its parts are positive, so ``_tail``
+    bounds the rest (Johansson, ACM TOMS 2019).  A point stops at the first
+    m where each term and each bound is <= _TRUNC * its absolute-term sum.
+
+    The coefficients are drawn from the iterable ``coefficients`` in blocks
+    that double until every point has stopped.  Each block forms the terms
+    of the points still running, each power by Python's ``**``
+    (``_powers``), and adds them by ``np.cumsum``, which adds in sequence,
+    so every sum is the one a term-by-term loop gives, bit for bit."""
+    floats = np.array(us, dtype=float)
+    width = orders + 1
+    # running sums of the terms [0] and of their absolute values [1]
+    acc = np.zeros((2, width, len(floats)))
+    tails = np.empty((width, len(floats)))
+    used = np.zeros(len(floats), dtype=int)
+    active = np.arange(len(floats))
+    third = (1 - np.arange(width))[:, None, None]
+    pairs = ((a[0], b[0]), (a[1], b[1]), (a[2], third))
+    stream, coeffs, failure = iter(coefficients), [], None
+    with np.errstate(all="ignore"):
+        while active.size:
+            start = len(coeffs)
+            try:
+                for c in itertools.islice(
+                        stream, min(max(2 * start, 32), _MAX_TERMS) - start):
+                    coeffs.append(c)
+            except AlgebraError as exc:
+                # raised once a point needs the coefficient that failed
+                failure = exc
+            if len(coeffs) == start:
+                raise failure or AlgebraError(
+                    f"series at u={us[active[0]]!r} missed its tail bound "
+                    f"within the available terms (at most {_MAX_TERMS})")
+            e = sigma + np.arange(start, len(coeffs))
+            u = floats[active, None]
+            block = np.empty((2, width, len(u), len(e) + 1))
+            block[..., 0] = acc[:, :, active]
+            terms, sizes = block[0, ..., 1:], block[1, ..., 1:]
+            terms[0] = np.array(coeffs[start:]) * _powers(u, e)
+            for k in range(1, width):
+                terms[k] = terms[k - 1] * (e - k + 1) / u
+            np.abs(terms, out=sizes)
+            run = np.cumsum(block, axis=3)[..., 1:]
+            limit = _TRUNC * run[1]
+            bound = _tail(terms, u, e, pairs)
+            stop = ((sizes <= limit) & (bound <= limit)).all(axis=0)
+            hit = stop.any(axis=1)
+            rows, cols = np.flatnonzero(hit), stop.argmax(axis=1)[hit]
+            acc[0][:, active[hit]] = run[0][:, rows, cols]
+            tails[:, active[hit]] = bound[:, rows, cols]
+            used[active[hit]] = start + cols + 1
+            acc[:, :, active[~hit]] = run[:, :, ~hit, -1]
+            active = active[~hit]
+    return acc[0].T, used, tails.T
 
 
 def _frobenius_sums(coefficients, a, b, sigma: float, u: float,
                     orders: int) -> tuple:
-    """(sums, terms used, tail bounds) of u^sigma sum c_m u^m and its first
-    ``orders`` derivatives at u != 0.  Term c_m (e)_k u^(e-k) of order k,
-    e = sigma + m, times u (e+A1)/(e+B1) (e+A2)/(e+B2) (e+A3)/(e+1-k) is the
-    next; each factor tends to 1 monotonically once its parts are positive,
-    so ``_tail`` bounds the rest (Johansson, ACM TOMS 2019).  Once the terms
-    are small, stops when each bound is <= _TRUNC * its absolute-term sum."""
-    sums, mags = [0.0] * (orders + 1), [0.0] * (orders + 1)
-    for m, c in zip(range(_MAX_TERMS), coefficients):
-        e = sigma + m
-        terms = [c * u ** e]
-        for k in range(1, orders + 1):
-            terms.append(terms[-1] * (e - k + 1) / u)
-        for k, t in enumerate(terms):
-            sums[k] += t
-            mags[k] += abs(t)
-        if any(abs(t) > _TRUNC * s for t, s in zip(terms, mags)):
-            continue
-        tails = [_tail(t, u, e, ((a[0], b[0]), (a[1], b[1]), (a[2], 1 - k)))
-                 for k, t in enumerate(terms)]
-        if all(x <= _TRUNC * s for x, s in zip(tails, mags)):
-            return tuple(sums), m + 1, tuple(tails)
-    raise AlgebraError(f"series at u={u!r} missed its tail bound within the "
-                       f"available terms (at most {_MAX_TERMS})")
+    """(sums, terms used, tail bounds) at the one point u != 0: the
+    one-point reading of ``_frobenius_pass``."""
+    sums, used, tails = _frobenius_pass(coefficients, a, b, sigma, (u,),
+                                        orders)
+    return tuple(sums[0].tolist()), int(used[0]), tuple(tails[0].tolist())
 
 
 def series_derivatives(spec: HypergeometricSpec, sigma, u: float,
@@ -434,9 +479,9 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
              step: float) -> list:
     """Rows (u, three solution values, three operator residuals) on the
     grid start + i * step up to stop (inclusive within 1e-12; a last point
-    within 1e-12 of stop is stop itself).  Each root's coefficients are
-    computed once, for the point that needs the most terms, and every point
-    sums the same list (``_replay``)."""
+    within 1e-12 of stop is stop itself).  Each root's series is summed at
+    every point in one ``_frobenius_pass``, which computes its coefficients
+    once, as far as the point that needs the most terms."""
     if not 0 < start <= stop < 1:
         raise AlgebraError("grid must sit inside (0, 1)")
     if step <= 0:
@@ -451,10 +496,9 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
     columns = []
     for sigma in roots:
         sf = _check_sigma(spec, sigma)
-        seen, stream = [], _coefficient_stream(spec, sf)
-        columns.append([
-            _frobenius_sums(_replay(seen, stream), a, b, sf, u, 3)[0]
-            for u in grid])
+        sums = _frobenius_pass(_coefficient_stream(spec, sf), a, b, sf,
+                               grid, 3)[0]
+        columns.append(sums.tolist())
     rows = []
     for u, *derivs in zip(grid, *columns):
         weights = [poly_eval(c, u) for c in polys]

@@ -164,19 +164,26 @@ def free_field_descendants(cfg: CorrelatorConfig, indices=None) -> dict:
     """Exact zero-measure values of the quantities a constraint row can
     reference, per doubled index: ``"derivative"`` holds the level-1
     derivative ratio, ``"w1"``/``"w2"`` the spin-3 descendant ratios.  The
-    three forms at an insertion read one ``PoleSumTable``."""
+    three forms at an insertion read one ``PoleSumTable``.  They are built
+    once per distinct weight, since a bulk point and its mirror share one;
+    weights are unhashable, so a short list is searched by ``==``."""
     insertions = doubled_insertions(cfg)
     if indices is None:
         indices = range(len(insertions))
     q = cfg.q
     out = {"derivative": {}, "w1": {}, "w2": {},
            "positions": {k: z for k, (z, _) in enumerate(insertions)}}
+    built = []
     for k in indices:
         sums = PoleSumTable(insertions, k)
         wk = insertions[k][1]
-        out["derivative"][k] = sums.ratio(l_form((1,), wk, q=q))
-        out["w1"][k] = sums.ratio(miura_w_form(1, wk, q=q))
-        out["w2"][k] = sums.ratio(miura_w_form(2, wk, q=q))
+        forms = next((f for w, f in built if w == wk), None)
+        if forms is None:
+            forms = (l_form((1,), wk, q=q), miura_w_form(1, wk, q=q),
+                     miura_w_form(2, wk, q=q))
+            built.append((wk, forms))
+        for key, form in zip(("derivative", "w1", "w2"), forms):
+            out[key][k] = sums.ratio(form)
     return out
 
 

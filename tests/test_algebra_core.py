@@ -335,6 +335,26 @@ def test_cfrac_exact_division(a, b):
     assert (a / b) * b == a
 
 
+def four_product(a: CFrac, b: CFrac) -> CFrac:
+    return CFrac(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfrac_st, fractions_st, st.integers(-50, 50))
+def test_cfrac_real_operand_product(z, x, n):
+    # a real factor on either side, as a real CFrac, a Fraction or an int,
+    # gives the four-product value and its canonical parts exactly
+    real = CFrac(x)
+    for got in (z * real, real * z, z * x, x * z):
+        want = four_product(z, real)
+        assert (got.re, got.im) == (want.re, want.im)
+        assert repr(got) == repr(want)
+    for got in (z * n, n * z):
+        assert repr(got) == repr(four_product(z, CFrac(n)))
+    assert repr(real * CFrac(n)) == repr(four_product(real, CFrac(n)))
+    assert repr(z * z.conj()) == repr(four_product(z, z.conj()))
+
+
 def test_cfrac_basics():
     z = CFrac(Fraction(1, 2), Fraction(-3, 4))
     assert z.conj() == CFrac(Fraction(1, 2), Fraction(3, 4))

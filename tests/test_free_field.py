@@ -36,6 +36,7 @@ from w3toda.free_field import (
     verify_derivative_identity,
     w_current_field,
 )
+from w3toda import ward_bpz
 from w3toda.ward_bpz import free_field_descendants
 
 GAMMA = F(6, 5)
@@ -654,3 +655,24 @@ def test_one_pole_sum_table_per_insertion(monkeypatch):
         built.clear()
         row()
         assert built == list(range(n))
+
+
+def test_forms_built_once_per_distinct_weight(monkeypatch):
+    calls = {"l_form": [], "miura_w_form": []}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(ward_bpz, name), **kw):
+            calls[_name].append(args[-1])
+            return _f(*args, **kw)
+        monkeypatch.setattr(ward_bpz, name, counted)
+    cfg = seeded_neutral_cfg(random.Random(7), 2, 2)
+    weights = [w for _, w in doubled_insertions(cfg)]
+    distinct = [w for i, w in enumerate(weights) if w not in weights[:i]]
+    # two bulk points and their mirrors carry two weights among six points
+    assert (len(weights), len(distinct)) == (6, 4)
+    values = free_field_descendants(cfg)
+    assert calls["miura_w_form"] == [w for w in distinct for _ in (1, 2)]
+    assert calls["l_form"] == distinct
+    # each mirror reads its own pole sums through the shared forms
+    for k, w in enumerate(weights):
+        assert repr(values["w2"][k]) == repr(
+            descendant_ratio_at(cfg, k, miura_w_form(2, w, q=cfg.q)))

@@ -465,6 +465,120 @@ def test_hyp_grid_equals_pointwise_rows(spec):
     assert used[1] > used[0]
 
 
+def scalar_frobenius_sums(coefficients, a, b, sigma, u, orders):
+    """The term-by-term summation loop that ``_frobenius_pass`` replaced:
+    (sums, terms used, tails), or None where the coefficients end first."""
+    sums, mags = [0.0] * (orders + 1), [0.0] * (orders + 1)
+    for m, c in enumerate(coefficients):
+        e = sigma + m
+        terms = [c * u ** e]
+        for k in range(1, orders + 1):
+            terms.append(terms[-1] * (e - k + 1) / u)
+        for k, t in enumerate(terms):
+            sums[k] += t
+            mags[k] += abs(t)
+        if any(abs(t) > 2.0 ** -53 * s for t, s in zip(terms, mags)):
+            continue
+        tails = []
+        for k, t in enumerate(terms):
+            pairs = ((a[0], b[0]), (a[1], b[1]), (a[2], 1 - k))
+            if any(e + p <= 0 or e + q <= 0 for p, q in pairs):
+                tails.append(math.inf)
+                continue
+            r = abs(u) * math.prod(max(1.0, (e + p) / (e + q))
+                                   for p, q in pairs)
+            tails.append(abs(t) * r / (1 - r) if r < 1 else math.inf)
+        if all(x <= 2.0 ** -53 * s for x, s in zip(tails, mags)):
+            return tuple(sums), m + 1, tuple(tails)
+    return None
+
+
+def first_coefficients(spec, sigma, n):
+    stream = hyp_numeric._coefficient_stream(spec, sigma)
+    return [next(stream) for _ in range(n)]
+
+
+class TestFrobeniusPass:
+    @pytest.mark.parametrize("spec", [mkspec(*GENERIC)] + [
+        bpz_spec(family, weights, chi, F(7, 10))
+        for family, weights, chi in BPZ_CASES], ids=["generic"] + BPZ_IDS)
+    def test_grid_pass_equals_the_scalar_loop(self, spec):
+        # every sum, term count and tail bound, bit for bit, on points that
+        # need from about 12 to hundreds of terms, and on negative points
+        # at the integer shift
+        a, b = hyp_numeric._params(spec)
+        grid = [0.02 + 0.0311 * i for i in range(31)]
+        for sigma in hyp_numeric._indicial_roots(spec):
+            points = grid + ([-0.9, -0.45, -0.01] if sigma == 0 else [])
+            coeffs = first_coefficients(spec, sigma, 2000)
+            sums, used, tails = hyp_numeric._frobenius_pass(
+                iter(coeffs), a, b, sigma, points, 3)
+            for i, u in enumerate(points):
+                ref = scalar_frobenius_sums(coeffs, a, b, sigma, u, 3)
+                assert (tuple(sums[i].tolist()), int(used[i]),
+                        tuple(tails[i].tolist())) == ref
+
+    def test_powers_are_python_pow(self):
+        # bit for bit, on positive points at any exponent and on negative
+        # points at the integer exponents of an integer shift
+        rng = random.Random(7)
+        for lo in (0.0, -1.0):
+            us = np.array([[rng.uniform(lo, 1)] for _ in range(60)])
+            es = np.array([float(rng.randrange(0, 300)) if lo else
+                           rng.uniform(-3, 300) for _ in range(80)])
+            assert hyp_numeric._powers(us, es).tolist() == [
+                [x ** y for y in es.tolist()] for x in us[:, 0].tolist()]
+
+    def test_one_pass_per_root(self, monkeypatch):
+        calls = {"_frobenius_pass": 0, "_frobenius_sums": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(hyp_numeric, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(hyp_numeric, name, counted)
+        rows = hyp_grid(mkspec(*GENERIC), 0.05, 0.5, 0.05)
+        assert len(rows) == 10
+        assert calls == {"_frobenius_pass": 3, "_frobenius_sums": 0}
+
+    def test_max_terms_reached(self, monkeypatch):
+        spec = mkspec(*GENERIC)
+        a, b = hyp_numeric._params(spec)
+        coeffs = first_coefficients(spec, 0.0, 200)
+        # the sums stop after 18 terms at 0.05, 22 at 0.1 and 37 at 0.3
+        assert [scalar_frobenius_sums(coeffs, a, b, 0.0, u, 3)[1]
+                for u in (0.05, 0.1, 0.3)] == [18, 22, 37]
+        monkeypatch.setattr(hyp_numeric, "_MAX_TERMS", 25)
+        with pytest.raises(AlgebraError,
+                           match=r"u=0\.3 missed its tail bound .*at most 25"):
+            hyp_numeric._frobenius_pass(iter(coeffs), a, b, 0.0,
+                                        [0.05, 0.3, 0.6], 3)
+        with pytest.raises(AlgebraError, match="at most 25"):
+            hyp_grid(spec, 0.05, 0.5, 0.05)
+        assert hyp_numeric._frobenius_sums(coeffs, a, b, 0.0, 0.1, 3) == \
+            scalar_frobenius_sums(coeffs, a, b, 0.0, 0.1, 3)
+
+    def test_stream_error_raised_only_where_needed(self):
+        # a coefficient source that fails at term 25, as the recurrence
+        # does at a vanishing denominator: the points that stop before it
+        # keep their sums, and the first point that needs it raises
+        spec = mkspec(*GENERIC)
+        a, b = hyp_numeric._params(spec)
+        coeffs = first_coefficients(spec, 0.0, 25)
+
+        def failing():
+            yield from coeffs
+            raise AlgebraError("injected at term 25")
+
+        sums, used, _ = hyp_numeric._frobenius_pass(failing(), a, b, 0.0,
+                                                    [0.05, 0.1], 3)
+        assert used.tolist() == [18, 22]
+        assert tuple(sums[1].tolist()) == \
+            scalar_frobenius_sums(coeffs, a, b, 0.0, 0.1, 3)[0]
+        with pytest.raises(AlgebraError, match="injected at term 25"):
+            hyp_numeric._frobenius_pass(failing(), a, b, 0.0,
+                                        [0.05, 0.3, 0.1], 3)
+
+
 class TestMpmathOracle:
     """At sigma = 0 the Frobenius solution of the reduced operator is
     3F2(A1, A2, A3; B1, B2; u), evaluated independently by mpmath."""
