@@ -491,17 +491,16 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
             for i in range(int((stop + 1e-12 - start) // step) + 1)]
     if abs(grid[-1] - stop) <= 1e-12:
         grid[-1] = stop
-    polys = derivative_coefficients(spec)
+    # Horner and the residual sums run elementwise in the order they take
+    # at one point, so every residual is the pointwise one
+    weights = [poly_eval(c, np.array(grid))
+               for c in derivative_coefficients(spec)]
     a, b = _params(spec)
-    columns = []
+    values, residuals = [], []
     for sigma in roots:
         sf = _check_sigma(spec, sigma)
         sums = _frobenius_pass(_coefficient_stream(spec, sf), a, b, sf,
                                grid, 3)[0]
-        columns.append(sums.tolist())
-    rows = []
-    for u, *derivs in zip(grid, *columns):
-        weights = [poly_eval(c, u) for c in polys]
-        residuals = [sum(w * x for w, x in zip(weights, d)) for d in derivs]
-        rows.append((u, *(d[0] for d in derivs), *residuals))
-    return rows
+        values.append(sums[:, 0].tolist())
+        residuals.append(sum(w * d for w, d in zip(weights, sums.T)).tolist())
+    return list(zip(grid, *values, *residuals))
