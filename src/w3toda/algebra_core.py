@@ -33,17 +33,23 @@ class DegreeOverflowError(AlgebraError):
 
 def _as_coeff(x):
     """Normalize a scalar for the exact layer (ints become Fractions)."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, bool):
         raise AlgebraError("bool is not a scalar")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (Fraction, RatFunc)):
+    if isinstance(x, RatFunc):
         return x
     raise AlgebraError(f"unsupported exact scalar {type(x).__name__}")
 
 
 def _is_zero(c) -> bool:
     return c == 0
+
+
+_ZERO = Fraction(0)
+_ONE = (Fraction(1),)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +90,15 @@ def poly_mul(a, b) -> tuple:
     deg = len(a) + len(b) - 2
     if deg > DEGREE_CAP:
         raise DegreeOverflowError(f"polynomial degree {deg} exceeds cap {DEGREE_CAP}")
-    out = [Fraction(0)] * (deg + 1)
+    # each slot starts from its first product, not from a zero
+    out = [None] * (deg + 1)
     for i, ca in enumerate(a):
         if _is_zero(ca):
             continue
         for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return poly_trim(out)
+            prev = out[i + j]
+            out[i + j] = ca * cb if prev is None else prev + ca * cb
+    return poly_trim([_ZERO if c is None else c for c in out])
 
 
 def poly_divmod(a, b):
@@ -99,7 +107,7 @@ def poly_divmod(a, b):
     a = list(a)
     lead_inv = 1 / b[-1]
     qlen = max(0, len(a) - len(b) + 1)
-    q = [Fraction(0)] * qlen
+    q = [_ZERO] * qlen
     for i in range(len(a) - len(b), -1, -1):
         c = a[i + len(b) - 1] * lead_inv
         if _is_zero(c):
@@ -169,22 +177,44 @@ class RatFunc:
     Coefficients are Fractions or RatFuncs in a strictly lower-level variable.
     The representation is reduced with monic denominator, so ``==`` decides
     mathematical equality; mixed operations with int/Fraction and lower-level
-    RatFuncs lift the smaller operand to a constant.  A constant denominator
-    skips the gcd, which is then always 1, a denominator that is already
-    monic is not rescaled, and equal denominators add without being
-    multiplied.
+    RatFuncs lift the smaller operand to a constant.
+
+    The public constructor checks the variable and coerces and trims every
+    coefficient.  Results of arithmetic are built by ``_canonical`` from
+    operands that are already canonical, without those checks.  Reduction
+    takes these fast paths:
+
+    * a constant denominator skips the gcd, which is then always 1;
+    * a monomial denominator c*x^k takes the gcd x^j, j the number of
+      leading zero coefficients of the numerator (at most k), by slicing;
+    * a denominator that is already monic is not rescaled;
+    * equal denominators add without being multiplied.
     """
 
     __slots__ = ("var", "num", "den")
 
-    def __init__(self, var: str, num, den=(Fraction(1),)):
+    def __init__(self, var: str, num, den=_ONE):
         if var not in VAR_LEVEL:
             raise AlgebraError(f"unregistered variable {var!r}")
         num = poly_trim(tuple(_as_coeff(c) for c in num))
         den = poly_trim(tuple(_as_coeff(c) for c in den))
         if not den:
             raise AlgebraError("zero denominator")
-        if len(den) > 1:
+        self._reduce(var, num, den)
+
+    @staticmethod
+    def _canonical(var: str, num: tuple, den: tuple) -> "RatFunc":
+        """num/den from trimmed tuples of canonical coefficients, den != 0."""
+        out = object.__new__(RatFunc)
+        out._reduce(var, num, den)
+        return out
+
+    def _reduce(self, var, num, den):
+        k = len(den) - 1
+        if k and all(_is_zero(c) for c in den[:k]):
+            j = next((i for i, c in enumerate(num[:k]) if not _is_zero(c)), k)
+            num, den = num[j:], den[j:]
+        elif k:
             g = poly_gcd(num, den)
             if len(g) > 1:
                 num, _ = poly_divmod(num, g)
@@ -201,7 +231,7 @@ class RatFunc:
 
     def _wrap(self, value) -> "RatFunc":
         c = _as_coeff(value)
-        return RatFunc(self.var, (c,))
+        return RatFunc._canonical(self.var, () if _is_zero(c) else (c,), _ONE)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -226,9 +256,9 @@ class RatFunc:
             return NotImplemented
         a, b = pair
         if a.den == b.den:
-            return RatFunc(a.var, poly_add(a.num, b.num), a.den)
+            return RatFunc._canonical(a.var, poly_add(a.num, b.num), a.den)
         num = poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
-        return RatFunc(a.var, num, poly_mul(a.den, b.den))
+        return RatFunc._canonical(a.var, num, poly_mul(a.den, b.den))
 
     __radd__ = __add__
 
@@ -252,14 +282,15 @@ class RatFunc:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return RatFunc(a.var, poly_mul(a.num, b.num), poly_mul(a.den, b.den))
+        return RatFunc._canonical(a.var, poly_mul(a.num, b.num),
+                                  poly_mul(a.den, b.den))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RatFunc":
         if not self.num:
             raise AlgebraError("division by zero rational function")
-        return RatFunc(self.var, self.den, self.num)
+        return RatFunc._canonical(self.var, self.den, self.num)
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -358,7 +389,7 @@ class RatFunc:
 
     def __repr__(self):
         num = _poly_str(self.num, self.var)
-        if self.den == (Fraction(1),):
+        if self.den == _ONE:
             return num
         return f"({num})/({_poly_str(self.den, self.var)})"
 
@@ -378,13 +409,25 @@ def ratfunc_from_json(var: str, data: dict) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 class CFrac:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    The public constructor coerces both parts to ``Fraction``.  Results of
+    arithmetic, whose parts are Fractions already, are built by
+    ``_canonical`` without that re-wrap, and a real factor scales the
+    other's parts with two products instead of four.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         self.re = Fraction(re)
         self.im = Fraction(im)
+
+    @staticmethod
+    def _canonical(re: Fraction, im: Fraction) -> "CFrac":
+        out = object.__new__(CFrac)
+        out.re, out.im = re, im
+        return out
 
     @staticmethod
     def of(x) -> "CFrac":
@@ -409,18 +452,18 @@ class CFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CFrac(self.re + o.re, self.im + o.im)
+        return CFrac._canonical(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CFrac(-self.re, -self.im)
+        return CFrac._canonical(-self.re, -self.im)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CFrac(self.re - o.re, self.im - o.im)
+        return CFrac._canonical(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -431,16 +474,16 @@ class CFrac:
             return NotImplemented
         # a real factor scales the other's parts: two products, not four
         if o.im == 0:
-            return CFrac(self.re * o.re, self.im * o.re)
+            return CFrac._canonical(self.re * o.re, self.im * o.re)
         if self.im == 0:
-            return CFrac(self.re * o.re, self.re * o.im)
-        return CFrac(self.re * o.re - self.im * o.im,
-                     self.re * o.im + self.im * o.re)
+            return CFrac._canonical(self.re * o.re, self.re * o.im)
+        return CFrac._canonical(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CFrac":
-        return CFrac(self.re, -self.im)
+        return CFrac._canonical(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -449,7 +492,7 @@ class CFrac:
         n = self.abs2()
         if n == 0:
             raise AlgebraError("division by zero complex rational")
-        return CFrac(self.re / n, -self.im / n)
+        return CFrac._canonical(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -203,7 +203,11 @@ def _coefficient_stream(spec: HypergeometricSpec, sigma: float):
                 continue
             acc += _term_poly(sigma + m - p, scale, shifts) * history[m - p]
         den = _term_poly(sigma + m, scale0, shifts0)
-        if abs(den) < 1e-13 * max(1.0, abs(acc)):
+        # vanishing is judged against the size of den's own factors
+        size = abs(scale0)
+        for hi, lo in shifts0:
+            size *= abs(sigma + m) + abs(hi) + abs(lo)
+        if abs(den) < 1e-13 * size:
             raise AlgebraError(
                 "logarithmic case unsupported: the recurrence denominator "
                 f"vanishes at term {m}")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from w3toda import algebra_core
 from w3toda.algebra_core import (
     E1,
     E2,
@@ -443,3 +444,224 @@ def test_ratfunc_chains_match_sympy_cancel(seed):
                 / sum(plain(a) * v ** i for i, a in enumerate(c.den)))
 
     assert sympy.cancel(plain(x) - want.as_expr()) == 0
+
+
+# ---------------------------------------------------------------------------
+# Reduction fast paths against Euclid and sympy.cancel
+# ---------------------------------------------------------------------------
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _divmod(a, b):
+    a, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        q[i] = a[i + len(b) - 1] / b[-1]
+        for j, cb in enumerate(b):
+            a[i + j] = a[i + j] - cb * q[i]
+    return _trim(q), _trim(a[: len(b) - 1])
+
+
+def euclid_reduced(num, den):
+    """num/den divided by their Euclidean gcd, then by the leading
+    coefficient of the denominator: every RatFunc's reduction before the
+    fast paths, kept here as the reference."""
+    num, den = _trim(num), _trim(den)
+    g, r = num, den
+    while r:
+        g, r = r, _divmod(g, r)[1]
+    num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _poly_add(a, b):
+    a, b = list(a), list(b)
+    n = max(len(a), len(b))
+    a += [Fraction(0)] * (n - len(a))
+    b += [Fraction(0)] * (n - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def unreduced(op, x, y):
+    """(num, den) of x op y, neither reduced nor made monic."""
+    if op == "+":
+        return (_poly_add(_poly_mul(x.num, y.den), _poly_mul(y.num, x.den)),
+                _poly_mul(x.den, y.den))
+    if op == "-":
+        return unreduced("+", x, -y)
+    if op == "*":
+        return _poly_mul(x.num, y.num), _poly_mul(x.den, y.den)
+    return _poly_mul(x.num, y.den), _poly_mul(x.den, y.num)
+
+
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+small_st = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_st = small_st.filter(lambda c: c != 0)
+
+
+@st.composite
+def raw_gamma_pair(draw):
+    """(num, den) coefficient lists: the numerator may be zero or start
+    with zeros; the denominator is c*gamma^k or general."""
+    num = [Fraction(0)] * draw(st.integers(0, 3))
+    num += draw(st.lists(small_st, max_size=4))
+    if draw(st.booleans()):
+        den = [Fraction(0)] * draw(st.integers(0, 3)) + [draw(nonzero_st)]
+    else:
+        den = draw(st.lists(small_st, min_size=1, max_size=4)
+                   .filter(lambda cs: any(cs)))
+    return num, den
+
+
+def _sympy_json(sympy, num, den):
+    """sympy.cancel's reduced numerator and denominator, divided by the
+    denominator's leading coefficient, in to_json's encoding."""
+    g = sympy.Symbol("gamma")
+
+    def expr(cs):
+        return sum((sympy.Rational(c.numerator, c.denominator) * g ** i
+                    for i, c in enumerate(cs)), sympy.Integer(0))
+
+    n, d = (sympy.Poly(p, g) for p in
+            sympy.fraction(sympy.cancel(expr(num) / expr(den))))
+    lead = d.LC()
+
+    def enc(p):
+        return [] if p.is_zero else [str(c / lead)
+                                     for c in reversed(p.all_coeffs())]
+    return {"num": enc(n), "den": enc(d)}
+
+
+def _check_canonical(x, num, den, sympy=None):
+    want = euclid_reduced(num, den)
+    assert (x.num, x.den) == want
+    assert x.den[-1] == 1
+    if sympy is not None:
+        assert x.to_json() == _sympy_json(sympy, num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_gamma_pair())
+def test_construction_matches_euclid_and_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    num, den = pair
+    _check_canonical(RatFunc("gamma", num, den), num, den, sympy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_gamma_pair(), raw_gamma_pair(), st.integers(-2, 3))
+def test_arithmetic_matches_euclid_and_sympy(p, r, n):
+    # + - * / ** on monomial and general denominators, zero numerators
+    # included, against the Euclid reduction of the unreduced result
+    sympy = pytest.importorskip("sympy")
+    x, y = RatFunc("gamma", *p), RatFunc("gamma", *r)
+    for op, fn in OPS.items():
+        if op == "/" and y.is_zero:
+            continue
+        _check_canonical(fn(x, y), *unreduced(op, x, y), sympy)
+    if n < 0 and x.is_zero:
+        return
+    base = x if n >= 0 else x.reciprocal()
+    num, den = [Fraction(1)], [Fraction(1)]
+    for _ in range(abs(n)):
+        num, den = _poly_mul(num, base.num), _poly_mul(den, base.den)
+    _check_canonical(x ** n, num, den, sympy)
+
+
+@st.composite
+def nested_kappa(draw):
+    """A polynomial in kappa over Q(q) divided by c*kappa^k: coefficients
+    are Fractions, polynomials in q or rational functions of q."""
+    def coeff(nonzero=False):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return draw(nonzero_st if nonzero else small_st)
+        if kind == 1:
+            c = RatFunc("q", [draw(small_st), draw(nonzero_st)])
+        else:
+            c = RatFunc("q", [draw(small_st), Fraction(1)],
+                        [draw(nonzero_st), draw(small_st)])
+        return c if nonzero or draw(st.booleans()) else c - c
+    num = [Fraction(0)] * draw(st.integers(0, 2))
+    num += [coeff() for _ in range(draw(st.integers(0, 3)))]
+    den = [Fraction(0)] * draw(st.integers(0, 2)) + [coeff(nonzero=True)]
+    return RatFunc("kappa", num, den), num, den
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_kappa(), nested_kappa())
+def test_nested_monomial_denominators_match_euclid_and_sympy(p, r):
+    sympy = pytest.importorskip("sympy")
+    _, qs, ks = sympy.field("q,kappa", sympy.QQ)
+    gens = {"q": qs, "kappa": ks}
+    (x, *xraw), (y, *_) = p, r
+    _check_canonical(x, *xraw)
+    for op, fn in OPS.items():
+        if op == "/" and y.is_zero:
+            continue
+        got = fn(x, y)
+        _check_canonical(got, *unreduced(op, x, y))
+        want = OPS[op](_to_sympy(x, gens), _to_sympy(y, gens))
+        assert _to_sympy(got, gens) == want
+        assert want.denom.degree(ks.numer) == len(got.den) - 1
+
+
+def test_monomial_denominators_make_no_gcd(monkeypatch):
+    calls = []
+    gcd = algebra_core.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(algebra_core, "poly_gcd", counted)
+    g = variable("gamma")
+    q = g + 2 / g
+    chi = 2 / g
+    values = [q * q, q ** 3 - chi, (3 * g ** 2 - 1) / g ** 3 + chi * q,
+              g ** -3 * q, (q - g) / g ** 2, q - q, chi ** 2 / 4 * g]
+    assert calls == []
+    assert values[0] == g ** 2 + 4 + 4 / g ** 2
+    assert values[5] == 0 and values[5].den == (1,)
+    # a general denominator still takes the Euclidean gcd
+    _ = (g + 1) / (g - 1)
+    assert calls
+
+
+def test_public_constructors_keep_their_checks():
+    f = RatFunc("gamma", (1, 2), (0, 3))
+    assert all(type(c) is Fraction for c in f.num + f.den)
+    for bad in ((True,), (Fraction(1), False), (0.5,), ("1",)):
+        with pytest.raises(AlgebraError):
+            RatFunc("gamma", bad)
+        with pytest.raises(AlgebraError):
+            RatFunc("gamma", (1,), bad)
+    with pytest.raises(AlgebraError, match="unregistered"):
+        RatFunc("zeta", (1,))
+    for den in ((0, 0), (), (Fraction(0),)):
+        with pytest.raises(AlgebraError, match="zero denominator"):
+            RatFunc("gamma", (1,), den)
+    g = variable("gamma")
+    with pytest.raises(AlgebraError, match="bool"):
+        _ = g + True
+    with pytest.raises(TypeError):
+        _ = g * 0.5
+    z = CFrac(1, -2)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    for w in (z + 1, 1 - z, z * 3, z * z, -z, z.conj(), z.reciprocal(),
+              z / 2, z ** 2, CFrac.of(4)):
+        assert type(w.re) is Fraction and type(w.im) is Fraction

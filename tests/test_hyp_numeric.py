@@ -194,6 +194,14 @@ class TestSeriesEval:
         # the top exponent itself is fine
         assert math.isfinite(series_eval(spec, F(3, 2), 0.2))
 
+    def test_resonant_stream_raises_at_its_term(self):
+        # B2 = -2: at sigma = 0 the factor sigma + m + B2 - 1 is 0 at m = 3
+        spec = mkspec((F(3, 10), F(2, 5), F(1, 2)), (F(3, 5), F(-2)))
+        stream = hyp_numeric._coefficient_stream(spec, 0.0)
+        assert [next(stream) for _ in range(3)][0] == 1.0
+        with pytest.raises(AlgebraError, match="vanishes at term 3"):
+            next(stream)
+
     def test_symbolic_spec_refused(self):
         alpha = CartanVector(F(1, 2), F(1, 3))
         bstar = CartanVector(F(1), F(2))
@@ -653,6 +661,21 @@ class TestMpmathOracle:
                 # observed: at most 39 ulps of the term sum beyond the bound,
                 # mostly from rounding in the recurrence coefficients
                 assert abs(got - ref) <= tail + 64 * 2.0 ** -52 * scale
+
+    def test_large_coefficients_are_not_resonance(self):
+        # at sigma = 1 - B1 the coefficients pass 1e13 by term 397, where
+        # the recurrence denominator is about -6.3e7; the series is
+        # u^sigma 3F2(A + sigma; 1 + sigma, B2 + sigma; u)
+        a, b = (F(3, 20), F(8, 5), F(-11, 20)), (F(-1, 2), F(-13, 3))
+        sigma = 1 - b[0]
+        shifted = mkspec(tuple(x + sigma for x in a),
+                         (1 + sigma, b[1] + sigma))
+        for u in (0.9, 0.95):
+            (ref,), (scale,) = self.mpmath_3f2(shifted, u)
+            got = series_eval(mkspec(a, b), sigma, u)
+            # observed: at most 3.8e-15 of the term sum
+            power = u ** float(sigma)
+            assert abs(got - power * ref) <= 1e-13 * power * scale
 
     def test_near_zero_shift_keeps_its_exact_part(self):
         # B2 = -21/800, so the recurrence factor m + B2 - 1 cancels at

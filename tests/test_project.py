@@ -97,3 +97,20 @@ def test_benchmark_patch_markers_are_in_hyp_numeric():
     assert len(markers) == 2
     source = (ROOT / "src" / "w3toda" / "hyp_numeric.py").read_text()
     assert [m for m in markers if m not in source] == []
+
+
+def test_private_constructors_stay_in_the_kernel():
+    # RatFunc._canonical and CFrac._canonical skip the public constructors'
+    # checks and coercions; only the kernel's own arithmetic, on values it
+    # already made canonical, may call them
+    from w3toda import algebra_core
+    private = "_canonical"
+    assert callable(getattr(algebra_core.RatFunc, private))
+    assert callable(getattr(algebra_core.CFrac, private))
+    paths = [p for pattern in ("src/w3toda/*.py", "tests/*.py", "bench/**/*.py")
+             for p in sorted(ROOT.glob(pattern))]
+    outside = sorted(
+        str(path.relative_to(ROOT)) for path in paths
+        if path.name != "algebra_core.py"
+        and private in _referenced_names([path]))
+    assert outside == []
