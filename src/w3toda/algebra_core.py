@@ -180,9 +180,9 @@ class RatFunc:
     RatFuncs lift the smaller operand to a constant.
 
     The public constructor checks the variable and coerces and trims every
-    coefficient.  Results of arithmetic are built by ``_canonical`` from
-    operands that are already canonical, without those checks.  Reduction
-    takes these fast paths:
+    coefficient.  Results of arithmetic, and the constants it lifts, are
+    built by ``_canonical`` from parts that are already canonical, without
+    those checks.  Reduction takes these fast paths:
 
     * a constant denominator skips the gcd, which is then always 1;
     * a monomial denominator c*x^k takes the gcd x^j, j the number of
@@ -210,6 +210,7 @@ class RatFunc:
         return out
 
     def _reduce(self, var, num, den):
+        """Set the fields to num/den reduced, with a monic denominator."""
         k = len(den) - 1
         if k and all(_is_zero(c) for c in den[:k]):
             j = next((i for i, c in enumerate(num[:k]) if not _is_zero(c)), k)

@@ -562,7 +562,7 @@ def test_construction_matches_euclid_and_sympy(pair):
     _check_canonical(RatFunc("gamma", num, den), num, den, sympy)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(raw_gamma_pair(), raw_gamma_pair(), st.integers(-2, 3))
 def test_arithmetic_matches_euclid_and_sympy(p, r, n):
     # + - * / ** on monomial and general denominators, zero numerators
@@ -602,7 +602,7 @@ def nested_kappa(draw):
     return RatFunc("kappa", num, den), num, den
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(nested_kappa(), nested_kappa())
 def test_nested_monomial_denominators_match_euclid_and_sympy(p, r):
     sympy = pytest.importorskip("sympy")
