@@ -8,6 +8,12 @@ a level-1 variable may carry level-0 rational functions as coefficients, which
 is how "polynomial in kappa over Q(q)" identities are represented without a
 general multivariate engine.  All values are immutable after construction and
 kept canonical, so structural equality is mathematical equality.
+
+The two scalar types do their hot arithmetic without building intermediate
+objects: a ``CFrac`` is one integer triple (a + b i)/d, and a ``RatFunc``
+multiplies, shifts and compares by a constant (an int, a ``Fraction`` or a
+lower-level ``RatFunc``) on its own numerator, without lifting the constant
+to a ``RatFunc`` first.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 DEGREE_CAP = 64
 
@@ -82,6 +89,12 @@ def poly_scale(a, s) -> tuple:
     if _is_zero(s):
         return ()
     return poly_trim([c * s for c in a])
+
+
+def _zero_slots(a) -> tuple:
+    """a with every zero coefficient as ``_ZERO``, as ``poly_mul`` leaves the
+    slots of a first factor's zeros."""
+    return tuple(_ZERO if _is_zero(c) else c for c in a)
 
 
 def poly_mul(a, b) -> tuple:
@@ -176,8 +189,7 @@ class RatFunc:
 
     Coefficients are Fractions or RatFuncs in a strictly lower-level variable.
     The representation is reduced with monic denominator, so ``==`` decides
-    mathematical equality; mixed operations with int/Fraction and lower-level
-    RatFuncs lift the smaller operand to a constant.
+    mathematical equality.
 
     The public constructor checks the variable and coerces and trims every
     coefficient.  Results of arithmetic, and the constants it lifts, are
@@ -188,7 +200,17 @@ class RatFunc:
     * a monomial denominator c*x^k takes the gcd x^j, j the number of
       leading zero coefficients of the numerator (at most k), by slicing;
     * a denominator that is already monic is not rescaled;
-    * equal denominators add without being multiplied.
+    * equal denominators add without being multiplied;
+    * a reciprocal, whose parts are coprime already, is only made monic.
+
+    A constant c (an int, a Fraction or a lower-level RatFunc) is not
+    lifted when this value's own operator runs over a Fraction-led
+    denominator: x * c and x +- c are (c num)/den and (num +- c den)/den,
+    reduced over the same den already, and x == c
+    compares den with 1 and num with (c,) or ().  Zero slots come out as
+    the lifting path's ``poly_mul`` leaves them, so every result is that
+    path's, coefficient types included.  Other mixed operations lift the
+    smaller operand to a constant.
     """
 
     __slots__ = ("var", "num", "den")
@@ -220,6 +242,11 @@ class RatFunc:
             if len(g) > 1:
                 num, _ = poly_divmod(num, g)
                 den, _ = poly_divmod(den, g)
+        self._set_monic(var, num, den)
+
+    def _set_monic(self, var, num, den):
+        """Set the fields to num/den, coprime already, over a monic
+        denominator."""
         self.var = var
         if isinstance(den[-1], Fraction) and den[-1] == 1:
             self.num, self.den = num, den
@@ -233,6 +260,49 @@ class RatFunc:
     def _wrap(self, value) -> "RatFunc":
         c = _as_coeff(value)
         return RatFunc._canonical(self.var, () if _is_zero(c) else (c,), _ONE)
+
+    def _constant(self, other):
+        """other as a constant of this ring (an int becomes a Fraction), or
+        None for a bool, a foreign type, or a RatFunc not in a lower-level
+        variable."""
+        if isinstance(other, Fraction):
+            return other
+        if isinstance(other, RatFunc):
+            return other if VAR_LEVEL[other.var] < VAR_LEVEL[self.var] else None
+        if isinstance(other, int) and not isinstance(other, bool):
+            return Fraction(other)
+        return None
+
+    def _scaled(self, c) -> "RatFunc":
+        """c * self for a constant c: (c num)/den, already reduced over the
+        same monic denominator.  Zero slots become ``_ZERO``, as in
+        ``poly_mul``."""
+        out = object.__new__(RatFunc)
+        out.var = self.var
+        if _is_zero(c):
+            out.num, out.den = (), _ONE
+        else:
+            out.num = tuple(_ZERO if _is_zero(x) else x * c for x in self.num)
+            out.den = _zero_slots(self.den)
+        return out
+
+    def _shifted(self, c) -> "RatFunc":
+        """self + c for a constant c: (num + c den)/den, already reduced over
+        the same monic denominator.  Over a non-constant denominator the
+        zero slots of num and den become ``_ZERO``, as in ``poly_mul``."""
+        num, den = self.num, self.den
+        if len(den) == 1:
+            if _is_zero(c):
+                return self
+            num = poly_add(num, (c,))
+        else:
+            num = _zero_slots(num)
+            if not _is_zero(c):
+                num = poly_add(num, tuple(c * x for x in den))
+            den = _zero_slots(den)
+        out = object.__new__(RatFunc)
+        out.var, out.num, out.den = self.var, num, den
+        return out
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -252,6 +322,9 @@ class RatFunc:
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other):
+        c = self._constant(other)
+        if c is not None and isinstance(self.den[-1], Fraction):
+            return self._shifted(c)
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
@@ -269,6 +342,9 @@ class RatFunc:
         return out
 
     def __sub__(self, other):
+        c = self._constant(other)
+        if c is not None and isinstance(self.den[-1], Fraction):
+            return self._shifted(-c)
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
@@ -279,6 +355,9 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        c = self._constant(other)
+        if c is not None and isinstance(self.den[-1], Fraction):
+            return self._scaled(c)
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
@@ -291,7 +370,11 @@ class RatFunc:
     def reciprocal(self) -> "RatFunc":
         if not self.num:
             raise AlgebraError("division by zero rational function")
-        return RatFunc._canonical(self.var, self.den, self.num)
+        # num and den are coprime already: only the new denominator's
+        # leading coefficient is divided out
+        out = object.__new__(RatFunc)
+        out._set_monic(self.var, self.den, self.num)
+        return out
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -324,6 +407,9 @@ class RatFunc:
         return result
 
     def __eq__(self, other):
+        c = self._constant(other)
+        if c is not None:
+            return self.den == _ONE and self.num == (() if _is_zero(c) else (c,))
         try:
             pair = self._coerce(other)
         except AlgebraError:
@@ -412,23 +498,43 @@ def ratfunc_from_json(var: str, data: dict) -> RatFunc:
 class CFrac:
     """Complex number with exact rational real and imaginary parts.
 
-    The public constructor coerces both parts to ``Fraction``.  Results of
-    arithmetic, whose parts are Fractions already, are built by
-    ``_canonical`` without that re-wrap, and a real factor scales the
-    other's parts with two products instead of four.
+    A value is one integer triple (a, b, d) standing for (a + b i)/d, with
+    d > 0 and gcd(a, b, d) = 1, so ``==`` compares triples and a real value
+    hashes as its ``Fraction``.  ``re`` and ``im`` are read-only
+    ``Fraction`` views.  The public constructor coerces both parts through
+    ``Fraction``.  Arithmetic works on the integers and builds its results
+    through ``_canonical``, which divides out one gcd.  A real operand
+    scales the other's parts with two products instead of four, equal
+    denominators add without being multiplied, and the reciprocal is
+    d (a - b i)/(a^2 + b^2).
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        # over lcm(q, s) the triple is already coprime
+        d = q // gcd(q, s) * s
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
     @staticmethod
-    def _canonical(re: Fraction, im: Fraction) -> "CFrac":
+    def _canonical(a: int, b: int, d: int) -> "CFrac":
+        """(a + b i)/d from ints with d > 0, divided by gcd(a, b, d)."""
+        g = gcd(a, b, d)
         out = object.__new__(CFrac)
-        out.re, out.im = re, im
+        out._a, out._b, out._d = a // g, b // g, d // g
         return out
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(x) -> "CFrac":
@@ -436,76 +542,97 @@ class CFrac:
             return x
         if isinstance(x, bool):
             raise AlgebraError("bool is not a scalar")
-        if isinstance(x, (int, Fraction)):
-            return CFrac(x)
+        if isinstance(x, Fraction):
+            return CFrac._canonical(x.numerator, 0, x.denominator)
+        if isinstance(x, int):
+            return CFrac._canonical(x, 0, 1)
         raise AlgebraError(f"cannot interpret {type(x).__name__} as exact complex")
 
-    def _coerce(self, other):
+    @staticmethod
+    def _parts(other):
+        """The canonical triple of an exact operand, or None."""
         if isinstance(other, CFrac):
-            return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction)):
-            return CFrac(other)
+            return other._a, other._b, other._d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        if isinstance(other, int) and not isinstance(other, bool):
+            return other, 0, 1
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = CFrac._parts(other)
         if o is None:
             return NotImplemented
-        return CFrac._canonical(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        if d == self._d:
+            return CFrac._canonical(self._a + a, self._b + b, d)
+        return CFrac._canonical(self._a * d + a * self._d,
+                                self._b * d + b * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CFrac._canonical(-self.re, -self.im)
+        return CFrac._canonical(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = CFrac._parts(other)
         if o is None:
             return NotImplemented
-        return CFrac._canonical(self.re - o.re, self.im - o.im)
+        return self + CFrac._canonical(-o[0], -o[1], o[2])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = CFrac._parts(other)
         if o is None:
             return NotImplemented
+        a, b, d = o
+        sa, sb = self._a, self._b
         # a real factor scales the other's parts: two products, not four
-        if o.im == 0:
-            return CFrac._canonical(self.re * o.re, self.im * o.re)
-        if self.im == 0:
-            return CFrac._canonical(self.re * o.re, self.re * o.im)
-        return CFrac._canonical(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if b == 0:
+            return CFrac._canonical(sa * a, sb * a, self._d * d)
+        if sb == 0:
+            return CFrac._canonical(sa * a, sa * b, self._d * d)
+        return CFrac._canonical(sa * a - sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CFrac":
-        return CFrac._canonical(self.re, -self.im)
+        return CFrac._canonical(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     def reciprocal(self) -> "CFrac":
-        n = self.abs2()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise AlgebraError("division by zero complex rational")
-        return CFrac._canonical(self.re / n, -self.im / n)
+        return CFrac._canonical(d * a, -d * b, n)
+
+    @staticmethod
+    def _quotient(x, y) -> "CFrac":
+        """x / y for canonical triples: d_y x conj(y_num) / (d_x |y_num|^2)."""
+        a, b, d = x
+        c, e, f = y
+        n = c * c + e * e
+        if n == 0:
+            raise AlgebraError("division by zero complex rational")
+        return CFrac._canonical((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = CFrac._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.reciprocal()
+        return CFrac._quotient((self._a, self._b, self._d), o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = CFrac._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.reciprocal()
+        return CFrac._quotient(o, (self._a, self._b, self._d))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -523,25 +650,26 @@ class CFrac:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = CFrac._parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        if self.im == 0:
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        if self.im == 0:
+        if self._b == 0:
             return f"CFrac({self.re})"
         return f"CFrac({self.re}, {self.im})"
 

@@ -22,8 +22,11 @@ Pole sums as functions of the probe live in ``RationalField``: finite linear
 combinations of ``(z_k - t)^{-p}`` with exact complex-rational coefficients,
 closed under sum, product (partial fractions) and d/dt.  Pole sums evaluated
 at an insertion z_k, which the descendant ratios and the global rows read,
-come from one ``PoleSumTable`` per insertion: it forms each 1/(z_l - z_k)
-power once and each (order, direction) sum once, for every form read there.
+come from one ``PoleSumTable`` per insertion: it forms each (order,
+direction) sum once, for every form read there.  Both readings take their
+coefficients from one ``InsertionPairings`` per configuration, which forms
+each insertion's pairings with E_1 and E_2 once, and each pair's
+1/(z_l - z_k) and its powers once for both ends.
 """
 
 from __future__ import annotations
@@ -465,26 +468,67 @@ def _pair_product(points, k, p, l, q):
 # Gaussian integration by parts at zero interaction measure
 # ---------------------------------------------------------------------------
 
+class InsertionPairings:
+    """One configuration's doubled insertions as the pole sums read them.
+
+    ``pairings[l]`` is (<E_1, w_l>, <E_2, w_l>), formed once per insertion;
+    any <u, w_l> is read from it as u_1 <E_1, w_l> + u_2 <E_2, w_l>.  Each
+    unordered pair's 1/(z_l - z_k) and its powers are formed once, on first
+    use, and the other end reads them with the sign (-1)^p.
+    """
+
+    __slots__ = ("points", "pairings", "_powers")
+
+    def __init__(self, insertions):
+        self.points = tuple(z for z, _ in insertions)
+        self.pairings = [(inner(E1, w), inner(E2, w)) for _, w in insertions]
+        self._powers = {}       # (k, l), k < l -> [1/(z_l - z_k), its square, ...]
+
+    def power(self, k: int, l: int, p: int) -> CFrac:
+        """1/(z_l - z_k)^p, for k != l."""
+        key = (k, l) if k < l else (l, k)
+        pw = self._powers.get(key)
+        if pw is None:
+            z0, z1 = self.points[key[0]], self.points[key[1]]
+            pw = self._powers[key] = [(z1 - z0).reciprocal()]
+        while len(pw) < p:
+            pw.append(pw[-1] * pw[0])
+        return pw[p - 1] if k < l or p % 2 == 0 else -pw[p - 1]
+
+
+def _pairings_of(insertions) -> InsertionPairings:
+    """The pairings of a (point, weight) list, or the pairings themselves."""
+    if isinstance(insertions, InsertionPairings):
+        return insertions
+    return InsertionPairings(insertions)
+
+
 def _ipp_factor(u: CartanVector, p: int, insertions) -> RationalField:
     """The pole sum (p-1)! * sum_k <u, w_k> / (2 (z_k - t)^p) of one factor
-    <u, d^p Phi> over the (point, weight) list."""
-    points = tuple(z for z, _ in insertions)
+    <u, d^p Phi> over the (point, weight) list or its pairings."""
+    pairs = _pairings_of(insertions)
     terms = {}
     pref = Fraction(factorial(p - 1), 2)
-    for k, (_, w) in enumerate(insertions):
-        c = pref * inner(u, w)
+    for k, (e1, e2) in enumerate(pairs.pairings):
+        c = u.c1 * e1 + u.c2 * e2
         if c != 0:
-            terms[(k, p)] = CFrac.of(c)
-    return RationalField(points, terms)
+            terms[(k, p)] = CFrac.of(pref * c)
+    return RationalField(pairs.points, terms)
 
 
 def _ipp_field(form: FieldPolynomial, insertions) -> RationalField:
-    points = tuple(z for z, _ in insertions)
-    total = RationalField.zero(points)
+    """The pole-sum reading of a form, each distinct factor's field built
+    once from one set of pairings."""
+    pairs = _pairings_of(insertions)
+    total = RationalField.zero(pairs.points)
+    fields = {}
     for m, coeff in form.terms.items():
         piece = None
-        for p, i in m.factors:
-            f = _ipp_factor((E1, E2)[i - 1], p, insertions)
+        for factor in m.factors:
+            f = fields.get(factor)
+            if f is None:
+                p, i = factor
+                f = fields[factor] = _ipp_factor((E1, E2)[i - 1], p, pairs)
             piece = f if piece is None else piece * f
         if piece is None:
             continue
@@ -596,39 +640,33 @@ class PoleSumTable:
     """Pole sums at one doubled insertion z_k over the other insertions.
 
     The entry for a factor (p, i), i.e. <E_i, d^p Phi>, is the value at
-    t = z_k of (p-1)!/2 sum_{l != k} <E_i, w_l> / (z_l - t)^p.  Each
-    1/(z_l - z_k) and its powers are formed once and shared by both
-    directions i and every order p; each entry is summed once, on first
-    use.  ``ratio`` reads a whole form through the table.
+    t = z_k of (p-1)!/2 sum_{l != k} <E_i, w_l> / (z_l - t)^p.  The tables
+    of one configuration share an ``InsertionPairings`` (pass it in place
+    of the (point, weight) list), so each pairing and each pair's
+    reciprocal powers are formed once for all of them; each entry is
+    summed once, on first use.  ``ratio`` reads a whole form through the
+    table.
     """
 
-    __slots__ = ("_pairings", "_powers", "_sums")
+    __slots__ = ("_pairs", "_k", "_sums")
 
     def __init__(self, insertions, k: int):
-        if not 0 <= k < len(insertions):
+        pairs = _pairings_of(insertions)
+        if not 0 <= k < len(pairs.points):
             raise AlgebraError(f"doubled index {k} out of range")
-        zk = insertions[k][0]
-        others = [(z, w) for l, (z, w) in enumerate(insertions) if l != k]
-        self._pairings = [(inner(E1, w), inner(E2, w)) for _, w in others]
-        self._powers = [[(z - zk).reciprocal()] for z, _ in others]
-        self._sums = {}
+        self._pairs, self._k, self._sums = pairs, k, {}
 
     def __getitem__(self, factor) -> CFrac:
         s = self._sums.get(factor)
         if s is None:
             p, i = factor
-            re = im = Fraction(0)
-            for pairing, pw in zip(self._pairings, self._powers):
+            k, pairs = self._k, self._pairs
+            total = CFrac(0)
+            for l, pairing in enumerate(pairs.pairings):
                 c = pairing[i - 1]
-                if c == 0:
-                    continue
-                while len(pw) < p:
-                    pw.append(pw[-1] * pw[0])
-                r = pw[p - 1]
-                re += c * r.re
-                im += c * r.im
-            pref = Fraction(factorial(p - 1), 2)
-            s = self._sums[factor] = CFrac(pref * re, pref * im)
+                if l != k and c != 0:
+                    total = total + pairs.power(k, l, p) * c
+            s = self._sums[factor] = total * Fraction(factorial(p - 1), 2)
         return s
 
     def ratio(self, form: FieldPolynomial) -> CFrac:
@@ -657,14 +695,13 @@ def w_current_field(cfg: CorrelatorConfig) -> RationalField:
     simple pole carries the level-2 form, the double pole the level-1 form,
     and the triple pole the half-weight spin constant of the local weight.
     """
-    insertions = doubled_insertions(cfg)
-    points = tuple(z for z, _ in insertions)
+    pairs = InsertionPairings(doubled_insertions(cfg))
     q = cfg.q
-    total = RationalField.zero(points)
+    total = RationalField.zero(pairs.points)
     for coeff, factors in miura_current_terms(q=q):
         piece = None
         for u, p in factors:
-            f = _ipp_factor(u, p, insertions)
+            f = _ipp_factor(u, p, pairs)
             piece = f if piece is None else piece * f
         if piece is not None:
             total = total + piece * coeff
@@ -678,10 +715,11 @@ def global_virasoro_row(cfg: CorrelatorConfig, n: int) -> CFrac:
     if n not in (0, 1, 2):
         raise AlgebraError(f"global Virasoro rows exist for n in 0..2, got {n}")
     insertions = doubled_insertions(cfg)
+    pairs = InsertionPairings(insertions)
     q = cfg.q
     total = CFrac(0)
     for k, (zk, wk) in enumerate(insertions):
-        l1 = PoleSumTable(insertions, k).ratio(l_form((1,), wk, q=q))
+        l1 = PoleSumTable(pairs, k).ratio(l_form((1,), wk, q=q))
         total = total + zk ** n * l1
         if n >= 1:
             total = total + CFrac.of(n * engine_weight(wk, q)) * zk ** (n - 1)
@@ -695,10 +733,11 @@ def global_w_row(cfg: CorrelatorConfig, m: int) -> CFrac:
     if m not in (0, 1, 2, 3, 4):
         raise AlgebraError(f"global spin-3 rows exist for m in 0..4, got {m}")
     insertions = doubled_insertions(cfg)
+    pairs = InsertionPairings(insertions)
     q = cfg.q
     total = CFrac(0)
     for k, (zk, wk) in enumerate(insertions):
-        sums = PoleSumTable(insertions, k)
+        sums = PoleSumTable(pairs, k)
         w2 = sums.ratio(miura_w_form(2, wk, q=q))
         total = total + zk ** m * w2
         if m >= 1:

@@ -107,7 +107,7 @@ def _doubled_floats(cfg: CorrelatorConfig) -> tuple:
     """Doubled positions as complex floats with their listed charge weights."""
     pts, wts = [], []
     for z, alpha in doubled_insertions(cfg):
-        pts.append(complex(z.re, z.im))
+        pts.append(complex(z))
         wts.append(alpha)
     return np.asarray(pts, dtype=complex), tuple(wts)
 
@@ -323,7 +323,7 @@ class _MassModel:
 
     def __init__(self, cfg, delta, eps, rho, extra_exclusions=()):
         self.rho = float(rho)
-        bulk_excl = [complex(z.re, z.im) for z, _ in cfg.bulk]
+        bulk_excl = [complex(z) for z, _ in cfg.bulk]
         bnd_excl = [float(s) for s, _ in cfg.boundary]
         for z in extra_exclusions:
             z = complex(z)
@@ -822,7 +822,7 @@ class FusionReport:
 
 def _moved_config(cfg, kind, i, j, d):
     if kind == "bulk":
-        bulk = [(complex(z.re, z.im), a) for z, a in cfg.bulk]
+        bulk = [(complex(z), a) for z, a in cfg.bulk]
         bulk[j] = (bulk[i][0] + d, bulk[j][1])
         return CorrelatorConfig(cfg.gamma, tuple(bulk), cfg.boundary,
                                 cfg.mu_bulk, cfg.mu_boundary)
@@ -889,7 +889,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     counts = _pairing(0 if free_case else replicas)
     if not free_case:
         if kind == "bulk":
-            anchor = complex(store[i][0].re, store[i][0].im)
+            anchor = complex(store[i][0])
         else:
             anchor = complex(float(store[i][0]))
         positions = [anchor + d for d in ladder]

@@ -59,6 +59,7 @@ from .descendant_forms import (
 )
 from .free_field import (
     CorrelatorConfig,
+    InsertionPairings,
     PoleSumTable,
     doubled_insertions,
     engine_spin,
@@ -164,18 +165,20 @@ def free_field_descendants(cfg: CorrelatorConfig, indices=None) -> dict:
     """Exact zero-measure values of the quantities a constraint row can
     reference, per doubled index: ``"derivative"`` holds the level-1
     derivative ratio, ``"w1"``/``"w2"`` the spin-3 descendant ratios.  The
-    three forms at an insertion read one ``PoleSumTable``.  They are built
-    once per distinct weight, since a bulk point and its mirror share one;
-    weights are unhashable, so a short list is searched by ``==``."""
+    three forms at an insertion read one ``PoleSumTable``, and the tables
+    share one ``InsertionPairings``.  The forms are built once per distinct
+    weight, since a bulk point and its mirror share one; weights are
+    unhashable, so a short list is searched by ``==``."""
     insertions = doubled_insertions(cfg)
     if indices is None:
         indices = range(len(insertions))
     q = cfg.q
     out = {"derivative": {}, "w1": {}, "w2": {},
            "positions": {k: z for k, (z, _) in enumerate(insertions)}}
+    pairs = InsertionPairings(insertions)
     built = []
     for k in indices:
-        sums = PoleSumTable(insertions, k)
+        sums = PoleSumTable(pairs, k)
         wk = insertions[k][1]
         forms = next((f for w, f in built if w == wk), None)
         if forms is None:

@@ -1,10 +1,11 @@
 """Unit tests for the exact scalar tower and the rank-2 Cartan-space layer."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from w3toda import algebra_core
@@ -369,6 +370,122 @@ def test_cfrac_basics():
 
 
 # ---------------------------------------------------------------------------
+# The integer-triple CFrac against a sympy Rational + I*Rational oracle
+# ---------------------------------------------------------------------------
+
+big_fractions_st = st.fractions(max_denominator=10 ** 12).filter(
+    lambda x: abs(x) < 10 ** 15)
+wide_cfrac_st = st.builds(CFrac, big_fractions_st, big_fractions_st)
+exact_operand_st = st.one_of(cfrac_st, fractions_st, st.integers(-40, 40))
+
+
+def triple(z: CFrac) -> tuple:
+    """The stored (a, b, d) of (a + b i)/d."""
+    return z._a, z._b, z._d
+
+
+def check_cfrac(z, want, sympy):
+    """z is a canonical CFrac with the oracle's value and Fraction parts."""
+    a, b, d = triple(z)
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    want = sympy.expand(want)
+    assert z.re == Fraction(str(sympy.re(want)))
+    assert z.im == Fraction(str(sympy.im(want)))
+
+
+def sym(sympy, x):
+    z = CFrac.of(x)
+    return (sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I
+            * sympy.Rational(z.im.numerator, z.im.denominator))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfrac_st, exact_operand_st, st.integers(-3, 4))
+def test_cfrac_arithmetic_matches_sympy(z, x, n):
+    sympy = pytest.importorskip("sympy")
+    sz, sx = sym(sympy, z), sym(sympy, x)
+    for got, want in ((z + x, sz + sx), (x + z, sz + sx),
+                      (z - x, sz - sx), (x - z, sx - sz),
+                      (z * x, sz * sx), (x * z, sz * sx), (-z, -sz),
+                      (z.conj(), sympy.conjugate(sz))):
+        check_cfrac(got, want, sympy)
+    if x != 0:
+        check_cfrac(z / x, sz / sx, sympy)
+    if z != 0:
+        check_cfrac(x / z, sx / sz, sympy)
+        check_cfrac(z.reciprocal(), 1 / sz, sympy)
+    if n >= 0 or z != 0:
+        check_cfrac(z ** n, sz ** n, sympy)
+    assert z.abs2() == Fraction(str(sympy.expand(sz * sympy.conjugate(sz))))
+    assert type(z.abs2()) is Fraction
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfrac_st, exact_operand_st)
+def test_cfrac_equality_is_value_equality(z, x):
+    same = z.re == CFrac.of(x).re and z.im == CFrac.of(x).im
+    assert (z == x) is same and (x == z) is same
+    assert (z != x) is not same
+    assert z == CFrac(z.re, z.im) and CFrac(z.re, z.im) == z
+    if z.is_real:
+        assert z == z.re and z.re == z
+    else:
+        assert z != z.re
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractions_st, st.integers(-10 ** 20, 10 ** 20), cfrac_st)
+def test_cfrac_hash_matches_the_real_value(x, n, z):
+    assert hash(CFrac(x)) == hash(x)
+    assert hash(CFrac(n)) == hash(n) == hash(Fraction(n))
+    assert hash(CFrac(x, 0)) == hash(CFrac.of(x))
+    assert hash(z) == hash(CFrac(z.re, z.im))
+    assert len({CFrac(x), x}) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cfrac_st)
+def test_cfrac_complex_is_the_float_of_each_part(z):
+    got = complex(z)
+    want = complex(float(z.re), float(z.im))
+    assert got.real.hex() == want.real.hex()
+    assert got.imag.hex() == want.imag.hex()
+
+
+def test_cfrac_division_by_zero_raises():
+    z = CFrac(Fraction(1, 2), Fraction(-3, 4))
+    zeros = (0, Fraction(0), CFrac(0), CFrac(0, 0))
+    for zero in zeros:
+        with pytest.raises(AlgebraError, match="division by zero"):
+            _ = z / zero
+        with pytest.raises(AlgebraError, match="division by zero"):
+            _ = 3 / CFrac.of(zero)
+    for bad in (lambda: CFrac(0).reciprocal(), lambda: CFrac(0) ** -2):
+        with pytest.raises(AlgebraError, match="division by zero"):
+            bad()
+
+
+def test_cfrac_constructor_reduces_to_one_denominator():
+    z = CFrac(Fraction(6, 4), Fraction(-5, 6))
+    assert triple(z) == (9, -5, 6)
+    assert (z.re, z.im) == (Fraction(3, 2), Fraction(-5, 6))
+    assert triple(CFrac(Fraction(1, 4), Fraction(3, 4))) == (1, 3, 4)
+    assert triple(CFrac()) == (0, 0, 1)
+    assert triple(CFrac("2/6", 1.5)) == (2, 9, 6)
+    for bad in (None, "x", CFrac(1)):
+        with pytest.raises((TypeError, ValueError)):
+            CFrac(bad)
+    with pytest.raises(TypeError):
+        _ = CFrac(1) + 0.5
+    with pytest.raises(TypeError):
+        _ = CFrac(1) * True
+    with pytest.raises(AttributeError):
+        CFrac(1).re = Fraction(2)
+
+
+# ---------------------------------------------------------------------------
 # RatFunc against sympy.cancel
 # ---------------------------------------------------------------------------
 
@@ -665,3 +782,166 @@ def test_public_constructors_keep_their_checks():
     for w in (z + 1, 1 - z, z * 3, z * z, -z, z.conj(), z.reciprocal(),
               z / 2, z ** 2, CFrac.of(4)):
         assert type(w.re) is Fraction and type(w.im) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# RatFunc constant operands against the lifting path
+# ---------------------------------------------------------------------------
+
+def lift(x: RatFunc, c) -> RatFunc:
+    """The constant c as a RatFunc in x's variable."""
+    return RatFunc(x.var, (c,))
+
+
+def general_add(a, b):
+    if a.den == b.den:
+        return RatFunc(a.var, algebra_core.poly_add(a.num, b.num), a.den)
+    num = algebra_core.poly_add(algebra_core.poly_mul(a.num, b.den),
+                                algebra_core.poly_mul(b.num, a.den))
+    return RatFunc(a.var, num, algebra_core.poly_mul(a.den, b.den))
+
+
+def general_mul(a, b):
+    return RatFunc(a.var, algebra_core.poly_mul(a.num, b.num),
+                   algebra_core.poly_mul(a.den, b.den))
+
+
+def general_reciprocal(a):
+    return RatFunc(a.var, a.den, a.num)
+
+
+def general_results(x, c):
+    """x op c and c op x along the lifting path: c is made a RatFunc in
+    x's variable first, and the operands meet as two RatFuncs."""
+    k = lift(x, c)
+    out = {"x*c": general_mul(x, k), "x+c": general_add(x, k),
+           "x-c": general_add(x, -k), "x==c": x.num == k.num and x.den == k.den}
+    if isinstance(c, RatFunc):
+        # c's own operator lifts c and puts it first
+        out.update({"c*x": general_mul(k, x), "c+x": general_add(k, x),
+                    "c-x": general_add(k, -x)})
+    else:
+        out.update({"c*x": general_mul(x, k), "c+x": general_add(x, k),
+                    "c-x": general_add(-x, k)})
+    if not k.is_zero:
+        out["x/c"] = general_mul(x, general_reciprocal(k))
+    if not x.is_zero:
+        out["c/x"] = general_mul(k, general_reciprocal(x))
+    return out
+
+
+def fast_results(x, c):
+    out = {"x*c": x * c, "c*x": c * x, "x+c": x + c, "c+x": c + x,
+           "x-c": x - c, "c-x": c - x, "x==c": x == c}
+    if c != 0:
+        out["x/c"] = x / c
+    if not x.is_zero:
+        out["c/x"] = c / x
+    return out
+
+
+def shape(x):
+    """Structure of an exact scalar: every coefficient's type and value."""
+    if isinstance(x, RatFunc):
+        return ("RatFunc", x.var, tuple(shape(c) for c in x.num),
+                tuple(shape(c) for c in x.den))
+    return (type(x).__name__, x)
+
+
+def assert_same_as_general(x, c):
+    want = general_results(x, c)
+    got = fast_results(x, c)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        g = got[key]
+        if key == "x==c":
+            assert g is w
+            continue
+        assert shape(g) == shape(w), key
+        assert repr(g) == repr(w), key
+        assert g == w, key
+
+
+gamma_constant_st = st.one_of(st.just(0), st.integers(-9, 9), small_st)
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_gamma_pair(), gamma_constant_st)
+@example(pair=([2], [1, 1]), c=2)   # num is (c,), den is not 1
+def test_gamma_constant_operands_match_the_lifting_path(pair, c):
+    x = RatFunc("gamma", *pair)
+    assert_same_as_general(x, c)
+    assert_same_as_general(x, Fraction(c))
+
+
+@st.composite
+def kappa_over_q(draw):
+    """A rational function of kappa over Q(q), with a monomial or a general
+    denominator whose leading coefficient may itself be a function of q."""
+    def coeff(nonzero=False):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return draw(nonzero_st if nonzero else small_st)
+        if kind == 1:
+            c = RatFunc("q", [draw(small_st), draw(nonzero_st)])
+        else:
+            c = RatFunc("q", [draw(small_st), Fraction(1)],
+                        [draw(nonzero_st), draw(small_st)])
+        return c if nonzero or draw(st.booleans()) else c - c
+    num = [coeff() for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        den = [Fraction(0)] * draw(st.integers(0, 2)) + [coeff(nonzero=True)]
+    else:
+        den = [coeff() for _ in range(draw(st.integers(0, 2)))]
+        den.append(coeff(nonzero=True))
+    return RatFunc("kappa", num, den)
+
+
+q_constant_st = st.one_of(
+    gamma_constant_st,
+    st.builds(lambda a, b: RatFunc("q", [a, b]), small_st, nonzero_st),
+    st.builds(lambda a, b, c: RatFunc("q", [a, Fraction(1)], [b, c]),
+              small_st, nonzero_st, small_st),
+    st.just(RatFunc("q", ())))
+
+
+_Q1 = RatFunc("q", (1, 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kappa_over_q(), q_constant_st)
+# a denominator led by a function of q, which keeps the lifting path
+@example(x=RatFunc("kappa", (1, 2), (3, _Q1)), c=0)
+@example(x=RatFunc("kappa", (1, 2), (3, _Q1)), c=5)
+# a zero slot of the numerator that is a function of q
+@example(x=RatFunc("kappa", (1, _Q1 - _Q1, 2), (3, 0, 1)), c=5)
+def test_nested_constant_operands_match_the_lifting_path(x, c):
+    assert_same_as_general(x, c)
+
+
+def test_constant_operands_make_no_poly_mul_or_gcd(monkeypatch):
+    values = [RatFunc("gamma", (1, 2, 3), (5, 0, 1)),
+              RatFunc("gamma", (0, 0, 4), (0, 0, 0, 2)),
+              RatFunc("kappa", (1, 0, 3), (2, 1)),
+              RatFunc("kappa", (-3, RatFunc("q", (0, 2))), (1, 1))]
+    q_constant = RatFunc("q", (1, 1), (3, 1))
+    calls = []
+    for name in ("poly_mul", "poly_gcd"):
+        real = getattr(algebra_core, name)
+        monkeypatch.setattr(
+            algebra_core, name,
+            lambda *args, _name=name, _real=real:
+            calls.append(_name) or _real(*args))
+    for x in values:
+        for c in (0, 5, Fraction(-2, 3)):
+            _ = [x * c, c * x, x + c, c + x, x - c, c - x,
+                 x == c, c == x, x != c]
+    # a lower-level RatFunc is a constant on the right; on the left its own
+    # operator lifts it, as before
+    x = values[2]
+    _ = [x * q_constant, x + q_constant, x - q_constant, x == q_constant]
+    assert calls == []
+    # a same-variable operand still takes the general path
+    g = variable("gamma")
+    _ = g * (g + 1)
+    assert calls

@@ -36,7 +36,7 @@ from w3toda.free_field import (
     verify_derivative_identity,
     w_current_field,
 )
-from w3toda import ward_bpz
+from w3toda import free_field, ward_bpz
 from w3toda.ward_bpz import free_field_descendants
 
 GAMMA = F(6, 5)
@@ -643,13 +643,20 @@ def test_one_pole_sum_table_per_insertion(monkeypatch):
     monkeypatch.setattr(
         CFrac, "reciprocal",
         lambda self: reciprocals.append(1) or real_reciprocal(self))
+    pairings = []
+    real_inner = free_field.inner
+    monkeypatch.setattr(
+        free_field, "inner",
+        lambda u, v: pairings.append(1) or real_inner(u, v))
     cfg = seeded_neutral_cfg(random.Random(7), 2, 2)
     n = len(doubled_insertions(cfg))
     free_field_descendants(cfg)
-    # one table per insertion, and one 1/(z_l - z_k) per pair, shared by
-    # both directions and every order of the three forms
+    # one table per insertion, two pairings per insertion, and one
+    # 1/(z_l - z_k) per unordered pair, shared by both ends, both
+    # directions and every order of the three forms
     assert built == list(range(n))
-    assert len(reciprocals) == n * (n - 1)
+    assert len(pairings) == 2 * n
+    assert len(reciprocals) == n * (n - 1) // 2
     for row in (lambda: global_w_row(cfg, 4),
                 lambda: global_virasoro_row(cfg, 2)):
         built.clear()
