@@ -55,6 +55,12 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
+def _rational(c: "RatFunc"):
+    """c's value as a Fraction when it is a rational constant, else c."""
+    r = c.as_constant()
+    return c if r is None else r
+
+
 _ZERO = Fraction(0)
 _ONE = (Fraction(1),)
 
@@ -245,15 +251,19 @@ class RatFunc:
         self._set_monic(var, num, den)
 
     def _set_monic(self, var, num, den):
-        """Set the fields to num/den, coprime already, over a monic
-        denominator."""
-        self.var = var
-        if isinstance(den[-1], Fraction) and den[-1] == 1:
-            self.num, self.den = num, den
-            return
-        lead_inv = 1 / den[-1]
-        self.num = poly_scale(num, lead_inv)
-        self.den = poly_scale(den, lead_inv) if not _is_zero(lead_inv - 1) else den
+        """Set the fields to num/den, coprime already, over a denominator
+        led by the Fraction 1.  A lower-level lead is divided out, and the
+        coefficients that this division leaves rational are stored as
+        Fractions."""
+        lead = den[-1]
+        if not isinstance(lead, Fraction):
+            lead_inv = 1 / lead
+            num = tuple(_rational(c * lead_inv) for c in num)
+            den = tuple(_rational(c * lead_inv) for c in den[:-1]) + _ONE
+        elif lead != 1:
+            lead_inv = 1 / lead
+            num, den = poly_scale(num, lead_inv), poly_scale(den, lead_inv)
+        self.var, self.num, self.den = var, num, den
 
     # -- coercion ----------------------------------------------------------
 

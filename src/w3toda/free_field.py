@@ -14,26 +14,29 @@ functions of the probe point:
   ``(p-1)! * sum_k <u, a_k> / (2 (z_k - t)^p)`` over the doubled list;
 * ``verify_derivative_identity`` checks the probe-derivative identities for
   the supported index lists as exact identities of rational functions;
-* ``global_virasoro_row`` / ``global_w_row`` evaluate the global Ward rows,
-  which vanish identically on neutral configurations and double as the
-  decisive cross-check of the spin-3 realization.
+* ``w_current_field`` reads the spin-3 current as a rational function of
+  the probe, whose polar data reproduce the mode ratios.
+
+The global Ward rows, the decisive cross-check of the spin-3 realization,
+are evaluated on this layer's values by ``ward_bpz.free_field_residuals``.
 
 Pole sums as functions of the probe live in ``RationalField``: finite linear
 combinations of ``(z_k - t)^{-p}`` with exact complex-rational coefficients,
-closed under sum, product (partial fractions) and d/dt.  Pole sums evaluated
-at an insertion z_k, which the descendant ratios and the global rows read,
-come from one ``PoleSumTable`` per insertion: it forms each (order,
-direction) sum once, for every form read there.  Both readings take their
-coefficients from one ``InsertionPairings`` per configuration, which forms
-each insertion's pairings with E_1 and E_2 once, and each pair's
-1/(z_l - z_k) and its powers once for both ends.
+closed under sum, product (partial fractions) and d/dt.  One
+``InsertionPairings`` per configuration builds every pole sum: each factor
+<E_i, d^p Phi> once, as a ``RationalField``.  A form read at the probe
+multiplies its factors; read at an insertion z_k, as the descendant ratios
+and the Ward rows read it, it goes through one ``PoleSumTable`` per
+insertion, which evaluates each factor at z_k without the k-th pole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
+from operator import mul
 
 from .algebra_core import (
     E1,
@@ -53,7 +56,7 @@ from .descendant_forms import (
     FieldPolynomial,
     l_form,
     miura_current_terms,
-    miura_w_form,
+    vec_factor,
 )
 
 
@@ -337,18 +340,15 @@ class RationalField:
 
     def __init__(self, points, terms=None):
         self.points = tuple(points)
-        clean = {}
+        self.terms = {}
         for (k, p), c in (terms or {}).items():
             if not 0 <= k < len(self.points):
                 raise AlgebraError(f"pole index {k} outside the point list")
             if p < 1:
                 raise AlgebraError(f"pole order must be >= 1, got {p}")
-            c = c if isinstance(c, CFrac) else CFrac.of(c)
-            if c == 0:
-                continue
-            prev = clean.get((k, p))
-            clean[(k, p)] = c if prev is None else prev + c
-        self.terms = {kp: c for kp, c in clean.items() if c != 0}
+            c = CFrac.of(c)
+            if c != 0:
+                self.terms[k, p] = c
 
     @staticmethod
     def zero(points) -> "RationalField":
@@ -407,22 +407,22 @@ class RationalField:
                              {(k, p + 1): p * c for (k, p), c in self.terms.items()})
 
     def evaluate(self, t):
-        if isinstance(t, CFrac) or isinstance(t, (int, Fraction)):
-            t = t if isinstance(t, CFrac) else CFrac.of(t)
-            powers = {}         # k -> [1/(z_k - t), its square, ...]
-            total = CFrac(0)
-            for (k, p), c in self.terms.items():
-                pw = powers.get(k)
-                if pw is None:
-                    pw = powers[k] = [(self.points[k] - t).reciprocal()]
-                while len(pw) < p:
-                    pw.append(pw[-1] * pw[0])
-                total = total + c * pw[p - 1]
-            return total
-        t = complex(t)
-        total = 0j
+        """The value at an exact probe (a CFrac, int or Fraction), or in
+        floating point at any other probe ``complex()`` accepts."""
+        exact = isinstance(t, (CFrac, int, Fraction))
+        t = CFrac.of(t) if exact else complex(t)
+        powers = {}         # k -> [1/(z_k - t), its square, ...]
+        total = CFrac(0) if exact else 0j
         for (k, p), c in self.terms.items():
-            total += complex(c) / (complex(self.points[k]) - t) ** p
+            pw = powers.get(k)
+            if pw is None:
+                z = self.points[k] if exact else complex(self.points[k])
+                if z == t:
+                    raise AlgebraError(f"evaluation hits the pole at {z!r}")
+                pw = powers[k] = [1 / (z - t)]
+            while len(pw) < p:
+                pw.append(pw[-1] * pw[0])
+            total = total + (c if exact else complex(c)) * pw[p - 1]
         return total
 
     def __eq__(self, other):
@@ -449,18 +449,13 @@ def _pair_product(points, k, p, l, q):
     if d == 0:
         # distinct indices at a coincident point still merge
         return (((k, p + q), CFrac(1)),)
+    # each end a, of order m against n, reads 1/(z_other - z_a)
     out = []
     dinv = d.reciprocal()
-    for i in range(1, p + 1):
-        w = CFrac(comb(q + p - i - 1, p - i)) * dinv ** (p + q - i)
-        if (p - i) % 2:
-            w = -w
-        out.append(((k, i), w))
-    for j in range(1, q + 1):
-        w = CFrac(comb(p + q - j - 1, q - j)) * dinv ** (p + q - j)
-        if p % 2:
-            w = -w
-        out.append(((l, j), w))
+    for a, m, n, r in ((k, p, q, dinv), (l, q, p, -dinv)):
+        for i in range(1, m + 1):
+            w = CFrac(comb(m + n - i - 1, m - i)) * r ** (m + n - i)
+            out.append(((a, i), -w if (m - i) % 2 else w))
     return tuple(out)
 
 
@@ -471,18 +466,31 @@ def _pair_product(points, k, p, l, q):
 class InsertionPairings:
     """One configuration's doubled insertions as the pole sums read them.
 
-    ``pairings[l]`` is (<E_1, w_l>, <E_2, w_l>), formed once per insertion;
-    any <u, w_l> is read from it as u_1 <E_1, w_l> + u_2 <E_2, w_l>.  Each
-    unordered pair's 1/(z_l - z_k) and its powers are formed once, on first
-    use, and the other end reads them with the sign (-1)^p.
+    ``pairings[l]`` is (<E_1, w_l>, <E_2, w_l>), formed once per insertion.
+    ``factor(p, i)`` is the pole sum of the factor <E_i, d^p Phi> as a
+    function of the probe, formed once per factor: the only place that
+    forms a pole-sum coefficient.  Each unordered pair's 1/(z_l - z_k) and
+    its powers are formed once, on first use, and the other end reads them
+    with the sign (-1)^p.
     """
 
-    __slots__ = ("points", "pairings", "_powers")
+    __slots__ = ("points", "pairings", "_factors", "_powers")
 
     def __init__(self, insertions):
         self.points = tuple(z for z, _ in insertions)
         self.pairings = [(inner(E1, w), inner(E2, w)) for _, w in insertions]
+        self._factors = {}      # (p, i) -> RationalField
         self._powers = {}       # (k, l), k < l -> [1/(z_l - z_k), its square, ...]
+
+    def factor(self, p: int, i: int) -> RationalField:
+        """(p-1)! * sum_l <E_i, w_l> / (2 (z_l - t)^p)."""
+        f = self._factors.get((p, i))
+        if f is None:
+            pref = Fraction(factorial(p - 1), 2)
+            f = self._factors[p, i] = RationalField(self.points, {
+                (l, p): CFrac.of(pref * e[i - 1])
+                for l, e in enumerate(self.pairings)})
+        return f
 
     def power(self, k: int, l: int, p: int) -> CFrac:
         """1/(z_l - z_k)^p, for k != l."""
@@ -504,35 +512,22 @@ def _pairings_of(insertions) -> InsertionPairings:
 
 
 def _ipp_factor(u: CartanVector, p: int, insertions) -> RationalField:
-    """The pole sum (p-1)! * sum_k <u, w_k> / (2 (z_k - t)^p) of one factor
-    <u, d^p Phi> over the (point, weight) list or its pairings."""
+    """The pole sum of one factor <u, d^p Phi> over the (point, weight) list
+    or its pairings: u_1 times that of <E_1, d^p Phi> plus u_2 times that of
+    <E_2, d^p Phi>."""
     pairs = _pairings_of(insertions)
-    terms = {}
-    pref = Fraction(factorial(p - 1), 2)
-    for k, (e1, e2) in enumerate(pairs.pairings):
-        c = u.c1 * e1 + u.c2 * e2
-        if c != 0:
-            terms[(k, p)] = CFrac.of(pref * c)
-    return RationalField(pairs.points, terms)
+    return pairs.factor(p, 1) * u.c1 + pairs.factor(p, 2) * u.c2
 
 
 def _ipp_field(form: FieldPolynomial, insertions) -> RationalField:
-    """The pole-sum reading of a form, each distinct factor's field built
-    once from one set of pairings."""
+    """The pole-sum reading of a form: each monomial the product of its
+    factors' pole sums, read from one set of pairings."""
     pairs = _pairings_of(insertions)
     total = RationalField.zero(pairs.points)
-    fields = {}
     for m, coeff in form.terms.items():
-        piece = None
-        for factor in m.factors:
-            f = fields.get(factor)
-            if f is None:
-                p, i = factor
-                f = fields[factor] = _ipp_factor((E1, E2)[i - 1], p, pairs)
-            piece = f if piece is None else piece * f
-        if piece is None:
-            continue
-        total = total + piece * coeff
+        fields = [pairs.factor(p, i) for p, i in m.factors]
+        if fields:
+            total = total + reduce(mul, fields) * coeff
     return total
 
 
@@ -562,17 +557,6 @@ def ipp_insert(form: FieldPolynomial, t, beta: CartanVector,
 # Probe-derivative identities
 # ---------------------------------------------------------------------------
 
-def _log_derivative_at(insertions, k: int) -> CFrac:
-    """d/d z_k of the engine log-correlator (half-weight exponents)."""
-    zk, wk = insertions[k]
-    total = CFrac(0)
-    for l, (zl, wl) in enumerate(insertions):
-        if l == k:
-            continue
-        total = total + CFrac.of(-Fraction(inner(wk, wl), 2)) * (zk - zl).reciprocal()
-    return total
-
-
 def verify_derivative_identity(lam, beta: CartanVector,
                                cfg: CorrelatorConfig):
     """Check the probe-derivative identity for index list lam; returns
@@ -582,20 +566,18 @@ def verify_derivative_identity(lam, beta: CartanVector,
     against the second and third normalized t-derivatives; (1,2) against
     d/dt composed with the sum over insertions of
     d/d z_k /(t - z_k) + Delta_k /(t - z_k)^2, with the half-weight
-    engine value of Delta_k.
+    engine value of Delta_k.  Every pole sum reads one set of pairings.
     """
     if isinstance(lam, int):
         lam = (lam,)
     lam = tuple(int(x) for x in lam)
     insertions = doubled_insertions(cfg)
-    points = tuple(z for z, _ in insertions)
+    pairs = InsertionPairings(insertions)
     q = q_of_gamma(cfg.gamma)
-    lhs = _ipp_field(l_form(lam, beta, q=q), insertions)
+    lhs = _ipp_field(l_form(lam, beta, q=q), pairs)
 
-    P = RationalField(points, {
-        (k, 1): CFrac.of(Fraction(inner(beta, w), 2))
-        for k, (_, w) in enumerate(insertions)
-    })
+    # d/dt of the log-correlator: <beta, w_k> / (2 (z_k - t))
+    P = _ipp_factor(beta, 1, pairs)
     if lam == (1,):
         rhs = P
     elif lam == (1, 1):
@@ -604,12 +586,14 @@ def verify_derivative_identity(lam, beta: CartanVector,
         dP = P.derivative()
         rhs = dP.derivative() + 3 * (P * dP) + P * P * P
     elif lam == (1, 2):
+        # d/dz_k of the log-correlator is the level-1 ratio <w_k, d Phi>
+        # at z_k; the double pole carries <w_k, beta>/2 + Delta_k
         terms = {}
         for k, (_, w) in enumerate(insertions):
-            terms[(k, 1)] = -_log_derivative_at(insertions, k)
-            terms[(k, 2)] = CFrac.of(Fraction(inner(w, beta), 2)
-                                     + engine_weight(w, q))
-        R = RationalField(points, terms)
+            terms[(k, 1)] = -PoleSumTable(pairs, k).ratio(vec_factor(w, 1))
+            terms[(k, 2)] = (P.terms.get((k, 1), CFrac(0))
+                             + CFrac.of(engine_weight(w, q)))
+        R = RationalField(pairs.points, terms)
         rhs = R.derivative() + R * P
     else:
         raise AlgebraError(
@@ -619,7 +603,7 @@ def verify_derivative_identity(lam, beta: CartanVector,
 
 
 # ---------------------------------------------------------------------------
-# Global Ward rows (engine-normalized constants)
+# Pole sums at an insertion (engine-normalized constants)
 # ---------------------------------------------------------------------------
 
 def engine_weight(alpha_hat: CartanVector, q) -> Fraction:
@@ -639,10 +623,11 @@ def engine_spin(alpha_hat: CartanVector, q) -> Fraction:
 class PoleSumTable:
     """Pole sums at one doubled insertion z_k over the other insertions.
 
-    The entry for a factor (p, i), i.e. <E_i, d^p Phi>, is the value at
-    t = z_k of (p-1)!/2 sum_{l != k} <E_i, w_l> / (z_l - t)^p.  The tables
-    of one configuration share an ``InsertionPairings`` (pass it in place
-    of the (point, weight) list), so each pairing and each pair's
+    The entry for a factor (p, i), i.e. <E_i, d^p Phi>, is the pairings'
+    ``factor(p, i)`` evaluated at t = z_k without its k-th pole:
+    (p-1)!/2 sum_{l != k} <E_i, w_l> / (z_l - z_k)^p.  The tables of one
+    configuration share an ``InsertionPairings`` (pass it in place of the
+    (point, weight) list), so each factor's coefficients and each pair's
     reciprocal powers are formed once for all of them; each entry is
     summed once, on first use.  ``ratio`` reads a whole form through the
     table.
@@ -659,14 +644,12 @@ class PoleSumTable:
     def __getitem__(self, factor) -> CFrac:
         s = self._sums.get(factor)
         if s is None:
-            p, i = factor
             k, pairs = self._k, self._pairs
-            total = CFrac(0)
-            for l, pairing in enumerate(pairs.pairings):
-                c = pairing[i - 1]
-                if l != k and c != 0:
-                    total = total + pairs.power(k, l, p) * c
-            s = self._sums[factor] = total * Fraction(factorial(p - 1), 2)
+            s = CFrac(0)
+            for (l, p), c in pairs.factor(*factor).terms.items():
+                if l != k:
+                    s = s + c * pairs.power(k, l, p)
+            self._sums[factor] = s
         return s
 
     def ratio(self, form: FieldPolynomial) -> CFrac:
@@ -695,55 +678,10 @@ def w_current_field(cfg: CorrelatorConfig) -> RationalField:
     simple pole carries the level-2 form, the double pole the level-1 form,
     and the triple pole the half-weight spin constant of the local weight.
     """
-    pairs = InsertionPairings(doubled_insertions(cfg))
-    q = cfg.q
-    total = RationalField.zero(pairs.points)
-    for coeff, factors in miura_current_terms(q=q):
-        piece = None
+    current = FieldPolynomial.zero()
+    for coeff, factors in miura_current_terms(q=cfg.q):
+        term = FieldPolynomial.of((), coeff)
         for u, p in factors:
-            f = _ipp_factor(u, p, pairs)
-            piece = f if piece is None else piece * f
-        if piece is not None:
-            total = total + piece * coeff
-    return total
-
-
-def global_virasoro_row(cfg: CorrelatorConfig, n: int) -> CFrac:
-    """Residual of the degree-n global Virasoro row (n in 0..2); identically
-    zero on doubled-neutral configurations.  One ``PoleSumTable`` per
-    insertion."""
-    if n not in (0, 1, 2):
-        raise AlgebraError(f"global Virasoro rows exist for n in 0..2, got {n}")
-    insertions = doubled_insertions(cfg)
-    pairs = InsertionPairings(insertions)
-    q = cfg.q
-    total = CFrac(0)
-    for k, (zk, wk) in enumerate(insertions):
-        l1 = PoleSumTable(pairs, k).ratio(l_form((1,), wk, q=q))
-        total = total + zk ** n * l1
-        if n >= 1:
-            total = total + CFrac.of(n * engine_weight(wk, q)) * zk ** (n - 1)
-    return total
-
-
-def global_w_row(cfg: CorrelatorConfig, m: int) -> CFrac:
-    """Residual of the degree-m global spin-3 row (m in 0..4); identically
-    zero on doubled-neutral configurations with the realized spin-3 forms.
-    One ``PoleSumTable`` per insertion serves both forms."""
-    if m not in (0, 1, 2, 3, 4):
-        raise AlgebraError(f"global spin-3 rows exist for m in 0..4, got {m}")
-    insertions = doubled_insertions(cfg)
-    pairs = InsertionPairings(insertions)
-    q = cfg.q
-    total = CFrac(0)
-    for k, (zk, wk) in enumerate(insertions):
-        sums = PoleSumTable(pairs, k)
-        w2 = sums.ratio(miura_w_form(2, wk, q=q))
-        total = total + zk ** m * w2
-        if m >= 1:
-            w1 = sums.ratio(miura_w_form(1, wk, q=q))
-            total = total + CFrac.of(m) * zk ** (m - 1) * w1
-        if m >= 2:
-            total = total + (CFrac.of(Fraction(m * (m - 1), 2))
-                             * zk ** (m - 2) * CFrac.of(engine_spin(wk, q)))
-    return total
+            term = term * vec_factor(u, p)
+        current = current + term
+    return _ipp_field(current, doubled_insertions(cfg))

@@ -14,7 +14,9 @@ into ordinary differential equations:
   rows and five spin-3 rows as a linear system in the tagged descendant
   unknowns (two per doubled insertion), with degeneracy-reduction counts
   attached; ``free_field_residuals`` substitutes the exact zero-measure
-  descendant values and returns the row residuals;
+  descendant values and returns the row residuals.  It is the one
+  evaluation of the global rows, and its values read their pole sums
+  through ``free_field.PoleSumTable``s sharing one ``InsertionPairings``;
 * ``closable`` / ``closable_scan`` count leftover unknowns after the five
   spin-3 rows and the degeneracy reductions are spent, deciding which
   correlator shapes close into differential equations;
@@ -61,6 +63,7 @@ from .free_field import (
     CorrelatorConfig,
     InsertionPairings,
     PoleSumTable,
+    _exact_complex,
     doubled_insertions,
     engine_spin,
     engine_weight,
@@ -126,7 +129,8 @@ class LocalWardRhs:
 
 
 def local_ward_rhs(n: int, t, cfg: CorrelatorConfig) -> LocalWardRhs:
-    """Pole expansion of the mode-``n`` current insertions at real ``t``.
+    """Pole expansion of the mode-``n`` current insertions at real ``t``
+    (an exact real, a float, a "p/q" string, or a real ``CFrac``).
 
     Stress tensor: -1 on the position derivative at order n-1 and
     (n-1) * weight constant at order n.  Spin-3 current: -1 on the level-2
@@ -137,7 +141,9 @@ def local_ward_rhs(n: int, t, cfg: CorrelatorConfig) -> LocalWardRhs:
     """
     if not isinstance(n, int) or n < 1:
         raise AlgebraError(f"mode index must be a positive integer, got {n!r}")
-    probe = CFrac(Fraction(t)) if not isinstance(t, CFrac) else t
+    probe = _exact_complex(t, "probe")
+    if not probe.is_real:
+        raise AlgebraError(f"probe: must be real, got {probe!r}")
     q = cfg.q
     virasoro = []
     spin3 = []

@@ -945,3 +945,29 @@ def test_constant_operands_make_no_poly_mul_or_gcd(monkeypatch):
     g = variable("gamma")
     _ = g * (g + 1)
     assert calls
+
+
+def test_lower_level_lead_takes_the_canonical_form():
+    # a denominator led by a function of q is divided by that lead; its
+    # lead becomes the Fraction 1, and what comes out rational is stored
+    # as a Fraction, as when the same value is built over rationals
+    q1, q2 = RatFunc("q", (1,)), RatFunc("q", (2,))
+    rational_pairs = [
+        (RatFunc("kappa", [1], [0, q1]), RatFunc("kappa", [1], [0, 1])),
+        (RatFunc("kappa", [3, 1], [1, q2]),
+         RatFunc("kappa", [Fraction(3, 2), Fraction(1, 2)],
+                 [Fraction(1, 2), 1])),
+        (RatFunc("kappa", [], [q2]), RatFunc("kappa", [])),
+    ]
+    for a, b in rational_pairs:
+        assert a == b
+        assert shape(a) == shape(b)
+        assert repr(a) == repr(b)
+        assert a.to_json() == b.to_json()
+    a = RatFunc("kappa", [1], [0, _Q1])
+    b = RatFunc("kappa", [1 / _Q1], [0, 1])
+    assert a == b and shape(a) == shape(b) and repr(a) == repr(b)
+    # a zero over such a denominator: both operand orders give one form
+    x = rational_pairs[0][0]
+    z = x - x
+    assert shape(z + 0) == shape(lift(z, 0) + z) == shape(RatFunc("kappa", []))

@@ -21,6 +21,7 @@ from w3toda.algebra_core import (
 from w3toda.descendant_forms import l_form, miura_w_form
 from w3toda.free_field import (
     CorrelatorConfig,
+    InsertionPairings,
     PoleSumTable,
     RationalField,
     _ipp_factor,
@@ -30,14 +31,12 @@ from w3toda.free_field import (
     doubled_neutral,
     engine_spin,
     engine_weight,
-    global_virasoro_row,
-    global_w_row,
     ipp_insert,
     verify_derivative_identity,
     w_current_field,
 )
 from w3toda import free_field, ward_bpz
-from w3toda.ward_bpz import free_field_descendants
+from w3toda.ward_bpz import free_field_descendants, free_field_residuals
 
 GAMMA = F(6, 5)
 QV = background_charge(q_of_gamma(GAMMA))
@@ -67,6 +66,16 @@ def non_neutral_cfg():
         ((CFrac(0, 1), a1),),
         ((F(1, 2), CartanVector(F(1, 2), F(1, 3))),
          (F(3), CartanVector(F(-1, 4), F(2, 5)))))
+
+
+def seiberg_non_neutral_cfg():
+    """Not neutral, but within the Seiberg bounds, so the global rows are
+    assembled; two heavy boundary weights push the total charge up."""
+    q = GAMMA + 2 / GAMMA
+    b = CartanVector(q + 1, q + 1)
+    return CorrelatorConfig(
+        GAMMA, ((CFrac(0, 1), CartanVector(F(3, 4), F(1, 2))),),
+        ((F(1, 2), b), (F(3), b)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +323,15 @@ class TestRationalField:
         assert isinstance(val, complex)
         assert abs(val - complex(self.f().evaluate(CFrac(F(1, 4), F(1, 2))))) < 1e-12
 
+    @pytest.mark.parametrize("t", [1, CFrac(1), 1.0, 1 + 0j,
+                                   CFrac(F(-1, 3), F(2, 7)),
+                                   complex(-1 / 3, 2 / 7)])
+    def test_evaluate_at_a_pole_raises(self, t):
+        # exact and float probes alike; a float probe is on the pole when
+        # it equals the point's complex()
+        with pytest.raises(AlgebraError):
+            self.f().evaluate(t)
+
 
 # ---------------------------------------------------------------------------
 # Integration by parts
@@ -490,27 +508,24 @@ class TestCurrentInsertion:
 
 
 class TestGlobalRows:
+    # free_field_residuals(cfg) holds the Virasoro rows n = 0..2 at [n] and
+    # the spin-3 rows m = 0..4 at [3 + m]
     def test_virasoro_rows_vanish(self):
         for cfg in (boundary_neutral_cfg(), mixed_neutral_cfg()):
             for n in (0, 1, 2):
-                assert global_virasoro_row(cfg, n) == CFrac(0)
+                assert free_field_residuals(cfg)[n] == CFrac(0)
 
     def test_w_rows_vanish(self):
         for cfg in (boundary_neutral_cfg(), mixed_neutral_cfg()):
             for m in range(5):
-                assert global_w_row(cfg, m) == CFrac(0)
+                assert free_field_residuals(cfg)[3 + m] == CFrac(0)
 
     def test_rows_detect_non_neutrality(self):
-        cfg = non_neutral_cfg()
-        assert global_virasoro_row(cfg, 1) != CFrac(0)
-        assert any(global_w_row(cfg, m) != CFrac(0) for m in range(2, 5))
-
-    def test_row_index_validation(self):
-        cfg = boundary_neutral_cfg()
-        with pytest.raises(AlgebraError, match="0..2"):
-            global_virasoro_row(cfg, 3)
-        with pytest.raises(AlgebraError, match="0..4"):
-            global_w_row(cfg, 5)
+        cfg = seiberg_non_neutral_cfg()
+        assert not cfg.neutral and cfg.seiberg_ok
+        rows = free_field_residuals(cfg)
+        assert rows[1] != CFrac(0)
+        assert any(rows[3 + m] != CFrac(0) for m in range(2, 5))
 
     def test_descendant_ratio_index_validation(self):
         cfg = boundary_neutral_cfg()
@@ -522,10 +537,11 @@ class TestGlobalRows:
 @given(data=st.data())
 def test_global_rows_on_randomized_neutral_configs(data):
     cfg = _rand_neutral(data.draw)
+    rows = free_field_residuals(cfg)
     for n in (0, 1, 2):
-        assert global_virasoro_row(cfg, n) == CFrac(0)
+        assert rows[n] == CFrac(0)
     for m in range(5):
-        assert global_w_row(cfg, m) == CFrac(0)
+        assert rows[3 + m] == CFrac(0)
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +638,11 @@ def test_pole_sum_tables_match_the_factor_reading(seed):
                 assert repr(got) == repr(want)
                 if key != "probe":
                     assert repr(values[key][k]) == repr(want)
+        rows = free_field_residuals(cfg)
         for n in range(3):
-            assert repr(global_virasoro_row(cfg, n)) \
-                == repr(reference_virasoro_row(cfg, n))
+            assert repr(rows[n]) == repr(reference_virasoro_row(cfg, n))
         for m in range(5):
-            assert repr(global_w_row(cfg, m)) == repr(reference_w_row(cfg, m))
+            assert repr(rows[3 + m]) == repr(reference_w_row(cfg, m))
 
 
 def test_one_pole_sum_table_per_insertion(monkeypatch):
@@ -638,6 +654,12 @@ def test_one_pole_sum_table_per_insertion(monkeypatch):
         real(self, insertions, k)
 
     monkeypatch.setattr(PoleSumTable, "__init__", counted)
+    pairings_built = []
+    real_pairings = InsertionPairings.__init__
+    monkeypatch.setattr(
+        InsertionPairings, "__init__",
+        lambda self, insertions: (pairings_built.append(1)
+                                  or real_pairings(self, insertions)))
     reciprocals = []
     real_reciprocal = CFrac.reciprocal
     monkeypatch.setattr(
@@ -657,11 +679,19 @@ def test_one_pole_sum_table_per_insertion(monkeypatch):
     assert built == list(range(n))
     assert len(pairings) == 2 * n
     assert len(reciprocals) == n * (n - 1) // 2
-    for row in (lambda: global_w_row(cfg, 4),
-                lambda: global_virasoro_row(cfg, 2)):
-        built.clear()
-        row()
-        assert built == list(range(n))
+    built.clear()
+    free_field_residuals(cfg)
+    assert built == list(range(n))
+    # the (1, 2) identity reads its left side, the probe field and the
+    # log-derivative at each insertion through one set of pairings
+    pairings_built.clear()
+    pairings.clear()
+    assert verify_derivative_identity((1, 2), BETA, cfg)[0]
+    assert len(pairings_built) == 1
+    assert len(pairings) == 2 * n       # the pairings, and no other product
+    pairings_built.clear()
+    w_current_field(cfg)
+    assert len(pairings_built) == 1
 
 
 def test_forms_built_once_per_distinct_weight(monkeypatch):

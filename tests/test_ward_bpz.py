@@ -1,6 +1,6 @@
 """Tests for the current-insertion constraint systems and the hypergeometric
 reductions: local pole expansions against exact zero-measure descendant
-values, global row assembly against the direct row evaluators, closability
+values, global row assembly against test-local reference rows, closability
 counting, measure matching, and the two ODE families against an independent
 root-space-embedding computation."""
 
@@ -34,10 +34,9 @@ from w3toda.free_field import (
     doubled_insertions,
     engine_spin,
     engine_weight,
-    global_virasoro_row,
-    global_w_row,
 )
 from w3toda.singular_vectors import eom_constant
+from test_free_field import reference_virasoro_row, reference_w_row
 from w3toda.ward_bpz import (
     AffineTerm,
     HypergeometricSpec,
@@ -144,6 +143,15 @@ class TestLocalWardRhs:
             local_ward_rhs(2, F(-1), cfg)
         with pytest.raises(AlgebraError, match="positive integer"):
             local_ward_rhs(0, F(2), cfg)
+
+    def test_probe_is_parsed_as_an_exact_real(self):
+        _, cfg, _ = oracle_configs()
+        want = local_ward_rhs(3, F(2), cfg).to_json()
+        for t in (2, 2.0, "2", "4/2", CFrac(2), [2, 0], 2 + 0j):
+            assert local_ward_rhs(3, t, cfg).to_json() == want
+        for t in (CFrac(0, 1), 1j, [2, 1], "x", True, None):
+            with pytest.raises(AlgebraError, match="probe"):
+                local_ward_rhs(3, t, cfg)
 
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_free_field_oracle(self, mode):
@@ -262,10 +270,10 @@ class TestGlobalWardSystem:
         assert cfg.seiberg_ok and not cfg.neutral
         system = global_ward_system(cfg)
         res = system.residuals(free_field_descendants(cfg))
-        direct = [global_virasoro_row(cfg, n) for n in range(3)] \
-            + [global_w_row(cfg, m) for m in range(5)]
+        direct = [reference_virasoro_row(cfg, n) for n in range(3)] \
+            + [reference_w_row(cfg, m) for m in range(5)]
         assert list(res) == direct
-        assert any(r != 0 for r in res)
+        assert any(r != 0 for r in direct)
 
     def test_reduction_counts(self):
         q = Q_NUM
