@@ -193,7 +193,8 @@ def _poly_str(a, var: str) -> str:
 class RatFunc:
     """num/den rational function in one registered variable.
 
-    Coefficients are Fractions or RatFuncs in a strictly lower-level variable.
+    Coefficients are Fractions or RatFuncs in a strictly lower-level
+    variable; a lower-level coefficient that is constant is a Fraction.
     The representation is reduced with monic denominator, so ``==`` decides
     mathematical equality.
 
@@ -252,17 +253,22 @@ class RatFunc:
 
     def _set_monic(self, var, num, den):
         """Set the fields to num/den, coprime already, over a denominator
-        led by the Fraction 1.  A lower-level lead is divided out, and the
-        coefficients that this division leaves rational are stored as
-        Fractions."""
+        led by the Fraction 1.  A lower-level lead is divided out.  Every
+        lower-level coefficient that is constant is stored as a Fraction,
+        so that one value has one form whichever path built it: every
+        public construction ends here, and so does every result that can
+        make such a coefficient."""
         lead = den[-1]
         if not isinstance(lead, Fraction):
             lead_inv = 1 / lead
-            num = tuple(_rational(c * lead_inv) for c in num)
-            den = tuple(_rational(c * lead_inv) for c in den[:-1]) + _ONE
+            num = tuple(c * lead_inv for c in num)
+            den = tuple(c * lead_inv for c in den[:-1]) + _ONE
         elif lead != 1:
             lead_inv = 1 / lead
             num, den = poly_scale(num, lead_inv), poly_scale(den, lead_inv)
+        if VAR_LEVEL[var]:          # a level-0 value has only Fractions
+            num = tuple(_rational(c) if type(c) is RatFunc else c for c in num)
+            den = tuple(_rational(c) if type(c) is RatFunc else c for c in den)
         self.var, self.num, self.den = var, num, den
 
     # -- coercion ----------------------------------------------------------
@@ -288,12 +294,12 @@ class RatFunc:
         same monic denominator.  Zero slots become ``_ZERO``, as in
         ``poly_mul``."""
         out = object.__new__(RatFunc)
-        out.var = self.var
         if _is_zero(c):
-            out.num, out.den = (), _ONE
+            out.var, out.num, out.den = self.var, (), _ONE
         else:
-            out.num = tuple(_ZERO if _is_zero(x) else x * c for x in self.num)
-            out.den = _zero_slots(self.den)
+            out._set_monic(self.var, tuple(_ZERO if _is_zero(x) else x * c
+                                           for x in self.num),
+                           _zero_slots(self.den))
         return out
 
     def _shifted(self, c) -> "RatFunc":
@@ -311,7 +317,7 @@ class RatFunc:
                 num = poly_add(num, tuple(c * x for x in den))
             den = _zero_slots(den)
         out = object.__new__(RatFunc)
-        out.var, out.num, out.den = self.var, num, den
+        out._set_monic(self.var, num, den)
         return out
 
     def _coerce(self, other):

@@ -2,25 +2,29 @@
 
 Desk-scale probabilistic checks of the exact layer.  The two-component free
 field is sampled exactly on a finite point set (dense Cholesky of the
-mollified covariance, factorized once and shared across replicas; each
-block of standard normals is multiplied by the triangular factor in place,
-through BLAS ``dtrmm``, and handed on as a view of that buffer); the
-interaction masses are grid quadratures of the renormalized exponential
-field against the insertion-dependent shift weights; the zero-mode integral
-factorizes over the two fundamental-weight directions and is evaluated by
-Gauss-Legendre quadrature on an adaptively grown window whose tail
-increment is reported, together with the quadrature error (the change
-under a doubled node count, on the first sampling block).  Boundary arcs
-left without grid points by the exclusion radius are reported as well.
+mollified covariance, factorized once per grid and shared across replicas
+and calls; each block of standard normals is multiplied by the triangular
+factor in place, through BLAS ``dtrmm``, and handed on as a view of that
+buffer); the interaction masses are grid quadratures of the renormalized
+exponential field against the insertion-dependent shift weights; the
+zero-mode integral factorizes over the two fundamental-weight directions
+and is evaluated by Gauss-Legendre quadrature on an adaptively grown window
+whose tail increment is reported, together with the quadrature error (the
+change under a doubled node count, on the first sampling block).  Boundary
+arcs left without grid points by the exclusion radius are reported as well.
 
 The quadrature grids are fixed midpoint lattices (``_EXTENT``,
 ``_BULK_SHAPE``, ``_BOUNDARY_N``); only the truncation scales ``delta`` and
 ``eps`` and the insertions move them.  The mass quadrature runs in two
 steps: ``exponentials`` exponentiates a block of field replicas once (it
 depends on gamma and the grids only), and ``masses`` applies the
-insertion-dependent weights to the result.  The fusion probe exponentiates
-its blocks once, shares them across all ladder rungs and rebinds only the
-weights per rung.  From pooled masses to a value there is one path,
+insertion-dependent weights to the result.  The fusion probe rebinds the
+weights of every ladder rung up front and streams its blocks once: each
+block is exponentiated once, and its draws, then its mirrors, feed every
+rung's ``masses`` before the next block is drawn, so one block's
+exponentials are held at a time whatever the replica count.
+``_pooled_masses`` is the one pooling loop, for one model or many.  From
+pooled masses to a value there is one path,
 ``_zero_mode_estimate``: the correlator estimate and every fusion rung go
 through it for their windows, quadrature error, mean and stderr.
 
@@ -185,8 +189,34 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_factor(points: bytes, rho: float) -> tuple:
+    """(chol, cov_diag): the lower Cholesky factor of the rho-mollified
+    covariance on the complex points packed in ``points``, and that
+    covariance's diagonal, both read-only.  The dense covariance is dropped
+    once factored.  A failed factorization raises, and an exception is
+    never cached."""
+    cov = mollified_covariance(np.frombuffer(points, dtype=complex), rho)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise AlgebraError(
+            "covariance is not positive semi-definite after "
+            f"mollification; radius {rho} is too small for the grid "
+            "spacing") from exc
+    cov_diag = cov.diagonal().copy()
+    chol.flags.writeable = cov_diag.flags.writeable = False
+    return chol, cov_diag
+
+
 class GffEnsemble:
-    """Immutable covariance factorization shared by all replicas."""
+    """Covariance factorization of one grid, shared by all replicas.
+
+    ``chol`` (the lower Cholesky factor) and ``cov_diag`` (the covariance
+    diagonal) are read-only.  They come from ``_grid_factor``, which keeps
+    one factor per process, that of the last grid and radius asked for, so
+    repeated calls on one grid factor it once.  The factor takes
+    n^2 * 8 bytes, 6.4 MB on the benchmark grids of about 900 points."""
 
     def __init__(self, points, rho: float):
         pts = np.asarray(list(points), dtype=complex)
@@ -200,14 +230,7 @@ class GffEnsemble:
             raise AlgebraError("mollification radius must be positive")
         self.points = pts
         self.rho = float(rho)
-        self.cov = mollified_covariance(pts, self.rho)
-        try:
-            self.chol = np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraError(
-                "covariance is not positive semi-definite after "
-                f"mollification; radius {rho} is too small for the grid "
-                "spacing") from exc
+        self.chol, self.cov_diag = _grid_factor(pts.tobytes(), self.rho)
 
     @property
     def n(self) -> int:
@@ -409,8 +432,7 @@ class _MassModel:
                 for k, v in self.masses((moments, moments)).items()}
 
 
-def _exponential_blocks(model, ensemble, seed: int, replicas: int, *,
-                        kept: bool = False):
+def _exponential_blocks(model, ensemble, seed: int, replicas: int):
     """``model.exponentials`` of the replicas, two yields per sampling
     block: its draws phi, then their mirrors -phi.  A block holds 2 * BLOCK
     replicas; the last one holds the rest of the requested count, and for
@@ -418,17 +440,16 @@ def _exponential_blocks(model, ensemble, seed: int, replicas: int, *,
     are the reciprocals of the draws' (exp(-phi) = 1 / exp(phi)), so they
     cost no normals, no triangular product and no ``exp``.
 
-    By default they overwrite the draws' buffers, for a consumer that is
-    done with each yield before it asks for the next; with ``kept`` they
-    get their own arrays, so that every yield may be held."""
+    The mirrors overwrite the draws' buffers, and the next block is drawn
+    only after both yields are done with: a consumer takes what it needs
+    from each yield before asking for the next, and copies what it keeps."""
     for b in range(-(-replicas // (2 * BLOCK))):
         count = min(2 * BLOCK, replicas - 2 * BLOCK * b)
         mirrors = count // 2
         exps = model.exponentials(
             ensemble.sample_block(seed, b)[:, :, :count - mirrors])
         yield exps
-        exps = tuple(tuple(np.reciprocal(e[:, :mirrors],
-                                         out=None if kept else e[:, :mirrors])
+        exps = tuple(tuple(np.reciprocal(e[:, :mirrors], out=e[:, :mirrors])
                            for e in pair) for pair in exps)
         yield exps
         del exps            # not held while the next block is drawn
@@ -463,13 +484,21 @@ def _pairing(replicas: int) -> dict:
             "draw_blocks": -(-replicas // (2 * BLOCK))}
 
 
-def _pooled_masses(model, exp_blocks) -> dict:
-    """Per-key replica masses over all blocks, in replica order.  ``map``
-    drops each block's exponentials once its masses are taken, so a
-    streamed block sequence holds one block at a time."""
-    per_block = list(map(model.masses, exp_blocks))
-    return {k: np.concatenate([m[k] for m in per_block])
-            for k in model.mass_keys}
+def _pooled_masses(models, exp_blocks):
+    """Per-key replica masses over all blocks, in replica order: a dict for
+    one mass model, or a list of dicts for a sequence of models sharing one
+    grid.  Every model takes its masses of a block before the next block
+    is asked for, so the models share one pass over a streamed block
+    sequence.  ``map`` drops each block's exponentials once its masses are
+    taken (a ``for`` loop would hold them while the next block is drawn),
+    so the stream holds one block at a time."""
+    many = not isinstance(models, _MassModel)
+    models = tuple(models) if many else (models,)
+    per_block = list(map(lambda exps: [m.masses(exps) for m in models],
+                         exp_blocks))
+    pooled = [{k: np.concatenate([block[r][k] for block in per_block])
+               for k in model.mass_keys} for r, model in enumerate(models)]
+    return pooled if many else pooled[0]
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +762,8 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     with fewer than two pairs (under four replicas) they are 0.0.  The
     blocks stream through one at a time, the mirrors' reciprocals
     overwriting the draws' exponentials once the draws' masses are taken.
+    The grid's covariance factor is kept for the next call on the same
+    grid (``GffEnsemble``); the mass expectations read its diagonal.
     """
     if replicas <= 0:
         raise AlgebraError("no data: at least one replica is required")
@@ -743,7 +774,6 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
 
     model = _MassModel(cfg, delta, eps, rho)
     ensemble = GffEnsemble(model.points, rho)
-    cov_diag = np.diag(ensemble.cov).copy()
     pooled = _pooled_masses(
         model, _exponential_blocks(model, ensemble, seed, replicas))
 
@@ -756,7 +786,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
         "grid_boundary": int(model.bnd_pts.size),
         "empty_arcs": model.empty_arcs,
         "rho": float(rho), "delta": float(delta), "eps": float(eps),
-        "expected_masses": model.expected_masses(cov_diag),
+        "expected_masses": model.expected_masses(ensemble.cov_diag),
         **_pairing(replicas),
     }
 
@@ -841,14 +871,17 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     insertion ``i``.
 
     The grids and field replicas are shared across ladder rungs (every rung
-    position is excluded from the quadrature grid up front): each field
-    block is exponentiated once and kept with its mirrors' exponentials in
-    arrays of their own, and each rung only rebinds the insertion-dependent
-    weights, grows its own zero-mode window from its mean masses and
-    reports that window's tail increments.  The rungs thus re-weight the
-    same (draw, mirror) pairs, and take their stderrs from the pair means
-    as ``estimate_correlator`` does; at least two pairs (four replicas)
-    are required.  The predicted
+    position is excluded from the quadrature grid up front).  Every rung
+    rebinds the insertion-dependent weights before sampling starts; the
+    field blocks then stream through once, each exponentiated once, and
+    its draws, then its mirrors, feed every rung's masses before the next
+    block is drawn.  So one block's exponentials are held at a time, and
+    only the per-rung masses grow with the replica count.  Each rung then
+    grows its own zero-mode window from its mean masses and reports that
+    window's tail increments.  The rungs thus re-weight the same (draw,
+    mirror) pairs, and take their stderrs from the pair means as
+    ``estimate_correlator`` does; at least two pairs (four replicas) are
+    required.  The predicted
     short-distance exponent is ``-inner`` of the pair weights for a bulk
     pair and ``-inner/2`` for a boundary pair, plus a positive-part
     correction in the second simple-root direction; the fitted slope is
@@ -887,36 +920,30 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     free_case = _check_convergence_conditions(cfg)
     # the free case samples nothing
     counts = _pairing(0 if free_case else replicas)
-    if not free_case:
+    configs = [_moved_config(cfg, kind, i, j, d) for d in ladder]
+    coulombs = [coulomb_value(cfg_d) for cfg_d in configs]
+    values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
+    if free_case:
+        values, errs = coulombs, [0.0] * len(ladder)
+    else:
         if kind == "bulk":
             anchor = complex(store[i][0])
         else:
             anchor = complex(float(store[i][0]))
-        positions = [anchor + d for d in ladder]
         base_model = _MassModel(cfg, delta, eps, rho,
-                                extra_exclusions=positions)
-        # the factorization is dropped once the blocks are drawn; every
-        # rung re-weights the same stored draws and mirrors
-        exps = list(_exponential_blocks(
-            base_model, GffEnsemble(base_model.points, rho), seed, replicas,
-            kept=True))
-
-    values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
-    for d in ladder:
-        cfg_d = _moved_config(cfg, kind, i, j, d)
-        coulomb = coulomb_value(cfg_d)
-        if free_case:
-            values.append(coulomb)
-            errs.append(0.0)
-            continue
-        model = base_model.rebound(cfg_d)
-        mean, err, _, tail, quad_error = _zero_mode_estimate(
-            _pooled_masses(model, exps), cfg_d, 1e-8)
-        tails.append(tail)
-        quad_errors.append(quad_error)
-        empty_arcs.append(model.empty_arcs)
-        values.append(coulomb * mean)
-        errs.append(coulomb * err)
+                                extra_exclusions=[anchor + d for d in ladder])
+        models = [base_model.rebound(cfg_d) for cfg_d in configs]
+        pooled = _pooled_masses(models, _exponential_blocks(
+            base_model, GffEnsemble(base_model.points, rho), seed, replicas))
+        for model, cfg_d, coulomb, masses in zip(models, configs, coulombs,
+                                                 pooled):
+            mean, err, _, tail, quad_error = _zero_mode_estimate(
+                masses, cfg_d, 1e-8)
+            tails.append(tail)
+            quad_errors.append(quad_error)
+            empty_arcs.append(model.empty_arcs)
+            values.append(coulomb * mean)
+            errs.append(coulomb * err)
 
     logs = np.log(np.asarray(values))
     if np.ptp(logs) > 1e-14:

@@ -21,6 +21,11 @@ share one derivation path instead of hard-coded parameter formulas:
 * ``hyp_grid`` tabulates the solutions and their operator residuals on a
   grid, for CSV export: it derives the operator once per grid and sums each
   root's series at every point in one ``_frobenius_pass``.
+
+``scipy.integrate`` is imported on first use, by ``paper_integrals`` and
+``ode_integrate``: it pulls in ``scipy.optimize``, and importing both costs
+about 18 MB of memory in every process that loads this package, the Monte
+Carlo ones included, whether or not it integrates anything.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .algebra_core import AlgebraError, RatFunc, poly_eval, poly_from_shifts
 from .ward_bpz import HypergeometricSpec
@@ -79,6 +83,9 @@ def paper_integrals(gamma: float, rel_tol: float = 1e-7) -> tuple:
     over (1, inf), and (1+x^2)^(-1+g^2/2) over the real line; closed forms
     G, cos(pi g^2/2) G, and 2^(g^2) sin(pi g^2/2) G.
     """
+    # imported on first use: scipy.integrate adds ~18 MB to every process
+    from scipy.integrate import quad
+
     g = float(gamma)
     if not 0 < g < 1:
         raise AlgebraError(f"integrals need gamma in (0, 1), got {gamma!r}")
@@ -443,6 +450,9 @@ def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
     of any magnitude is integrated to ``rtol``; zero initial data stays
     zero, since the system is linear and homogeneous.
     """
+    # imported on first use: scipy.integrate adds ~18 MB to every process
+    from scipy.integrate import solve_ivp
+
     if u0 in (0.0, 1.0) or u1 in (0.0, 1.0):
         raise AlgebraError("endpoints must avoid the singular points 0 and 1")
     if _segment(u0) != _segment(u1):

@@ -971,3 +971,71 @@ def test_lower_level_lead_takes_the_canonical_form():
     x = rational_pairs[0][0]
     z = x - x
     assert shape(z + 0) == shape(lift(z, 0) + z) == shape(RatFunc("kappa", []))
+
+
+def test_constant_lower_level_coefficients_are_fractions():
+    # a product, a sum or a construction that leaves a function of q
+    # constant stores it as a Fraction, as the same value built over
+    # rationals does
+    kappa, q = variable("kappa"), variable("q")
+    cases = [((kappa * q) * (1 / q), kappa),
+             (RatFunc("kappa", [RatFunc("q", (2,))]), RatFunc("kappa", [2])),
+             ((kappa + q) - q, kappa),
+             (RatFunc("kappa", [0, 1], [RatFunc("q", (2,)), 1]),
+              RatFunc("kappa", [0, 1], [2, 1]))]
+    for a, b in cases:
+        assert a == b
+        assert shape(a) == shape(b)
+        assert repr(a) == repr(b)
+        assert a.to_json() == b.to_json()
+
+
+def _step(y, op, c, c_first):
+    """y op c, or c op y when ``c_first``."""
+    a, b = (c, y) if c_first else (y, c)
+    return {"+": a + b, "-": a - b}[op] if op in "+-" else \
+        (a * b if op == "*" else a / b)
+
+
+def _undo(y, op, c, c_first):
+    """The x with ``_step(x, op, c, c_first) == y``."""
+    if op == "+":
+        return y - c
+    if op == "*":
+        return y / c
+    if c_first:                     # y = c - x or y = c / x
+        return c - y if op == "-" else c / y
+    return y + c if op == "-" else y * c
+
+
+# a constant of Q(q), or a kappa + b over it: a linear operand keeps the
+# chains' degrees, and so their reductions, small
+chain_operand_st = st.one_of(
+    q_constant_st,
+    st.builds(lambda a, b: a * variable("kappa") + b,
+              q_constant_st.filter(lambda a: a != 0), q_constant_st))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kappa_over_q(),
+       st.lists(st.tuples(st.sampled_from("+-*/"), chain_operand_st,
+                          st.booleans()), max_size=3))
+@example(x=variable("kappa"), steps=[("*", variable("q"), False)])
+@example(x=variable("kappa"), steps=[("+", variable("q"), True)])
+def test_equal_two_level_values_have_one_repr(x, steps):
+    # a chain of operations mixing kappa and Q(q), with constants on either
+    # side, then its inverse steps in reverse: the value returns to x, and
+    # an equal value must print, and encode, as x does
+    y, done = x, []
+    for op, c, c_first in steps:
+        if op in "*/" and c == 0 or op == "/" and c_first and y == 0:
+            continue
+        y = _step(y, op, c, c_first)
+        done.append((op, c, c_first))
+    for op, c, c_first in reversed(done):
+        y = _undo(y, op, c, c_first)
+    assert y == x
+    assert repr(y) == repr(x)
+    assert shape(y) == shape(x)
+    rebuilt = RatFunc(y.var, y.num, y.den)
+    assert repr(rebuilt) == repr(y) and shape(rebuilt) == shape(y)

@@ -3,6 +3,7 @@ correlator estimator."""
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -151,6 +152,7 @@ class TestSampler:
 
     def test_ten_probe_pairs(self, fields):
         ens, f = fields
+        cov = mollified_covariance(ens.points, ens.rho)
         probes = [(E1, E1, 0, 1), (E1, E1, 2, 3), (E2, E2, 0, 2),
                   (E1, E2, 1, 3), (OMEGA1, E1, 0, 4), (E1, E1, 4, 5),
                   (E2, E1, 5, 6), (OMEGA1, OMEGA2, 2, 7), (E1, OMEGA2, 0, 0),
@@ -158,7 +160,7 @@ class TestSampler:
         worst = 0.0
         for u, v, a, b in probes:
             prod = project(u, f)[a] * project(v, f)[b]
-            target = float(inner(u, v)) * ens.cov[a, b]
+            target = float(inner(u, v)) * cov[a, b]
             se = prod.std(ddof=1) / math.sqrt(prod.size)
             worst = max(worst, abs(prod.mean() - target) / se)
         assert worst < 3.0
@@ -209,6 +211,53 @@ class TestSampler:
             dense = np.stack((mixed[:, :BLOCK], mixed[:, BLOCK:]))
             assert block.shape == (2, ens.n, BLOCK)
             assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestGridFactor:
+    """One covariance factor per grid and radius, kept across calls."""
+
+    @pytest.fixture
+    def covariance_calls(self, monkeypatch):
+        gmc_mc._grid_factor.cache_clear()
+        calls = []
+        real = gmc_mc.mollified_covariance
+
+        def counted(points, rho):
+            calls.append(rho)
+            return real(points, rho)
+
+        monkeypatch.setattr(gmc_mc, "mollified_covariance", counted)
+        yield calls
+        gmc_mc._grid_factor.cache_clear()
+
+    def test_same_grid_factors_once(self, covariance_calls):
+        a = GffEnsemble(PROBE_POINTS, 0.05)
+        b = GffEnsemble(list(PROBE_POINTS), 0.05)
+        assert covariance_calls == [0.05]
+        assert a.chol is b.chol and a.cov_diag is b.cov_diag
+        cov = mollified_covariance(PROBE_POINTS, 0.05)
+        assert a.chol.tobytes() == np.linalg.cholesky(cov).tobytes()
+        assert a.cov_diag.tobytes() == np.diag(cov).tobytes()
+        GffEnsemble(PROBE_POINTS, 0.06)
+        assert covariance_calls == [0.05, 0.06]
+        # two estimates on one grid factor it once
+        estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 64, seed=1)
+        estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 64, seed=2)
+        assert covariance_calls == [0.05, 0.06, 0.03]
+
+    def test_factor_is_read_only(self):
+        ens = GffEnsemble(PROBE_POINTS, 0.05)
+        for arr in (ens.chol, ens.cov_diag):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_failed_factorization_is_not_cached(self, covariance_calls):
+        for _ in range(2):
+            with pytest.raises(AlgebraError, match="positive semi-definite"):
+                GffEnsemble([0.5j, 0.5j, 1j], 0.05)
+        assert covariance_calls == [0.05, 0.05]
+        assert gmc_mc._grid_factor.cache_info().currsize == 0
 
 
 def plain_smoothed_log(d2, tau):
@@ -634,16 +683,17 @@ class TestAntitheticPairs:
         ens = GffEnsemble(model.points, 0.03)
         g, nb = float(model.cfg.gamma), model.n_bulk_pts
         fields = ens.sample_block(2, 0)
-        draws, mirrors = _exponential_blocks(model, ens, 2, 2 * BLOCK,
-                                             kept=True)
+        # the stream reciprocates in place: copy each yield to keep it
+        draws, mirrors = [tuple(tuple(e.copy() for e in pair) for pair in exps)
+                          for exps in _exponential_blocks(model, ens, 2,
+                                                          2 * BLOCK)]
         for (bulk, bnd), (c1, c2) in zip(mirrors, _ROOT_COEFFS):
             phi = g * (c1 * fields[0] + c2 * fields[1])
             for got, want in ((bulk, np.exp(-phi[:nb])),
                               (bnd, np.exp(-0.5 * phi[nb:]))):
                 assert got.shape == want.shape == (want.shape[0], BLOCK)
                 assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
-        # the streamed blocks, which reciprocate in place, hand a consumer
-        # that copies each yield the same bits as the kept blocks
+        # a second pass over the stream replays the same bits
         streamed = [tuple(tuple(e.copy() for e in pair) for pair in exps)
                     for exps in _exponential_blocks(model, ens, 2, 2 * BLOCK)]
         for a, b in zip(streamed, (draws, mirrors)):
@@ -745,6 +795,26 @@ class TestAntitheticPairs:
                 assert pooled[k].size == replicas
                 assert pooled[k].tobytes() == streamed[k].tobytes()
         assert (rep.pairs, rep.draw_blocks) == (replicas // 2, 2)
+
+    def test_fusion_memory_does_not_grow_with_replicas(self):
+        # the rungs share one streamed pass, so only their per-replica
+        # masses grow with the count: 4 rungs x 6 masses x 8 bytes each
+        kwargs = dict(delta=0.12, eps=0.12, rho=0.003, seed=3)
+        ladder = [0.006, 0.009, 0.0135, 0.02]
+
+        def peak(replicas):
+            tracemalloc.start()
+            try:
+                fusion_probe(mu_config(), ("boundary", 0, 1), ladder,
+                             replicas=replicas, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fusion_probe(mu_config(), ("boundary", 0, 1), ladder, replicas=4,
+                     **kwargs)         # the grid's factor is cached from here
+        growth = peak(8192) - peak(2048)
+        assert growth < 8 * 2 ** 20
 
     def test_fusion_needs_two_pairs(self):
         kwargs = dict(delta=0.12, eps=0.12, rho=0.003, seed=3)

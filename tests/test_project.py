@@ -3,6 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -114,3 +118,33 @@ def test_private_constructors_stay_in_the_kernel():
         if path.name != "algebra_core.py"
         and private in _referenced_names([path]))
     assert outside == []
+
+
+def test_scipy_integrate_is_imported_on_first_use():
+    # importing the package loads neither scipy.integrate nor the
+    # scipy.optimize it pulls in (about 18 MB in every process, the Monte
+    # Carlo ones included); the two functions that integrate import it
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        from fractions import Fraction as F
+        import w3toda
+        for info in pkgutil.iter_modules(w3toda.__path__):
+            importlib.import_module("w3toda." + info.name)
+        loaded = [m for m in ("scipy.integrate", "scipy.optimize")
+                  if m in sys.modules]
+        assert loaded == [], loaded
+        from w3toda.hyp_numeric import ode_integrate, paper_integrals
+        from w3toda.ward_bpz import HypergeometricSpec
+        assert len(paper_integrals(0.8)) == 3
+        spec = HypergeometricSpec(
+            "bulk_boundary", F(1), (F(3, 10), F(-7, 10), F(6, 5)),
+            (F(3, 5), F(7, 5)), (("i", F(0)),), "u")
+        assert len(ode_integrate(spec, 0.2, (1.0, 0.0, 0.0), 0.3)) == 3
+        assert "scipy.integrate" in sys.modules
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
