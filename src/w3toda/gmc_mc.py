@@ -2,8 +2,8 @@
 
 Desk-scale probabilistic checks of the exact layer.  The two-component free
 field is sampled exactly on a finite point set (dense Cholesky of the
-mollified covariance, factorized once per grid and shared across replicas
-and calls; each block of standard normals is multiplied by the triangular
+mollified covariance, factorized once per call and shared across
+replicas; each block of standard normals is multiplied by the triangular
 factor in place, through BLAS ``dtrmm``, and handed on as a view of that
 buffer); the interaction masses are grid quadratures of the renormalized
 exponential field against the insertion-dependent shift weights; the
@@ -23,7 +23,7 @@ weights of every ladder rung up front and streams its blocks once: each
 block is exponentiated once, and its draws, then its mirrors, feed every
 rung's ``masses`` before the next block is drawn, so one block's
 exponentials are held at a time whatever the replica count.
-``_pooled_masses`` is the one pooling loop, for one model or many.  From
+``_pooled_masses`` is the one pooling loop, over a sequence of models.  From
 pooled masses to a value there is one path,
 ``_zero_mode_estimate``: the correlator estimate and every fusion rung go
 through it for their windows, quadrature error, mean and stderr.
@@ -189,34 +189,12 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _grid_factor(points: bytes, rho: float) -> tuple:
-    """(chol, cov_diag): the lower Cholesky factor of the rho-mollified
-    covariance on the complex points packed in ``points``, and that
-    covariance's diagonal, both read-only.  The dense covariance is dropped
-    once factored.  A failed factorization raises, and an exception is
-    never cached."""
-    cov = mollified_covariance(np.frombuffer(points, dtype=complex), rho)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise AlgebraError(
-            "covariance is not positive semi-definite after "
-            f"mollification; radius {rho} is too small for the grid "
-            "spacing") from exc
-    cov_diag = cov.diagonal().copy()
-    chol.flags.writeable = cov_diag.flags.writeable = False
-    return chol, cov_diag
-
-
 class GffEnsemble:
     """Covariance factorization of one grid, shared by all replicas.
 
-    ``chol`` (the lower Cholesky factor) and ``cov_diag`` (the covariance
-    diagonal) are read-only.  They come from ``_grid_factor``, which keeps
-    one factor per process, that of the last grid and radius asked for, so
-    repeated calls on one grid factor it once.  The factor takes
-    n^2 * 8 bytes, 6.4 MB on the benchmark grids of about 900 points."""
+    Keeps ``chol`` (the lower Cholesky factor, n^2 * 8 bytes, 6.4 MB on the
+    benchmark grids of about 900 points) and ``cov_diag`` (the covariance
+    diagonal); the dense covariance is dropped once factored."""
 
     def __init__(self, points, rho: float):
         pts = np.asarray(list(points), dtype=complex)
@@ -230,7 +208,15 @@ class GffEnsemble:
             raise AlgebraError("mollification radius must be positive")
         self.points = pts
         self.rho = float(rho)
-        self.chol, self.cov_diag = _grid_factor(pts.tobytes(), self.rho)
+        cov = mollified_covariance(pts, self.rho)
+        try:
+            self.chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise AlgebraError(
+                "covariance is not positive semi-definite after "
+                f"mollification; radius {rho} is too small for the grid "
+                "spacing") from exc
+        self.cov_diag = cov.diagonal().copy()
 
     @property
     def n(self) -> int:
@@ -484,21 +470,18 @@ def _pairing(replicas: int) -> dict:
             "draw_blocks": -(-replicas // (2 * BLOCK))}
 
 
-def _pooled_masses(models, exp_blocks):
-    """Per-key replica masses over all blocks, in replica order: a dict for
-    one mass model, or a list of dicts for a sequence of models sharing one
-    grid.  Every model takes its masses of a block before the next block
-    is asked for, so the models share one pass over a streamed block
-    sequence.  ``map`` drops each block's exponentials once its masses are
-    taken (a ``for`` loop would hold them while the next block is drawn),
-    so the stream holds one block at a time."""
-    many = not isinstance(models, _MassModel)
-    models = tuple(models) if many else (models,)
+def _pooled_masses(models, exp_blocks) -> list:
+    """Per-key replica masses over all blocks, in replica order: one dict
+    per mass model of the sequence ``models``, which share one grid.  Every
+    model takes its masses of a block before the next block is asked for,
+    so the models share one pass over a streamed block sequence.  ``map``
+    drops each block's exponentials once its masses are taken (a ``for``
+    loop would hold them while the next block is drawn), so the stream
+    holds one block at a time."""
     per_block = list(map(lambda exps: [m.masses(exps) for m in models],
                          exp_blocks))
-    pooled = [{k: np.concatenate([block[r][k] for block in per_block])
-               for k in model.mass_keys} for r, model in enumerate(models)]
-    return pooled if many else pooled[0]
+    return [{k: np.concatenate([block[r][k] for block in per_block])
+             for k in model.mass_keys} for r, model in enumerate(models)]
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +745,8 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     with fewer than two pairs (under four replicas) they are 0.0.  The
     blocks stream through one at a time, the mirrors' reciprocals
     overwriting the draws' exponentials once the draws' masses are taken.
-    The grid's covariance factor is kept for the next call on the same
-    grid (``GffEnsemble``); the mass expectations read its diagonal.
+    The mass expectations read the covariance diagonal
+    (``GffEnsemble.cov_diag``).
     """
     if replicas <= 0:
         raise AlgebraError("no data: at least one replica is required")
@@ -775,7 +758,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     model = _MassModel(cfg, delta, eps, rho)
     ensemble = GffEnsemble(model.points, rho)
     pooled = _pooled_masses(
-        model, _exponential_blocks(model, ensemble, seed, replicas))
+        (model,), _exponential_blocks(model, ensemble, seed, replicas))[0]
 
     mass_stats = {k: _paired_mean_stderr(v) for k, v in pooled.items()}
 

@@ -189,6 +189,25 @@ class TestSampler:
         with pytest.raises(AlgebraError, match="positive semi-definite"):
             GffEnsemble([0.5j, 0.5j, 1j], 0.05)
 
+    def test_keeps_factor_and_diagonal_only(self, monkeypatch):
+        # every ensemble factors its own grid through the module-level
+        # mollified_covariance and keeps no dense covariance
+        calls = []
+        real = gmc_mc.mollified_covariance
+
+        def counted(points, rho):
+            calls.append(rho)
+            return real(points, rho)
+
+        monkeypatch.setattr(gmc_mc, "mollified_covariance", counted)
+        ens = GffEnsemble(PROBE_POINTS, 0.05)
+        GffEnsemble(PROBE_POINTS, 0.05)
+        assert calls == [0.05, 0.05]
+        cov = real(PROBE_POINTS, 0.05)
+        assert ens.chol.tobytes() == np.linalg.cholesky(cov).tobytes()
+        assert ens.cov_diag.tobytes() == np.diag(cov).tobytes()
+        assert not hasattr(ens, "cov")
+
     def test_grid_budget(self):
         pts = np.arange(5000) * 1j + 1j
         with pytest.raises(AlgebraError, match="budget"):
@@ -211,53 +230,6 @@ class TestSampler:
             dense = np.stack((mixed[:, :BLOCK], mixed[:, BLOCK:]))
             assert block.shape == (2, ens.n, BLOCK)
             assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
-
-
-class TestGridFactor:
-    """One covariance factor per grid and radius, kept across calls."""
-
-    @pytest.fixture
-    def covariance_calls(self, monkeypatch):
-        gmc_mc._grid_factor.cache_clear()
-        calls = []
-        real = gmc_mc.mollified_covariance
-
-        def counted(points, rho):
-            calls.append(rho)
-            return real(points, rho)
-
-        monkeypatch.setattr(gmc_mc, "mollified_covariance", counted)
-        yield calls
-        gmc_mc._grid_factor.cache_clear()
-
-    def test_same_grid_factors_once(self, covariance_calls):
-        a = GffEnsemble(PROBE_POINTS, 0.05)
-        b = GffEnsemble(list(PROBE_POINTS), 0.05)
-        assert covariance_calls == [0.05]
-        assert a.chol is b.chol and a.cov_diag is b.cov_diag
-        cov = mollified_covariance(PROBE_POINTS, 0.05)
-        assert a.chol.tobytes() == np.linalg.cholesky(cov).tobytes()
-        assert a.cov_diag.tobytes() == np.diag(cov).tobytes()
-        GffEnsemble(PROBE_POINTS, 0.06)
-        assert covariance_calls == [0.05, 0.06]
-        # two estimates on one grid factor it once
-        estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 64, seed=1)
-        estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 64, seed=2)
-        assert covariance_calls == [0.05, 0.06, 0.03]
-
-    def test_factor_is_read_only(self):
-        ens = GffEnsemble(PROBE_POINTS, 0.05)
-        for arr in (ens.chol, ens.cov_diag):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
-
-    def test_failed_factorization_is_not_cached(self, covariance_calls):
-        for _ in range(2):
-            with pytest.raises(AlgebraError, match="positive semi-definite"):
-                GffEnsemble([0.5j, 0.5j, 1j], 0.05)
-        assert covariance_calls == [0.05, 0.05]
-        assert gmc_mc._grid_factor.cache_info().currsize == 0
 
 
 def plain_smoothed_log(d2, tau):
@@ -318,8 +290,8 @@ def test_zero_mode_values_skip_only_exact_zeros():
     cfg, replicas = mu_config(), 2048
     est = estimate_correlator(cfg, 0.12, 0.1, 0.03, replicas, seed=3)
     model = _MassModel(cfg, 0.12, 0.1, 0.03)
-    pooled = _pooled_masses(model, _exponential_blocks(
-        model, GffEnsemble(model.points, 0.03), 3, replicas))
+    pooled = _pooled_masses((model,), _exponential_blocks(
+        model, GffEnsemble(model.points, 0.03), 3, replicas))[0]
     windows = est.diagnostics["window"]
     plain, expo = plain_zero_mode_values(pooled, cfg, windows)
     assert (expo < _EXP_UNDERFLOW).mean() > 0.1
@@ -705,8 +677,8 @@ class TestAntitheticPairs:
         cfg, replicas, seed = mu_config(), 2 * 2 * BLOCK + 300, 4
         est = estimate_correlator(cfg, 0.12, 0.1, 0.03, replicas, seed=seed)
         model = _MassModel(cfg, 0.12, 0.1, 0.03)
-        pooled = _pooled_masses(model, _exponential_blocks(
-            model, GffEnsemble(model.points, 0.03), seed, replicas))
+        pooled = _pooled_masses((model,), _exponential_blocks(
+            model, GffEnsemble(model.points, 0.03), seed, replicas))[0]
         for key, values in pooled.items():
             mean, err = est.masses[key]
             assert mean == float(values.mean())
@@ -789,7 +761,7 @@ class TestAntitheticPairs:
             # a fresh streamed pass for this rung alone: same pairs, same bits
             model = base.rebound(cfg_d)
             streamed = _pooled_masses(
-                model, _exponential_blocks(model, ens, seed, replicas))
+                (model,), _exponential_blocks(model, ens, seed, replicas))[0]
             assert pooled.keys() == streamed.keys()
             for k in streamed:
                 assert pooled[k].size == replicas
@@ -812,7 +784,7 @@ class TestAntitheticPairs:
                 tracemalloc.stop()
 
         fusion_probe(mu_config(), ("boundary", 0, 1), ladder, replicas=4,
-                     **kwargs)         # the grid's factor is cached from here
+                     **kwargs)         # warm-up: first-use allocations
         growth = peak(8192) - peak(2048)
         assert growth < 8 * 2 ** 20
 
