@@ -2,16 +2,17 @@
 
 Desk-scale probabilistic checks of the exact layer.  The two-component free
 field is sampled exactly on a finite point set (dense Cholesky of the
-mollified covariance, factorized once per call and shared across
-replicas; each block of standard normals is multiplied by the triangular
-factor in place, through BLAS ``dtrmm``, and handed on as a view of that
-buffer); the interaction masses are grid quadratures of the renormalized
-exponential field against the insertion-dependent shift weights; the
-zero-mode integral factorizes over the two fundamental-weight directions
-and is evaluated by Gauss-Legendre quadrature on an adaptively grown window
-whose tail increment is reported, together with the quadrature error (the
-change under a doubled node count, on the first sampling block).  Boundary
-arcs left without grid points by the exclusion radius are reported as well.
+mollified covariance, factorized once per call by LAPACK ``dpotrf`` and
+shared across replicas; each block of standard normals is multiplied by
+the triangular factor in place, through BLAS ``dtrmm``, and handed on as a
+view of that buffer); the interaction masses are grid quadratures of the
+renormalized exponential field against the insertion-dependent shift
+weights; the zero-mode integral factorizes over the two fundamental-weight
+directions and is evaluated by Gauss-Legendre quadrature on an adaptively
+grown window whose tail increment is reported, together with the
+quadrature error (the change under a doubled node count, on the first
+sampling block).  Boundary arcs left without grid points by the exclusion
+radius are reported as well.
 
 The quadrature grids are fixed midpoint lattices (``_EXTENT``,
 ``_BULK_SHAPE``, ``_BOUNDARY_N``); only the truncation scales ``delta`` and
@@ -27,6 +28,15 @@ exponentials are held at a time whatever the replica count.
 pooled masses to a value there is one path,
 ``_zero_mode_estimate``: the correlator estimate and every fusion rung go
 through it for their windows, quadrature error, mean and stderr.
+
+Every dense linear-algebra call of this module (the factorization, the
+triangular product, the bulk mass sums and the zero-mode quadrature sums)
+goes through ``scipy.linalg``'s BLAS and LAPACK, never numpy's ``@`` or
+``np.linalg``.  numpy and scipy each bundle their own OpenBLAS, each with
+its own thread pool whose workers keep spinning after a call; on a small
+host, every switch from one library to the other makes the next threaded
+call share a CPU with the other library's spinning workers.  The
+``dgemv`` products equal numpy's ``x @ a`` bit for bit.
 
 Replicas come in antithetic pairs: every sampled field phi is followed by
 its mirror -phi, which has the same law, needs no new normals and no
@@ -70,11 +80,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dgemv, dtrmm
+from scipy.linalg.lapack import dpotrf
 from scipy.special import exp1
 
 from .algebra_core import (
@@ -94,6 +106,8 @@ _SQRT3 = math.sqrt(3.0)
 _QUAD_NODES = 128
 _ZERO_MODE_CHUNK = 4096             # replicas per zero-mode buffer pass
 _EXP_UNDERFLOW = -745.2             # exp(x) rounds to exactly 0.0 below this
+_EXP_OVERFLOW = math.log(sys.float_info.max)    # and overflows above this
+_COV_ROWS = 128                     # rows per block of mollified_covariance
 
 _FRAME = (E1, E1 + 2 * E2)          # orthogonal frame, norms sqrt(2), sqrt(6)
 _FRAME_NORM = (math.sqrt(2.0), math.sqrt(6.0))
@@ -169,16 +183,26 @@ def mollified_covariance(points, rho: float) -> np.ndarray:
     pair terms carry jitter variance 2 rho^2 per point (tau = 2 rho), the
     one-point plus-parts a single jitter (tau = sqrt(2) rho), and at
     separations beyond a few rho everything reduces to the unsmoothed
-    kernel exponentially fast."""
+    kernel exponentially fast.
+
+    Every term is symmetric in its two points bit for bit, so only the
+    lower triangle is computed, in blocks of ``_COV_ROWS`` rows (each up to
+    and including its diagonal block), and each block is copied into the
+    upper triangle as it is done."""
     p = np.asarray(points, dtype=complex)
     tau = 2.0 * rho
-    cov = _smoothed_log(_abs2(p[:, None] - p[None, :]), tau)
-    mirror = _smoothed_log(_abs2(p[:, None] - np.conj(p)[None, :]), tau)
-    cov += mirror
     lplus = _smoothed_log_plus(p, rho)
-    np.add(lplus[:, None], lplus[None, :], out=mirror)
-    mirror *= 2.0
-    cov += mirror
+    cov = np.empty((p.size, p.size))
+    for lo in range(0, p.size, _COV_ROWS):
+        hi = min(lo + _COV_ROWS, p.size)
+        rows, cols = p[lo:hi, None], p[None, :hi]
+        block = cov[lo:hi, :hi]
+        block[...] = _smoothed_log(_abs2(rows - cols), tau)
+        block += _smoothed_log(_abs2(rows - np.conj(cols)), tau)
+        plus = np.add(lplus[lo:hi, None], lplus[None, :hi])
+        plus *= 2.0
+        block += plus
+        cov[:lo, lo:hi] = block[:, :lo].T
     return cov
 
 
@@ -194,7 +218,10 @@ class GffEnsemble:
 
     Keeps ``chol`` (the lower Cholesky factor, n^2 * 8 bytes, 6.4 MB on the
     benchmark grids of about 900 points) and ``cov_diag`` (the covariance
-    diagonal); the dense covariance is dropped once factored."""
+    diagonal); the dense covariance is dropped once factored.  LAPACK
+    ``dpotrf`` factors the covariance in place; ``chol`` is kept
+    C-contiguous, so ``chol.T`` is the Fortran-ordered operand that
+    ``dtrmm`` takes without a copy in every ``sample_block``."""
 
     def __init__(self, points, rho: float):
         pts = np.asarray(list(points), dtype=complex)
@@ -209,14 +236,16 @@ class GffEnsemble:
         self.points = pts
         self.rho = float(rho)
         cov = mollified_covariance(pts, self.rho)
-        try:
-            self.chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
+        self.cov_diag = cov.diagonal().copy()
+        # cov is symmetric, so its Fortran-ordered transpose is the same
+        # matrix and LAPACK factors it in place
+        factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
             raise AlgebraError(
                 "covariance is not positive semi-definite after "
                 f"mollification; radius {rho} is too small for the grid "
-                "spacing") from exc
-        self.cov_diag = cov.diagonal().copy()
+                f"spacing (dpotrf info {info})")
+        self.chol = np.ascontiguousarray(factor)
 
     @property
     def n(self) -> int:
@@ -399,7 +428,10 @@ class _MassModel:
         arcs = max(self.cfg.n_boundary, 1)
         out = {}
         for i, (bulk_exp, bnd_exp) in enumerate(exps, start=1):
-            out[("bulk", i)] = self.bulk_base[i - 1] @ bulk_exp
+            # base @ bulk_exp; dgemv rejects the empty bulk grid that a wide
+            # exclusion radius can leave
+            out[("bulk", i)] = dgemv(1.0, bulk_exp.T, self.bulk_base[i - 1]) \
+                if self.n_bulk_pts else np.zeros(bulk_exp.shape[1])
             weighted = self.bnd_base[i - 1][:, None] * bnd_exp
             for arc in range(arcs):
                 out[("boundary", i, arc)] = \
@@ -422,9 +454,10 @@ def _exponential_blocks(model, ensemble, seed: int, replicas: int):
     """``model.exponentials`` of the replicas, two yields per sampling
     block: its draws phi, then their mirrors -phi.  A block holds 2 * BLOCK
     replicas; the last one holds the rest of the requested count, and for
-    an odd count its last draw has no mirror.  The mirrors' exponentials
-    are the reciprocals of the draws' (exp(-phi) = 1 / exp(phi)), so they
-    cost no normals, no triangular product and no ``exp``.
+    an odd count its last draw has no mirror (a block of one replica has
+    no mirror yield).  The mirrors' exponentials are the reciprocals of the
+    draws' (exp(-phi) = 1 / exp(phi)), so they cost no normals, no
+    triangular product and no ``exp``.
 
     The mirrors overwrite the draws' buffers, and the next block is drawn
     only after both yields are done with: a consumer takes what it needs
@@ -435,9 +468,11 @@ def _exponential_blocks(model, ensemble, seed: int, replicas: int):
         exps = model.exponentials(
             ensemble.sample_block(seed, b)[:, :, :count - mirrors])
         yield exps
-        exps = tuple(tuple(np.reciprocal(e[:, :mirrors], out=e[:, :mirrors])
-                           for e in pair) for pair in exps)
-        yield exps
+        if mirrors:
+            exps = tuple(tuple(np.reciprocal(e[:, :mirrors],
+                                             out=e[:, :mirrors])
+                               for e in pair) for pair in exps)
+            yield exps
         del exps            # not held while the next block is drawn
 
 
@@ -495,7 +530,10 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
 
     The window doubles around the mode until its integral increment falls
     below ``tol`` of the running total; the last increment, relative to the
-    window mass, is the reported tail bound.
+    window mass, is the reported tail bound.  Measure terms so small that
+    the mode lies where ``e^{gamma v}`` overflows are rejected, naming
+    them; beyond the mode, an overflowing ``e^{gamma v}`` is the integrand's
+    exact limit 0.
     """
     if not sigma > 0:
         raise AlgebraError(
@@ -506,9 +544,17 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
             "zero-mode integral does not converge: no interaction measure "
             "suppresses this direction")
 
+    terms = f"bulk_term {bulk_term!r}, bnd_term {bnd_term!r}"
+
     def exponent(v):
-        return (sigma * v - bulk_term * np.exp(gamma * v)
-                - bnd_term * np.exp(0.5 * gamma * v))
+        # a zero term is left out, which keeps 0 * inf out of the sum
+        out = sigma * v
+        with np.errstate(over="ignore"):
+            if bulk_term:
+                out = out - bulk_term * np.exp(gamma * v)
+            if bnd_term:
+                out = out - bnd_term * np.exp(0.5 * gamma * v)
+        return out
 
     def slope(v):
         return (sigma - gamma * bulk_term * math.exp(gamma * v)
@@ -517,6 +563,11 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
     hi = 0.0
     while slope(hi) > 0:
         hi += 2.0
+        if gamma * hi > _EXP_OVERFLOW:
+            raise AlgebraError(
+                f"zero-mode integral is out of floating-point range: {terms} "
+                f"are too small against sigma {sigma!r}, so the mode lies "
+                f"beyond v = {hi}, where e^(gamma v) overflows")
     lo = hi - 2.0
     while slope(lo) < 0:
         lo -= 2.0
@@ -541,7 +592,7 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
         width *= 2.0
     raise AlgebraError(
         "zero-mode integral does not converge: window growth did not "
-        f"stabilize (last increment {tail:.3e})")
+        f"stabilize (last increment {tail:.3e}; sigma {sigma!r}, {terms})")
 
 
 @functools.lru_cache(maxsize=4)
@@ -650,7 +701,8 @@ def _zero_mode_values(masses: dict, cfg, windows,
     Replicas go through in chunks that reuse two (nodes, _ZERO_MODE_CHUNK)
     buffers and one mask.  Far out in a window the exponent reaches -1e9;
     ``np.exp`` runs only where it is at least _EXP_UNDERFLOW, and the rest
-    is set to the 0.0 it would round to."""
+    is set to the 0.0 it would round to.  Each chunk's node sum is one BLAS
+    ``dgemv`` on the transposed (Fortran-ordered) buffer."""
     gamma = float(cfg.gamma)
     terms = []
     for window, sigma, (bulk, bnd) in zip(windows, _sigma_pair(cfg),
@@ -675,7 +727,7 @@ def _zero_mode_values(masses: dict, cfg, windows,
             np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
             np.exp(expo, out=expo, where=live)
             np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
-            part = lin @ expo
+            part = dgemv(1.0, expo.T, lin)
             if i == 0:
                 total[lo:hi] = part
             else:

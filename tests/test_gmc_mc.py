@@ -1,9 +1,12 @@
 """Tests for the Gaussian-field sampler and the multiplicative-chaos
 correlator estimator."""
 
+import ast
+import inspect
 import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -208,6 +211,21 @@ class TestSampler:
         assert ens.cov_diag.tobytes() == np.diag(cov).tobytes()
         assert not hasattr(ens, "cov")
 
+    def test_factor_matches_numpy_on_the_estimate_grid(self):
+        # the two bundled OpenBLAS builds round potrf differently in the
+        # trailing entries of this 897-point grid
+        points = _MassModel(mu_config(), 0.12, 0.1, 0.03).points
+        ens = GffEnsemble(points, 0.03)
+        ref = np.linalg.cholesky(mollified_covariance(points, 0.03))
+        assert ens.n == 897
+        assert np.abs(ens.chol - ref).max() <= 1e-14
+
+    def test_factor_transpose_is_fortran_ordered(self):
+        # dtrmm takes chol.T without a copy only in Fortran order
+        ens = GffEnsemble(PROBE_POINTS, 0.05)
+        assert ens.chol.flags.c_contiguous
+        assert ens.chol.T.flags.f_contiguous
+
     def test_grid_budget(self):
         pts = np.arange(5000) * 1j + 1j
         with pytest.raises(AlgebraError, match="budget"):
@@ -268,6 +286,62 @@ def test_exponentials_match_plain_formula_bitwise():
         phi = g * (c1 * fields[0] + c2 * fields[1])
         assert bulk.tobytes() == np.exp(phi[:nb]).tobytes()
         assert bnd.tobytes() == np.exp(0.5 * phi[nb:]).tobytes()
+
+
+def test_masses_match_numpy_products_bitwise():
+    # dgemv against base @ exp on full draw and mirror yields, and on the
+    # partial last block of an odd count, whose mirrors are a column slice
+    model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
+    ens = GffEnsemble(model.points, 0.03)
+    widths = []
+    for exps in _exponential_blocks(model, ens, 4, 2 * BLOCK + 301):
+        got = model.masses(exps)
+        for i, (bulk_exp, _) in enumerate(exps, start=1):
+            want = model.bulk_base[i - 1] @ bulk_exp
+            assert got[("bulk", i)].tobytes() == want.tobytes()
+        widths.append((exps[0][0].shape[1], exps[0][0].flags.c_contiguous))
+    assert widths == [(BLOCK, True), (BLOCK, True), (151, True), (150, False)]
+
+
+def test_masses_on_an_empty_bulk_grid_are_zero():
+    # an exclusion radius wider than the bulk lattice leaves only the
+    # boundary grid
+    cfg = CorrelatorConfig(F(4, 5), bulk=(((F(0), F(1)), (A_MU, A_MU)),),
+                           boundary=())
+    model = _MassModel(cfg, 0.12, 3.0, 0.03)
+    assert model.n_bulk_pts == 0 and model.bnd_pts.size > 0
+    fields = GffEnsemble(model.points, 0.03).sample_block(1, 0)[:, :, :7]
+    masses = model.masses(model.exponentials(fields))
+    assert masses[("bulk", 1)].tobytes() == np.zeros(7).tobytes()
+    assert masses[("bulk", 2)].tobytes() == np.zeros(7).tobytes()
+    assert np.all(masses[("boundary", 1, 0)] > 0)
+
+
+def test_gmc_layer_calls_no_numpy_blas():
+    """Every dense product and factorization of ``gmc_mc`` goes through
+    ``scipy.linalg``'s BLAS and LAPACK: numpy bundles a second OpenBLAS
+    whose thread pool contends with scipy's on a small host.  So the module
+    holds no ``@`` and no call to ``np.dot``, ``np.matmul``, ``np.inner``,
+    ``np.einsum``, ``np.tensordot`` or ``np.linalg``.
+
+    Two numpy calls that reach numpy's LAPACK are allowed: ``np.polyfit``
+    (the 4 x 2 least-squares fit of ``fusion_probe``, single-threaded) and
+    ``np.polynomial.legendre.leggauss`` (computed once per node count and
+    cached by ``_legendre``)."""
+    tree = ast.parse(inspect.getsource(gmc_mc))
+    banned = {"dot", "matmul", "inner", "einsum", "tensordot", "linalg"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in banned \
+                and isinstance(node.value, ast.Name) and node.value.id == "np":
+            found.append(f"line {node.lineno}: np.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "numpy":
+            found.append(f"line {node.lineno}: from {node.module} import")
+    assert found == []
 
 
 def plain_zero_mode_values(masses, cfg, windows, nodes=128):
@@ -507,6 +581,22 @@ class TestZeroModeWindow:
     def test_unsuppressed_rejected(self):
         with pytest.raises(AlgebraError, match="suppresses"):
             zero_mode_window(1.0, 0.8, 0.0, 0.0)
+
+    @pytest.mark.parametrize("args, reason", [
+        ((1.0, 0.8, 1e-320, 0.0), "out of floating-point range"),
+        ((1.0, 0.8, 0.0, 1e-320), "out of floating-point range"),
+        ((1e-300, 0.8, 1.0, 0.0), "did not stabilize"),
+    ])
+    def test_extreme_terms_rejected_by_name_without_warning(self, args,
+                                                             reason):
+        # a subnormal measure term puts the mode where e^(gamma v)
+        # overflows; a vanishing rate never lets the window close
+        _, _, bulk, bnd = args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraError, match=reason) as info:
+                zero_mode_window(*args)
+        assert f"bulk_term {bulk!r}, bnd_term {bnd!r}" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
