@@ -78,7 +78,6 @@ mirrors alike; for an odd count the last draw has no mirror.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -99,6 +98,7 @@ from .algebra_core import (
     inner,
 )
 from .free_field import CorrelatorConfig, doubled_insertions
+from .hyp_numeric import legendre_rule
 
 BLOCK = 512
 MAX_GRID = 4096
@@ -595,17 +595,8 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
         f"stabilize (last increment {tail:.3e}; sigma {sigma!r}, {terms})")
 
 
-@functools.lru_cache(maxsize=4)
-def _legendre(nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only: the rule
-    costs tens of milliseconds at a few hundred nodes."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def _gauss_nodes(window: tuple, sigma: float, nodes: int) -> tuple:
-    x, w = _legendre(nodes)
+    x, w = legendre_rule(nodes)
     lo, hi = window
     v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     return v, 0.5 * (hi - lo) * w * np.exp(sigma * v)

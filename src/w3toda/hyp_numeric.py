@@ -7,29 +7,36 @@ share one derivation path instead of hard-coded parameter formulas:
 
 * ``gamma_fn`` guards the Gamma function (pole and overflow checks);
 * ``paper_integrals`` evaluates three quadrature/closed-form pairs built
-  from the Gamma factor G = Gamma(g^2/2) Gamma(1-g^2) / Gamma(1-g^2/2);
+  from the Gamma factor G = Gamma(g^2/2) Gamma(1-g^2) / Gamma(1-g^2/2):
+  each integral is a Beta-type integral over (0, 1), whose endpoint powers
+  a substitution removes before Gauss-Legendre sums at n and 2n nodes
+  (``legendre_rule``, which ``gmc_mc`` shares) estimate its error;
 * ``series_eval`` / ``series_derivatives`` / ``SeriesSolution`` sum the
   Frobenius series at an indicial exponent, from the recurrence read off the
   operator terms; the one summation, ``_frobenius_pass``, adds the terms of
   a whole grid of points in numpy and stops each point by a proven tail
   bound on every derivative; logarithmic (resonant) cases are refused;
-* ``ode_integrate`` runs adaptive Runge-Kutta on the order-3 companion
-  system, whose derivative coefficient polynomials come from the same
-  encoding via the Euler-to-derivative (Stirling) conversion;
+* ``ode_integrate`` continues a solution along a path that avoids 0 and 1
+  by Taylor re-expansion at ordinary points: the derivative coefficient
+  polynomials (``derivative_coefficients``, from the same encoding via the
+  Euler-to-derivative (Stirling) conversion) give each step's coefficient
+  recurrence, the same stopping rule as the series ends each sum, and the
+  result (``OdeResult``) carries a bound on its error;
 * ``fundamental_matrix`` reports the value/derivative matrix of the three
   Frobenius solutions with its condition number;
 * ``hyp_grid`` tabulates the solutions and their operator residuals on a
   grid, for CSV export: it derives the operator once per grid and sums each
   root's series at every point in one ``_frobenius_pass``.
 
-``scipy.integrate`` is imported on first use, by ``paper_integrals`` and
-``ode_integrate``: it pulls in ``scipy.optimize``, and importing both costs
-about 18 MB of memory in every process that loads this package, the Monte
-Carlo ones included, whether or not it integrates anything.
+Nothing here imports ``scipy``: its ``integrate`` package, with the
+``optimize`` one it pulls in, costs about 18 MB in every process that
+loads it, and the Taylor steps and Gauss-Legendre sums above need only
+numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +50,10 @@ from .ward_bpz import HypergeometricSpec
 _TRUNC = 2.0 ** -53  # unit roundoff: tails drop below summation rounding
 _MAX_TERMS = 20000
 _ROOT_TOL = 1e-9
+# a Taylor step's length over its centre's distance to {0, 1}
+_STEP_RATIO = 0.5
+_MAX_STEPS = 400
+_MAX_NODES = 2048  # largest Gauss-Legendre rule of paper_integrals
 
 
 def gamma_fn(x: float) -> float:
@@ -82,33 +93,77 @@ def paper_integrals(gamma: float, rel_tol: float = 1e-7) -> tuple:
     Integrands: y^(-1+g^2/2) (y-1)^(-g^2) and y^(-1+g^2/2) (y+1)^(-g^2)
     over (1, inf), and (1+x^2)^(-1+g^2/2) over the real line; closed forms
     G, cos(pi g^2/2) G, and 2^(g^2) sin(pi g^2/2) G.
-    """
-    # imported on first use: scipy.integrate adds ~18 MB to every process
-    from scipy.integrate import quad
 
+    With y = 1/t the kernels are the Beta-type integrals (``_beta_type``)
+    of t^(g^2/2-1) (1-t)^(-g^2) and t^(g^2/2-1) (1+t)^(-g^2), and with
+    x^2 = t/(1-t) the profile is that of t^(-1/2) (1-t)^(-(1+g^2)/2).  Each
+    is summed at n and 2n nodes, n doubling until |I_n - I_2n| plus the
+    rounding floor 2n u sum |term| is at most ``rel_tol`` of I_2n, which is
+    reported with that error.  The substituted integrand varies within
+    about e = min(a, b) of s = 1, where the outermost of n nodes sits about
+    1.45 / n^2 away, so n starts at 64 or at e^(-1/2) if larger: below it
+    I_n and I_2n can agree while both miss that layer.
+    """
     g = float(gamma)
     if not 0 < g < 1:
         raise AlgebraError(f"integrals need gamma in (0, 1), got {gamma!r}")
     g2 = g * g
     big_g = gamma_fn(g2 / 2) * gamma_fn(1 - g2) / gamma_fn(1 - g2 / 2)
     jobs = (
-        ("minus_kernel", lambda y: y ** (-1 + g2 / 2) * (y - 1) ** (-g2),
-         (1.0, math.inf), big_g),
-        ("plus_kernel", lambda y: y ** (-1 + g2 / 2) * (y + 1) ** (-g2),
-         (1.0, math.inf), math.cos(math.pi * g2 / 2) * big_g),
-        ("symmetric_profile", lambda x: (1 + x * x) ** (-1 + g2 / 2),
-         (-math.inf, math.inf), 2 ** g2 * math.sin(math.pi * g2 / 2) * big_g),
+        ("minus_kernel", g2 / 2, 1 - g2, None, big_g),
+        ("plus_kernel", g2 / 2, 1.0, lambda t: (1 + t) ** -g2,
+         math.cos(math.pi * g2 / 2) * big_g),
+        ("symmetric_profile", 0.5, (1 - g2) / 2, None,
+         2 ** g2 * math.sin(math.pi * g2 / 2) * big_g),
     )
     out = []
-    for name, f, (lo, hi), closed in jobs:
-        res = quad(f, lo, hi, limit=200, full_output=1)
-        value, err = res[0], res[1]
-        if err > max(rel_tol * abs(value), 1e-12):
-            raise AlgebraError(
-                f"quadrature for {name} did not converge: achieved absolute "
-                f"tolerance {err:.3e} on value {value:.6e}")
+    for name, a, b, phi, closed in jobs:
+        n = max(64, 2 ** math.ceil(math.log2(min(a, b) ** -0.5)))
+        coarse = None
+        while True:
+            if 2 * n > _MAX_NODES:
+                raise AlgebraError(
+                    f"quadrature for {name} did not converge within "
+                    f"{_MAX_NODES} nodes")
+            if coarse is None:
+                coarse = _beta_type(a, b, phi, n)[0]
+            value, size = _beta_type(a, b, phi, 2 * n)
+            err = abs(value - coarse) + 2 * n * _TRUNC * size
+            if err <= max(rel_tol * abs(value), 1e-12):
+                break
+            n, coarse = 2 * n, value
         out.append(IntegralPair(name, value, closed, err))
     return tuple(out)
+
+
+def _beta_type(a: float, b: float, phi, nodes: int) -> tuple:
+    """(value, sum of |terms|) of the ``nodes``-point Gauss-Legendre sum
+    for the integral of t^(a-1) (1-t)^(b-1) phi(t) over (0, 1); ``phi``
+    None stands for 1.  The range is split at t = 1/2, and on the half next
+    to the endpoint of power e - 1 the substitution t = s^(1/e) / 2 turns
+    that power into the constant 2^-e / e, leaving a bounded integrand
+    over s in (0, 1)."""
+    x, w = legendre_rule(nodes)
+    s, w = (x + 1) / 2, w / 2
+    value = size = 0.0
+    for e, other, mirror in ((a, b, False), (b, a, True)):
+        t = 0.5 * s ** (1 / e)
+        terms = 2.0 ** -e / e * w * (1 - t) ** (other - 1)
+        if phi is not None:
+            terms = terms * phi(1 - t if mirror else t)
+        value += float(terms.sum())
+        size += float(np.abs(terms).sum())
+    return value, size
+
+
+@functools.lru_cache(maxsize=8)
+def legendre_rule(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed on
+    first use of each node count: the rule costs tens of milliseconds at a
+    few hundred nodes (and memory of order nodes^2, hence _MAX_NODES)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +306,7 @@ def frobenius_solution(spec: HypergeometricSpec, sigma,
 
 
 def _check_argument(u: float, sigma: float) -> None:
+    _finite(u, "u")
     if abs(u) >= 1:
         raise AlgebraError(f"series argument must satisfy |u| < 1, got {u!r}")
     if u < 0 and sigma != int(sigma):
@@ -439,20 +495,237 @@ def _segment(u: float) -> int:
     return 2
 
 
-def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
-                  rtol: float = 1e-10) -> tuple:
-    """Integrate the order-3 companion system from ``u0`` to ``u1``.
+def _finite(x, name: str) -> float:
+    """``x`` as a float, or an AlgebraError naming the argument: a NaN or
+    an infinity would never end a loop that steps or sums towards it."""
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise AlgebraError(f"{name} must be finite, got {x!r}")
+    return xf
+
+
+class OdeResult(tuple):
+    """The state (value, first, second derivative) that ``ode_integrate``
+    reaches: a plain triple to its callers, carrying a bound on the error
+    of each entry (``bound``), the Taylor steps taken and the series terms
+    summed over all of them."""
+
+    def __new__(cls, state, bound, steps: int, terms: int):
+        self = super().__new__(cls, state)
+        self.bound, self.steps, self.terms = tuple(bound), steps, terms
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self), self.bound, self.steps, self.terms
+
+    def to_json(self) -> dict:
+        return {"state": list(self), "bound": list(self.bound),
+                "steps": self.steps, "terms": self.terms}
+
+
+def _pole_parts(polys) -> tuple:
+    """Partial fractions of the normalized coefficients r_j = -P_j / P_3
+    (j = 0, 1, 2) of the operator sum_j P_j d^j, whose leading coefficient
+    must be P_3 = pi u^3 (u - 1) and whose P_j have degree at most j + 1
+    (as every Euler-form operator of order 3 with u-powers 0 and 1 does):
+    per j, the triples (zeta, m, A) of the terms A / (u - zeta)^m.  With
+    g = P_j / (pi (1 - u)) = sum_t g_t u^t, the pole at 0 has A = g_0, g_1,
+    g_2 for m = 3, 2, 1, and the pole at 1 has A = -P_j(1) / pi."""
+    lead = tuple(polys[3])
+    pi = lead[-1]
+    if len(lead) != 5 or lead[:4] != (0.0, 0.0, 0.0, -pi) or pi == 0:
+        raise AlgebraError("the leading coefficient of the operator must be "
+                           "a multiple of u^3 (u - 1)")
+    parts = []
+    for j, poly in enumerate(polys[:3]):
+        if len(poly) > j + 2:
+            raise AlgebraError(
+                f"operator coefficient P_{j} has degree above {j + 1}")
+        g = list(itertools.accumulate(tuple(poly) + (0.0,) * 3))
+        parts.append(((0.0, 3, g[0] / pi), (0.0, 2, g[1] / pi),
+                      (0.0, 1, g[2] / pi), (1.0, 1, -sum(poly) / pi)))
+    return tuple(parts)
+
+
+def _taylor_shift(poly, c: float) -> list:
+    """Coefficients of poly(c + x), low degree first (Horner's shift)."""
+    out = list(poly)
+    for i in range(len(out)):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += c * out[k + 1]
+    return out
+
+
+def _majorant_rate(parts, q, c: float, h: float) -> tuple:
+    """(lam, n0, guess) such that the Taylor coefficients b_n of any
+    solution in the step variable z (u = c + h z) obey |b_n| <= lam^(n-k)
+    max |b_k| over k < n, for every n >= n0 once it holds below n0.
+
+    In theta-form the normalized equation D^3 f = sum_j R_j D^j f, with
+    R_j(z) = h^(3-j) r_j(c + h z) = -q_j(z) / q_3(z) (``q`` as in
+    ``_taylor_step``), reads n(n-1)(n-2) b_n = sum R_(j,k) (n-i)_j b_(n-i)
+    over lags i = 3 - j + k >= 1, so by induction on n the claim holds
+    whenever Phi(n0) = sum_j tau_j(n0) lam^(j-3) G_j(lam) <= 1, with
+    tau_j(n) = (n-1)_j / (n)_3 falling factorials (decreasing in n) and
+    G_j(lam) = sum_k |R_(j,k)| lam^-k (Mezzarobba & Salvy, JSC 2010).  Two
+    majorants bound G_j, with rho_zeta = |h| / |c - zeta|: the partial
+    fractions of ``_pole_parts``, |h|^(3-j) sum |A| |c - zeta|^-m
+    (1 - rho_zeta / lam)^-m, which is close near 0 and 1, and sum_k
+    |q_(j,k)| lam^-k / (|q_(3,0)| (1 - rho_0 / lam)^3 (1 - rho_1 / lam)),
+    which keeps the cancellation between the two poles that the first
+    loses far from both.  Any lam in (max rho, 1) is valid; of a few, the
+    one whose bound should reach 2^-53 after the fewest terms, ``guess``,
+    is returned."""
+    rho = {zeta: abs(h) / abs(c - zeta) for zeta in (0.0, 1.0)}
+    top = max(rho.values())
+    poles = [[(abs(h) ** (3 - j) * abs(a) * abs(c - zeta) ** -m, rho[zeta], m)
+              for zeta, m, a in terms] for j, terms in enumerate(parts)]
+    best = None
+    for t in (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4):
+        lam = top + (1 - top) * t
+        lead = abs(q[3][0]) * (1 - rho[0.0] / lam) ** 3 * (1 - rho[1.0] / lam)
+        g = [min(sum(a * (1 - r / lam) ** -m for a, r, m in terms),
+                 sum(abs(x) * lam ** -k for k, x in enumerate(row)) / lead)
+             for terms, row in zip(poles, q)]
+
+        def phi(n):
+            return (g[2] / (lam * n) + g[1] / (lam ** 2 * n * (n - 2))
+                    + g[0] / (lam ** 3 * n * (n - 1) * (n - 2)))
+
+        lo = hi = max(4, math.ceil(g[2] / lam))
+        while phi(hi) > 1:
+            lo, hi = hi, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if phi(mid) <= 1 else (mid + 1, hi)
+        # the bound reaches 2^-53 about 1.3 times later than lam^N does
+        cost = max(hi, math.ceil(1.3 * 53 * math.log(2) / -math.log(lam)))
+        if best is None or cost < best[2]:
+            best = (lam, hi, cost)
+    return best
+
+
+def _taylor_step(polys, parts, c: float, h: float, data) -> tuple:
+    """(values, errors, terms) of one step from ``c`` to ``c + h``: for
+    each initial triple (value, first, second derivative) at c in ``data``,
+    the triple at c + h that continues it, and a bound on each entry's
+    error.
+
+    The Taylor coefficients b_n = f^(n)(c) h^n / n! of each solution come
+    from the recurrence that sum_j h^(3-j) P_j(c + h z) D_z^j f = 0 gives
+    for b_n in terms of b_(n-1) ... b_(n-4).  The sums stop at the first n
+    where, for every solution and order d, the last term and the tail bound
+    of ``_majorant_rate`` summed against the weights (n)_d are at most
+    _TRUNC times the order's absolute-term sum (the value's, if larger):
+    the rule of ``_frobenius_pass``.  Rounding is charged as 2 (n + 3) u
+    of the absolute-term sum: the sums' own rounding (Higham's gamma_n)
+    and as much again for the coefficients', which the recurrence does not
+    amplify, since at an ordinary point each of its solutions decays at
+    the rate of the series."""
+    q = [[x * h ** (3 - j + k) for k, x in enumerate(_taylor_shift(p, c))]
+         for j, p in enumerate(polys)]
+    lead = q[3][0]
+    if not (abs(lead) >= 2.0 ** -900 and all(
+            math.isfinite(x) for row in q for x in row)):
+        raise AlgebraError(
+            f"a Taylor step at u={c!r} is out of double precision range")
+    lags = [[] for _ in range(4)]
+    for j, row in enumerate(q):
+        for k, x in enumerate(row):
+            if (j, k) != (3, 0) and x != 0:
+                lags[2 - j + k].append((j, x / lead))
+    lam, n0, guess = _majorant_rate(parts, q, c, h)
+    # b_-1 = 0, then b_0, b_1, b_2 of each solution
+    coeffs = [(0.0,) * len(data)] + [
+        tuple(y[d] * h ** d / (1, 1, 2)[d] for y in data) for d in range(3)]
+    with np.errstate(divide="ignore"):
+        while True:
+            start = len(coeffs) - 1
+            stop = min(max(start + 16, guess + 8), _MAX_TERMS)
+            if start >= stop:
+                raise AlgebraError(
+                    f"the Taylor step at u={c!r} missed its tail bound "
+                    f"within {_MAX_TERMS} terms")
+            r4, r3, r2, r1 = coeffs[-4:]
+            for a1, a2, a3, a4 in _recurrence_table(lags, start, stop):
+                r4, r3, r2, r1 = r3, r2, r1, tuple(
+                    a1 * x1 + a2 * x2 + a3 * x3 + a4 * x4
+                    for x1, x2, x3, x4 in zip(r1, r2, r3, r4))
+                coeffs.append(r1)
+            found = _stopping_point(np.array(coeffs[1:]), lam, n0)
+            if found is not None:
+                break
+    n, sums, sizes, tails = found
+    rounding = 2 * (n + 3) * _TRUNC
+    values = [tuple(float(sums[d, k]) / h ** d for d in range(3))
+              for k in range(len(data))]
+    errors = [tuple(float(tails[d, k] + rounding * sizes[d, k]) / abs(h) ** d
+                    for d in range(3)) for k in range(len(data))]
+    return values, errors, n
+
+
+def _recurrence_table(lags, start: int, stop: int) -> list:
+    """Rows (alpha_1(n), ..., alpha_4(n)) for n in [start, stop): the
+    recurrence b_n = sum_i alpha_i(n) b_(n-i), alpha_i(n) = -sum_j
+    (q_(j,k) / q_(3,0)) (n-i)_j / (n)_3 over the terms of lag i, which
+    ``lags[i - 1]`` lists as pairs (j, q_(j,k) / q_(3,0)); alpha_i(n) is 0
+    for i > n, where b_(n-i) would precede b_-1."""
+    n = np.arange(start, stop, dtype=float)
+    den = n * (n - 1) * (n - 2)
+    cols = []
+    for i, terms in enumerate(lags, 1):
+        m = n - i
+        falling = (np.ones_like(m), m, m * (m - 1), m * (m - 1) * (m - 2))
+        num = sum(x * falling[j] for j, x in terms)
+        cols.append(np.where(m >= 0, -num / den, 0.0).tolist())
+    return list(zip(*cols))
+
+
+def _stopping_point(coeffs, lam: float, n0: int):
+    """The first N >= n0 at which every column of ``coeffs`` (rows b_0,
+    b_1, ...) meets the stopping rule of ``_taylor_step``, as (N, sums,
+    absolute sums, tail bounds), each indexed [order, column]; or None.
+    The sums are ``np.cumsum``'s, which adds in sequence."""
+    n = np.arange(len(coeffs), dtype=float)[:, None]
+    terms = np.stack((coeffs, n * coeffs, n * (n - 1) * coeffs))
+    sizes = np.cumsum(np.abs(terms), axis=1)
+    limit = _TRUNC * np.maximum(sizes, sizes[0])
+    # lam^N max_(k<N) |b_k| lam^-k at N = k + 1, in logarithms
+    logs = np.log(np.abs(coeffs)) - n * math.log(lam)
+    peak = np.exp(np.maximum.accumulate(logs, axis=0)
+                  + (n + 1) * math.log(lam))
+    tails = np.stack([peak * _tail_weight(d, n + 1, lam) for d in range(3)])
+    ok = ((np.abs(terms) <= limit) & (tails <= limit)).all(axis=(0, 2))
+    ok[:n0 - 1] = False
+    if not ok.any():
+        return None
+    k = int(ok.argmax())
+    return k + 1, np.cumsum(terms, axis=1)[:, k], sizes[:, k], tails[:, k]
+
+
+def _tail_weight(d: int, n: int, lam: float) -> float:
+    """sum_(t >= 0) (n + t)_d lam^t for d = 0, 1, 2, in closed form."""
+    r = 1 / (1 - lam)
+    return (r, n * r + lam * r * r,
+            n * (n - 1) * r + 2 * n * lam * r * r + 2 * lam * lam * r ** 3)[d]
+
+
+def ode_integrate(spec: HypergeometricSpec, u0: float, y0,
+                  u1: float) -> OdeResult:
+    """Continue a solution of the operator from ``u0`` to ``u1``.
 
     ``y0`` is the triple (value, first, second derivative) at ``u0``; the
-    returned triple is the state at ``u1``.  The path may not touch or
-    cross the singular points 0 and 1.  The absolute tolerance is a
-    thousandth of ``rtol`` at the scale of the initial data, so a solution
-    of any magnitude is integrated to ``rtol``; zero initial data stays
-    zero, since the system is linear and homogeneous.
+    returned ``OdeResult`` is the triple at ``u1``, with a bound on each
+    entry's error, taking ``y0`` as exact.  The path may not touch or cross
+    the singular points 0 and 1.  It is covered by Taylor steps, each at
+    most _STEP_RATIO of its centre's distance to {0, 1}
+    (``_taylor_step``).  Each step sums the series of the solution itself
+    and bounds that sum's error; from the second step on it also continues
+    the three unit initial data, whose values (the step's transition
+    matrix) and their errors carry the bound so far.  Zero initial data
+    stays zero: the equation is linear and homogeneous.
     """
-    # imported on first use: scipy.integrate adds ~18 MB to every process
-    from scipy.integrate import solve_ivp
-
+    u0, u1 = _finite(u0, "u0"), _finite(u1, "u1")
     if u0 in (0.0, 1.0) or u1 in (0.0, 1.0):
         raise AlgebraError("endpoints must avoid the singular points 0 and 1")
     if _segment(u0) != _segment(u1):
@@ -461,22 +734,33 @@ def ode_integrate(spec: HypergeometricSpec, u0: float, y0, u1: float,
     y0 = tuple(float(v) for v in y0)
     if len(y0) != 3:
         raise AlgebraError("initial data must be (value, first, second derivative)")
+    if not all(map(math.isfinite, y0)):
+        raise AlgebraError(f"initial data y0 must be finite, got {y0!r}")
+    state, bound, steps, terms = y0, (0.0, 0.0, 0.0), 0, 0
     if u0 == u1 or not any(y0):
-        return y0
-    coeffs = derivative_coefficients(spec)
-
-    def rhs(u, y):
-        lead = poly_eval(coeffs[3], u)
-        forcing = sum(poly_eval(coeffs[k], u) * y[k] for k in range(3))
-        return (y[1], y[2], -forcing / lead)
-
-    sol = solve_ivp(rhs, (u0, u1), y0, method="DOP853",
-                    rtol=rtol, atol=1e-3 * rtol * max(map(abs, y0)),
-                    dense_output=False)
-    if not sol.success:
-        raise AlgebraError(
-            f"integration from {u0} to {u1} failed: {sol.message}")
-    return tuple(float(v) for v in sol.y[:, -1])
+        return OdeResult(state, bound, steps, terms)
+    polys = derivative_coefficients(spec)
+    parts = _pole_parts(polys)
+    units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    c = u0
+    while c != u1:
+        if steps == _MAX_STEPS:
+            raise AlgebraError(
+                f"path from {u0!r} to {u1!r} needs more than {_MAX_STEPS} "
+                "Taylor steps: it runs too close to a singular point")
+        reach = _STEP_RATIO * min(abs(c), abs(c - 1))
+        # |nxt - c| <= |c| / 2, so nxt - c is exact (Sterbenz)
+        nxt = u1 if abs(u1 - c) <= reach else c + math.copysign(reach, u1 - c)
+        # the unit solutions carry the error so far: their values at nxt
+        # form the step's transition matrix
+        values, errors, used = _taylor_step(
+            polys, parts, c, nxt - c, (state,) + (units if any(bound) else ()))
+        state, bound = values[0], tuple(
+            errors[0][d] + sum((abs(v[d]) + e[d]) * b for v, e, b in
+                               zip(values[1:], errors[1:], bound))
+            for d in range(3))
+        c, steps, terms = nxt, steps + 1, terms + used
+    return OdeResult(state, bound, steps, terms)
 
 
 def fundamental_matrix(spec: HypergeometricSpec, u0: float = 0.1) -> tuple:
@@ -496,6 +780,8 @@ def hyp_grid(spec: HypergeometricSpec, start: float, stop: float,
     within 1e-12 of stop is stop itself).  Each root's series is summed at
     every point in one ``_frobenius_pass``, which computes its coefficients
     once, as far as the point that needs the most terms."""
+    start, stop, step = (_finite(x, name) for x, name in
+                         ((start, "start"), (stop, "stop"), (step, "step")))
     if not 0 < start <= stop < 1:
         raise AlgebraError("grid must sit inside (0, 1)")
     if step <= 0:

@@ -324,10 +324,10 @@ def test_gmc_layer_calls_no_numpy_blas():
     holds no ``@`` and no call to ``np.dot``, ``np.matmul``, ``np.inner``,
     ``np.einsum``, ``np.tensordot`` or ``np.linalg``.
 
-    Two numpy calls that reach numpy's LAPACK are allowed: ``np.polyfit``
-    (the 4 x 2 least-squares fit of ``fusion_probe``, single-threaded) and
-    ``np.polynomial.legendre.leggauss`` (computed once per node count and
-    cached by ``_legendre``)."""
+    One numpy call that reaches numpy's LAPACK is allowed: ``np.polyfit``
+    (the 4 x 2 least-squares fit of ``fusion_probe``, single-threaded).
+    The Gauss-Legendre rule comes from ``hyp_numeric.legendre_rule``, which
+    computes each node count once."""
     tree = ast.parse(inspect.getsource(gmc_mc))
     banned = {"dot", "matmul", "inner", "einsum", "tensordot", "linalg"}
     found = []

@@ -1,6 +1,7 @@
 """Tests for the floating-point hypergeometric layer."""
 
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3toda import hyp_numeric
+from w3toda import gmc_mc, hyp_numeric
 from w3toda.algebra_core import OMEGA2, AlgebraError, CartanVector, poly_eval
 from w3toda.hyp_numeric import (
     SeriesSolution,
@@ -25,7 +26,7 @@ from w3toda.hyp_numeric import (
     series_eval,
     substitute_gamma,
 )
-from w3toda.ward_bpz import HypergeometricSpec, bpz_spec
+from w3toda.ward_bpz import HypergeometricSpec, bpz_spec, indicial_exponents
 
 
 def mkspec(a, b):
@@ -46,6 +47,91 @@ def reference_series(a, b, u, n=400):
 
 
 GENERIC = ((F(3, 10), F(-7, 10), F(6, 5)), (F(3, 5), F(7, 5)))
+
+
+def _mpf(x):
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(x, F):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def frobenius_mp(spec, sigma, u) -> list:
+    """(f, f', f'') at ``u`` of u^sigma 3F2(A + sigma; lower; u), the
+    lower parameters being {1 + sigma, B1 + sigma, B2 + sigma} less the one
+    equal to 1, by mpmath.hyp3f2 (call inside a raised precision); the
+    derivatives of 3F2 are (prod A / prod B) 3F2(A + 1; B + 1; u) again."""
+    mpmath = pytest.importorskip("mpmath")
+    s, x = _mpf(sigma), mpmath.mpf(u)
+    a = [_mpf(v) + s for v in spec.a]
+    lower = [1 + s] + [_mpf(v) + s for v in spec.b]
+    lower.pop(min(range(3), key=lambda i: abs(lower[i] - 1)))
+    g, scale = [], mpmath.mpf(1)
+    for k in range(3):
+        g.append(scale * mpmath.hyp3f2(*(v + k for v in a),
+                                       *(v + k for v in lower), x))
+        scale *= mpmath.fprod(v + k for v in a) / mpmath.fprod(
+            v + k for v in lower)
+    w = (x ** s, s * x ** (s - 1), s * (s - 1) * x ** (s - 2))
+    return [w[0] * g[0], w[1] * g[0] + w[0] * g[1],
+            w[2] * g[0] + 2 * w[1] * g[1] + w[0] * g[2]]
+
+
+def continued_mp(spec, u0, y0, u1) -> list:
+    """The solution with the float initial data ``y0`` at ``u0``, at
+    ``u1`` (both in (0, 1)), at 30 digits: ``y0`` written in the basis of
+    the three Frobenius solutions (``frobenius_mp``) at u0, and the same
+    combination taken at u1."""
+    mpmath = pytest.importorskip("mpmath")
+    roots = indicial_exponents(spec)
+    with mpmath.workdps(30):
+        start = mpmath.matrix([frobenius_mp(spec, r, u0) for r in roots]).T
+        weights = mpmath.lu_solve(start, mpmath.matrix(list(map(_mpf, y0))))
+        end = [frobenius_mp(spec, r, u1) for r in roots]
+        return [sum(weights[i] * end[i][d] for i in range(3))
+                for d in range(3)]
+
+
+def odefun_mp(spec, u0, y0, u1) -> list:
+    """The solution with initial data ``y0`` at ``u0``, at ``u1``, by
+    mpmath.odefun (arbitrary-precision Taylor series) on the companion
+    system of the float coefficients of ``derivative_coefficients`` (the
+    equation ``ode_integrate`` is given), at 30 digits.  odefun runs
+    forward only, so it integrates g(t) = f(u0 + s t), s = sign(u1 - u0),
+    whose derivatives are s^k f^(k)."""
+    mpmath = pytest.importorskip("mpmath")
+    polys = [[_mpf(c) for c in p] for p in derivative_coefficients(spec)]
+    s = 1 if u1 > u0 else -1
+    with mpmath.workdps(30):
+        x0 = _mpf(u0)
+
+        def rhs(t, y):
+            u = x0 + s * t
+            p = [mpmath.polyval(c[::-1], u) for c in polys]
+            return [y[1], y[2],
+                    -s * sum(p[k] * s ** k * y[k] for k in range(3)) / p[3]]
+
+        g = mpmath.odefun(rhs, 0, [_mpf(v) * s ** k for k, v in enumerate(y0)])
+        end = g(abs(_mpf(u1) - x0))
+        return [end[k] * s ** k for k in range(3)]
+
+
+def exact_chain_spec(seed: int):
+    """A bulk-boundary reduction drawn as the exact_chain benchmark draws
+    its own: gamma = n/20 for n in 9..18, alpha with coordinates k/6,
+    beta* = k/4 omega_2, either screening branch, redrawn until no two
+    indicial exponents differ by an integer."""
+    rng = random.Random(seed)
+    while True:
+        g = F(rng.randint(9, 18), 20)
+        alpha = CartanVector(F(rng.randint(1, 6), 6), F(rng.randint(1, 6), 6))
+        beta = F(rng.randint(1, 9), 4) * OMEGA2
+        spec = bpz_spec("bulk_boundary", (alpha, beta),
+                        rng.choice(("gamma", "2/gamma")), g)
+        roots = indicial_exponents(spec)
+        if all((x - y).denominator != 1
+               for i, x in enumerate(roots) for y in roots[i + 1:]):
+            return spec
 
 
 class TestGammaFn:
@@ -115,6 +201,28 @@ class TestPaperIntegrals:
         third = paper_integrals(0.01)[2]
         assert third.numeric == pytest.approx(math.pi, rel=0.01)
 
+    @pytest.mark.parametrize("gamma", [0.01] + [k / 20 for k in range(1, 20)])
+    def test_sweep_against_mpmath_within_quad_error(self, gamma):
+        # the closed forms of test_against_mpmath_special_functions; at
+        # gamma = 0.01 the substituted kernels vary within 5e-5 of s = 1,
+        # which the node count has to reach before I_n and I_2n tell
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            g2 = mpmath.mpf(gamma) ** 2
+            refs = (mpmath.beta(g2 / 2, 1 - g2),
+                    2 / g2 * mpmath.hyp2f1(g2, g2 / 2, 1 + g2 / 2, -1),
+                    mpmath.beta(mpmath.mpf(1) / 2, (1 - g2) / 2))
+        for pair, ref in zip(paper_integrals(gamma), map(float, refs)):
+            assert 0 < pair.quad_error <= 1e-7 * abs(ref)
+            assert abs(pair.numeric - ref) <= pair.quad_error
+
+    def test_rule_is_shared_and_read_only(self):
+        assert gmc_mc.legendre_rule is hyp_numeric.legendre_rule
+        x, w = hyp_numeric.legendre_rule(16)
+        assert x is hyp_numeric.legendre_rule(16)[0]
+        assert not (x.flags.writeable or w.flags.writeable)
+        assert float(w.sum()) == pytest.approx(2.0, rel=1e-15)
+
     @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.3, -0.2])
     def test_range_guard(self, gamma):
         with pytest.raises(AlgebraError, match="gamma"):
@@ -129,6 +237,10 @@ class TestPaperIntegrals:
 
 
 class TestSeriesEval:
+    def test_non_finite_argument_is_named(self):
+        with pytest.raises(AlgebraError, match="u must be finite"):
+            series_derivatives(mkspec(*GENERIC), 0, math.nan)
+
     def test_value_at_origin(self):
         spec = mkspec(*GENERIC)
         assert series_eval(spec, 0, 0.0) == 1.0
@@ -367,6 +479,75 @@ class TestOdeIntegrate:
             assert abs(x - y) < 1e-7 * abs(y)
 
 
+    def test_result_is_the_state_triple_with_its_bound(self):
+        spec = mkspec(*GENERIC)
+        y0 = series_derivatives(spec, 0, 0.5, orders=2)
+        out = ode_integrate(spec, 0.5, y0, 0.85)
+        ref = series_derivatives(spec, 0, 0.85, orders=2)
+        assert isinstance(out, tuple) and len(out) == 3
+        assert out == tuple(out) and len(list(zip(out, ref))) == 3
+        assert out.steps == 2 and out.terms > 0
+        assert all(0 < b <= 1e-12 * max(1.0, abs(y))
+                   for b, y in zip(out.bound, out))
+        assert out.to_json() == {"state": list(out), "bound": list(out.bound),
+                                 "steps": out.steps, "terms": out.terms}
+        back = pickle.loads(pickle.dumps(out))
+        assert back == out and back.bound == out.bound
+        assert (back.steps, back.terms) == (out.steps, out.terms)
+
+    def test_nothing_to_continue_has_a_zero_bound(self):
+        spec = mkspec(*GENERIC)
+        for out in (ode_integrate(spec, 0.2, (0, 0, 0), 0.8),
+                    ode_integrate(spec, 0.3, (1.0, 2.0, 3.0), 0.3)):
+            assert (out.bound, out.steps, out.terms) == ((0.0,) * 3, 0, 0)
+
+    @pytest.mark.parametrize("u0, y0, u1, name", [
+        (math.nan, (1, 0, 0), 1.5, "u0"),
+        (math.inf, (1, 0, 0), 2.0, "u0"),
+        (-math.inf, (1, 0, 0), -2.0, "u0"),
+        (0.2, (1, 0, 0), math.nan, "u1"),
+        (1.5, (1, 0, 0), math.inf, "u1"),
+        (0.2, (1, math.nan, 0), 0.5, "y0"),
+        (0.2, (math.inf, 0, 0), 0.5, "y0"),
+    ])
+    def test_non_finite_input_is_named(self, u0, y0, u1, name):
+        # a NaN or an infinite endpoint used to spin the integrator
+        with pytest.raises(AlgebraError, match=f"{name} must be finite"):
+            ode_integrate(mkspec(*GENERIC), u0, y0, u1)
+
+    @pytest.mark.parametrize("u0, u1", [(-0.5, -3.0), (1.5, 3.0),
+                                        (30.0, 2.0), (0.05, 0.02),
+                                        (0.95, 0.98), (0.9, 0.1)])
+    def test_bound_holds_against_odefun(self, u0, u1):
+        # paths off (0, 1), one of them far from both singular points, and
+        # paths inside it next to each singular point
+        spec = mkspec(*GENERIC)
+        y0 = (1.0, -0.5, 0.25)
+        out = ode_integrate(spec, u0, y0, u1)
+        ref = odefun_mp(spec, u0, y0, u1)
+        for x, r, b in zip(out, ref, out.bound):
+            # observed: errors at most 2 % of the bound, bounds at most
+            # 5e-13 of max(1, |value|)
+            assert abs(x - r) <= b <= 1e-11 * max(1.0, abs(x))
+
+    def test_bound_holds_on_exact_chain_specs(self):
+        # the benchmark's path: series data at 0.5, continued to 0.85, for
+        # every root of 100 drawn reductions
+        within_target = 0
+        for seed in range(100):
+            spec = exact_chain_spec(seed)
+            for sigma in indicial_exponents(spec):
+                y0 = series_derivatives(spec, sigma, 0.5, orders=2)
+                out = ode_integrate(spec, 0.5, y0, 0.85)
+                ref = continued_mp(spec, 0.5, y0, 0.85)
+                for x, r, b in zip(out, ref, out.bound):
+                    assert abs(x - r) <= b
+                    within_target += b <= 1e-12 * max(1.0, abs(x))
+        # observed: 892 of the 900 bounds within 1e-12 of max(1, |value|),
+        # the largest 5.0e-12, where the series terms cancel
+        assert within_target >= 880
+
+
 class TestFundamentalMatrix:
     def test_nonsingular_at_default_point(self):
         matrix, cond = fundamental_matrix(mkspec(*GENERIC))
@@ -419,6 +600,11 @@ class TestHypGrid:
             hyp_grid(spec, 0.0, 0.5, 0.1)
         with pytest.raises(AlgebraError, match="step"):
             hyp_grid(spec, 0.1, 0.5, 0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_is_named(self, step):
+        with pytest.raises(AlgebraError, match="step must be finite"):
+            hyp_grid(mkspec(*GENERIC), 0.05, 0.5, step)
 
 
 # Both bpz_spec families at gamma = 7/10, each screening branch; none has

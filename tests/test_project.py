@@ -120,27 +120,30 @@ def test_private_constructors_stay_in_the_kernel():
     assert outside == []
 
 
-def test_scipy_integrate_is_imported_on_first_use():
-    # importing the package loads neither scipy.integrate nor the
-    # scipy.optimize it pulls in (about 18 MB in every process, the Monte
-    # Carlo ones included); the two functions that integrate import it
+def test_no_numeric_path_loads_scipy_integrate():
+    # importing every module and running the four hypergeometric numerics
+    # loads none of scipy.integrate, the scipy.optimize it pulls in, or
+    # scipy.sparse (together about 18 MB in every process)
     code = textwrap.dedent("""
-        import importlib, pkgutil, sys
+        import importlib, math, pkgutil, sys
         from fractions import Fraction as F
         import w3toda
         for info in pkgutil.iter_modules(w3toda.__path__):
             importlib.import_module("w3toda." + info.name)
-        loaded = [m for m in ("scipy.integrate", "scipy.optimize")
-                  if m in sys.modules]
-        assert loaded == [], loaded
-        from w3toda.hyp_numeric import ode_integrate, paper_integrals
+        from w3toda.hyp_numeric import (
+            hyp_grid, ode_integrate, paper_integrals, series_derivatives)
         from w3toda.ward_bpz import HypergeometricSpec
         assert len(paper_integrals(0.8)) == 3
         spec = HypergeometricSpec(
             "bulk_boundary", F(1), (F(3, 10), F(-7, 10), F(6, 5)),
             (F(3, 5), F(7, 5)), (("i", F(0)),), "u")
-        assert len(ode_integrate(spec, 0.2, (1.0, 0.0, 0.0), 0.3)) == 3
-        assert "scipy.integrate" in sys.modules
+        y0 = series_derivatives(spec, 0, 0.5, orders=2)
+        assert len(ode_integrate(spec, 0.5, y0, 0.85)) == 3
+        assert len(ode_integrate(spec, 1.5, (1.0, 0.0, 0.0), 2.5)) == 3
+        assert len(hyp_grid(spec, 0.05, 0.5, 0.05)) == 10
+        loaded = [m for m in ("scipy.integrate", "scipy.optimize",
+                              "scipy.sparse") if m in sys.modules]
+        assert loaded == [], loaded
         """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -148,3 +151,20 @@ def test_scipy_integrate_is_imported_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_source_module_imports_scipy_integrate():
+    found = []
+    for path in sorted((ROOT / "src" / "w3toda").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                   for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
