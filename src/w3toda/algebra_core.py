@@ -14,11 +14,17 @@ objects: a ``CFrac`` is one integer triple (a + b i)/d, and a ``RatFunc``
 multiplies, shifts and compares by a constant (an int, a ``Fraction`` or a
 lower-level ``RatFunc``) on its own numerator, without lifting the constant
 to a ``RatFunc`` first.
+
+``encode`` and ``decode`` are the one JSON form of these values: every
+record of the exact layers serializes through ``encode``, most of them as
+the field walk of ``Record``, and the records that are read back
+(``FieldPolynomial``, ``CorrelatorConfig``, ``CartanVector``) read their
+scalars with ``decode``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -480,16 +486,6 @@ class RatFunc:
             raise AlgebraError(f"evaluation hits a pole of {self.var!r}")
         return num / den
 
-    def to_json(self) -> dict:
-        def enc(cs):
-            out = []
-            for c in cs:
-                if not isinstance(c, Fraction):
-                    raise AlgebraError("JSON form requires rational coefficients")
-                out.append(str(c))
-            return out
-        return {"num": enc(self.num), "den": enc(self.den)}
-
     def __repr__(self):
         num = _poly_str(self.num, self.var)
         if self.den == _ONE:
@@ -499,12 +495,6 @@ class RatFunc:
 
 def variable(name: str) -> RatFunc:
     return RatFunc(name, (Fraction(0), Fraction(1)))
-
-
-def ratfunc_from_json(var: str, data: dict) -> RatFunc:
-    num = tuple(Fraction(c) for c in data["num"])
-    den = tuple(Fraction(c) for c in data["den"])
-    return RatFunc(var, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -750,19 +740,77 @@ class CartanVector:
             return c.evaluate(assignment) if isinstance(c, RatFunc) else c
         return (ev(self.c1), ev(self.c2))
 
-    def to_json(self):
-        def enc(c):
-            if isinstance(c, Fraction):
-                return str(c)
-            raise AlgebraError("JSON form requires rational coordinates")
-        return [enc(self.c1), enc(self.c2)]
-
     @staticmethod
     def from_json(data) -> "CartanVector":
-        return CartanVector(Fraction(data[0]), Fraction(data[1]))
+        """The vector whose ``encode`` is ``data``."""
+        return CartanVector(decode(data[0]), decode(data[1]))
 
     def __repr__(self):
         return f"CartanVector({self.c1!r}, {self.c2!r})"
+
+
+# ---------------------------------------------------------------------------
+# The JSON form of exact values.  ``encode`` writes it and ``decode`` reads a
+# scalar back; no other code in the package knows what it looks like.
+# ---------------------------------------------------------------------------
+
+def encode(x):
+    """The JSON form of an exact value, or of a record of them.
+
+    A ``Fraction`` is its string ("3/4"), a ``CFrac`` the pair [re, im] of
+    such strings, and a ``RatFunc`` {"var", "num", "den"} with every
+    coefficient encoded in turn, so that kappa over Q(q) nests.  A
+    ``CartanVector`` becomes a list.  A record is its ``to_json``.  Any
+    other tuple or list becomes a list and a dict keeps its keys, with
+    their entries encoded.  None, bools, ints, floats and strings stay as
+    they are.
+    """
+    if x is None or isinstance(x, (int, float, str)):
+        return x
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, CFrac):
+        return [str(x.re), str(x.im)]
+    if isinstance(x, RatFunc):
+        return {"var": x.var, "num": [encode(c) for c in x.num],
+                "den": [encode(c) for c in x.den]}
+    if isinstance(x, CartanVector):
+        return [encode(x.c1), encode(x.c2)]
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, (tuple, list)):
+        return [encode(v) for v in x]
+    if isinstance(x, dict):
+        return {k: encode(v) for k, v in x.items()}
+    raise AlgebraError(f"no JSON form for {type(x).__name__}")
+
+
+def decode(data):
+    """The exact scalar whose ``encode`` is ``data``, read with no type
+    hint: a string is a ``Fraction``, a pair a ``CFrac`` and a dict with
+    "var" a ``RatFunc``; None and numbers come back as they are."""
+    if data is None or isinstance(data, (int, float)):
+        return data
+    try:
+        if isinstance(data, str):
+            return Fraction(data)
+        if isinstance(data, list) and len(data) == 2:
+            return CFrac(decode(data[0]), decode(data[1]))
+        if isinstance(data, dict) and "var" in data:
+            return RatFunc(data["var"], [decode(c) for c in data["num"]],
+                           [decode(c) for c in data["den"]])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise AlgebraError(
+            f"cannot decode {data!r} as an exact scalar: {exc}") from None
+    raise AlgebraError(f"cannot decode {data!r} as an exact scalar")
+
+
+class Record:
+    """Base of the exact layers' frozen dataclass records: the JSON form
+    of one is {field: encode(value)}, in field order."""
+
+    def to_json(self) -> dict:
+        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
 
 
 def inner(u: CartanVector, v: CartanVector):

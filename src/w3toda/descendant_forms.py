@@ -5,6 +5,8 @@ holomorphic derivative of the two-component field: monomials are finite
 products of factors ``<e_i, d^p Phi>`` and polynomials attach exact scalar
 coefficients (``Fraction`` or ``RatFunc``) to them.  Every polynomial is
 homogeneous: all monomials share one total derivative degree (the "level").
+Its JSON form lists the terms, each coefficient written by
+``algebra_core.encode`` and read back by ``algebra_core.decode``.
 
 Virasoro-type forms at levels up to three are produced from explicit closed
 formulas (``l_form``).  The spin-3 forms (``miura_w_form``) are generated by
@@ -41,13 +43,14 @@ from .algebra_core import (
     RHO,
     AlgebraError,
     CartanVector,
-    CFrac,
     RatFunc,
+    Record,
     _HVECS,
     _as_coeff,
+    decode,
+    encode,
     inner,
     q_of_gamma,
-    ratfunc_from_json,
     variable,
 )
 
@@ -58,35 +61,6 @@ _AINV = (
 )
 
 _SUPPORTED = "(n,) for n >= 1, (1, 1), (1, 2), (1, 1, 1)"
-
-
-def scalar_to_json(c) -> dict:
-    """Serialize an exact scalar: plain rationals as {num, den}, rational
-    functions with their variable name and coefficient lists."""
-    if isinstance(c, RatFunc):
-        data = c.to_json()
-        data["var"] = c.var
-        return data
-    c = _as_coeff(c)
-    return {"num": str(c.numerator), "den": str(c.denominator)}
-
-
-def scalar_from_json(data) -> object:
-    if "var" in data:
-        return ratfunc_from_json(data["var"], data)
-    return Fraction(int(data["num"]), int(data["den"]))
-
-
-def _scalar_json(c):
-    """Display encoding of a scalar in the records' ``to_json``: floats and
-    None as they are, complex rationals as [re, im] strings, other exact
-    scalars as their string.  It is not read back; the round-trip format
-    is ``scalar_to_json``."""
-    if c is None or isinstance(c, float):
-        return c
-    if isinstance(c, CFrac):
-        return [str(c.re), str(c.im)]
-    return str(c)
 
 
 @dataclass(frozen=True)
@@ -205,21 +179,18 @@ class FieldPolynomial:
     __hash__ = None
 
     def to_json(self) -> list:
-        out = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: kv[0].factors):
-            out.append({
-                "factors": [[p, i] for p, i in m.factors],
-                "coeff": scalar_to_json(c),
-            })
-        return out
+        """[{"factors": [[p, i], ...], "coeff": encode(c)}, ...] in monomial
+        order."""
+        return [{"factors": encode(m.factors), "coeff": encode(c)}
+                for m, c in sorted(self.terms.items(),
+                                   key=lambda kv: kv[0].factors)]
 
     @staticmethod
     def from_json(data) -> "FieldPolynomial":
-        terms = {}
-        for entry in data:
-            m = FieldMonomial(tuple((p, i) for p, i in entry["factors"]))
-            terms[m] = scalar_from_json(entry["coeff"])
-        return FieldPolynomial(terms)
+        return FieldPolynomial({
+            FieldMonomial(tuple(map(tuple, entry["factors"]))):
+                decode(entry["coeff"])
+            for entry in data})
 
     def __repr__(self):
         if not self.terms:
@@ -234,7 +205,7 @@ _WEIGHT_TAGS = ("generic", "semi_degenerate", "fully_degenerate")
 
 
 @dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Highest-weight vector together with its degeneracy class.
 
     ``generic`` weights carry no constraint.  ``semi_degenerate`` weights lie

@@ -48,6 +48,8 @@ from .algebra_core import (
     CFrac,
     background_charge,
     conformal_weight,
+    decode,
+    encode,
     inner,
     q_of_gamma,
     spin,
@@ -66,25 +68,24 @@ from .descendant_forms import (
 
 def _exact_real(x, where: str) -> Fraction:
     try:
-        if isinstance(x, bool):
-            raise ValueError
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-    except (ValueError, ZeroDivisionError):
+        y = decode(x) if isinstance(x, str) else x
+        if isinstance(y, (int, Fraction, float)) and not isinstance(y, bool):
+            return Fraction(y)
+    except (ValueError, OverflowError):
         pass
     raise AlgebraError(f"{where}: cannot interpret {x!r} as an exact real")
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2
 
 
 def _exact_complex(x, where: str) -> CFrac:
     if isinstance(x, CFrac):
         return x
     if isinstance(x, complex):
-        return CFrac(Fraction(x.real), Fraction(x.imag))
-    if isinstance(x, (list, tuple)) and len(x) == 2:
+        x = (x.real, x.imag)
+    if _is_pair(x):
         return CFrac(_exact_real(x[0], where), _exact_real(x[1], where))
     return CFrac(_exact_real(x, where))
 
@@ -92,7 +93,7 @@ def _exact_complex(x, where: str) -> CFrac:
 def _weight(x, where: str) -> CartanVector:
     if isinstance(x, CartanVector):
         return x
-    if isinstance(x, (list, tuple)) and len(x) == 2:
+    if _is_pair(x):
         return CartanVector(_exact_real(x[0], where), _exact_real(x[1], where))
     raise AlgebraError(f"{where}: weight needs two root-basis coordinates")
 
@@ -145,7 +146,7 @@ class CorrelatorConfig:
             boundary.append((s, _weight(beta, f"/boundary/{l}/beta")))
         object.__setattr__(self, "boundary", tuple(boundary))
 
-        if len(self.mu_bulk) != 2:
+        if not _is_pair(self.mu_bulk):
             raise AlgebraError("/mu_bulk: needs exactly two components")
         mu_bulk = tuple(_exact_real(x, f"/mu_bulk/{i}")
                         for i, x in enumerate(self.mu_bulk))
@@ -157,13 +158,15 @@ class CorrelatorConfig:
         if self.mu_boundary is None:
             object.__setattr__(self, "mu_boundary",
                                ((Fraction(0), Fraction(0)),) * arcs)
+        if not isinstance(self.mu_boundary, (list, tuple)):
+            raise AlgebraError("/mu_boundary: needs a list of (mu_1, mu_2) pairs")
         if len(self.mu_boundary) != arcs:
             raise AlgebraError(
                 f"/mu_boundary: needs one (mu_1, mu_2) pair per arc, "
                 f"expected {arcs}, got {len(self.mu_boundary)}")
         mub = []
         for l, pair in enumerate(self.mu_boundary):
-            if len(pair) != 2:
+            if not _is_pair(pair):
                 raise AlgebraError(f"/mu_boundary/{l}: needs two components")
             pair = tuple(_exact_real(x, f"/mu_boundary/{l}/{i}")
                          for i, x in enumerate(pair))
@@ -251,37 +254,36 @@ class CorrelatorConfig:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        """The field walk, with each insertion as a keyed object."""
         return {
-            "gamma": str(self.gamma),
-            "bulk": [{"z": [str(z.re), str(z.im)],
-                      "alpha": [str(a.c1), str(a.c2)]} for z, a in self.bulk],
-            "boundary": [{"s": str(s), "beta": [str(b.c1), str(b.c2)]}
+            "gamma": encode(self.gamma),
+            "bulk": [{"z": encode(z), "alpha": encode(a)} for z, a in self.bulk],
+            "boundary": [{"s": encode(s), "beta": encode(b)}
                          for s, b in self.boundary],
-            "mu_bulk": [str(x) for x in self.mu_bulk],
-            "mu_boundary": [[str(x) for x in pair] for pair in self.mu_boundary],
+            "mu_bulk": encode(self.mu_bulk),
+            "mu_boundary": encode(self.mu_boundary),
         }
 
     @staticmethod
     def from_json(data: dict) -> "CorrelatorConfig":
+        """The configuration of a JSON object; bad input raises an
+        ``AlgebraError`` that names its JSON path."""
         if not isinstance(data, dict):
             raise AlgebraError("/: configuration must be a JSON object")
         if "gamma" not in data:
             raise AlgebraError("/gamma: required")
-        bulk = []
-        for k, entry in enumerate(data.get("bulk", [])):
-            if not isinstance(entry, dict) or "z" not in entry or "alpha" not in entry:
-                raise AlgebraError(f"/bulk/{k}: needs 'z' and 'alpha'")
-            bulk.append((entry["z"], entry["alpha"]))
-        boundary = []
-        for l, entry in enumerate(data.get("boundary", [])):
-            if not isinstance(entry, dict) or "s" not in entry or "beta" not in entry:
-                raise AlgebraError(f"/boundary/{l}: needs 's' and 'beta'")
-            boundary.append((entry["s"], entry["beta"]))
-        arcs = max(len(boundary), 1)
-        mu_bulk = data.get("mu_bulk", [0, 0])
-        mu_boundary = data.get("mu_boundary", [[0, 0]] * arcs)
-        return CorrelatorConfig(data["gamma"], tuple(bulk), tuple(boundary),
-                                tuple(mu_bulk), tuple(tuple(p) for p in mu_boundary))
+        insertions = []
+        for key, (a, b) in (("bulk", ("z", "alpha")), ("boundary", ("s", "beta"))):
+            entries = data.get(key, [])
+            if not isinstance(entries, list):
+                raise AlgebraError(f"/{key}: must be a JSON array")
+            for k, entry in enumerate(entries):
+                if not isinstance(entry, dict) or a not in entry or b not in entry:
+                    raise AlgebraError(f"/{key}/{k}: needs {a!r} and {b!r}")
+            insertions.append(tuple((e[a], e[b]) for e in entries))
+        return CorrelatorConfig(data["gamma"], *insertions,
+                                data.get("mu_bulk", (0, 0)),
+                                data.get("mu_boundary"))
 
 
 def doubled_insertions(cfg: CorrelatorConfig) -> list:

@@ -31,7 +31,9 @@ from .algebra_core import (
     RHO,
     AlgebraError,
     CartanVector,
+    Record,
     conformal_weight,
+    encode,
     q_of_gamma,
     spin,
     variable,
@@ -40,7 +42,6 @@ from .descendant_forms import (
     FieldMonomial,
     FieldPolynomial,
     Weight,
-    _scalar_json,
     combine,
     l_form,
     miura_w_form,
@@ -55,19 +56,6 @@ _LEVEL_PARTITIONS = {1: ((1,),), 2: ((1, 1), (2,)), 3: ((3,), (1, 2), (1, 1, 1))
 
 _M1 = FieldMonomial(((1, 1),))
 _M2 = FieldMonomial(((1, 2),))
-
-
-def _vector_json(v: CartanVector) -> list:
-    return [_scalar_json(v.c1), _scalar_json(v.c2)]
-
-
-def _weight_json(w: Weight) -> dict:
-    return {
-        "vector": _vector_json(w.vector),
-        "tag": w.tag,
-        "index": w.index,
-        "parameter": _scalar_json(w.parameter),
-    }
 
 
 @dataclass(frozen=True)
@@ -93,15 +81,11 @@ class SingularVectorSpec:
                 f"weight, got tag {self.weight.tag!r}")
 
     def to_json(self) -> dict:
-        coeffs = {}
-        for key, c in self.coefficients.items():
-            name = key if key == W_KEY else ",".join(str(n) for n in key)
-            coeffs[name] = _scalar_json(c)
-        return {
-            "level": self.level,
-            "weight": _weight_json(self.weight),
-            "coefficients": coeffs,
-        }
+        """The field walk, with each multi-index key written as "1,1"."""
+        return {"level": self.level, "weight": encode(self.weight),
+                "coefficients": {
+                    key if key == W_KEY else ",".join(map(str, key)): encode(c)
+                    for key, c in self.coefficients.items()}}
 
 
 SingularVectorSpec.__hash__ = None
@@ -234,23 +218,7 @@ def eom_constant(name: str, gamma: float, mu_l1: float, mu_r1: float,
 
 
 @dataclass(frozen=True)
-class EomConstant:
-    """One Gamma-factor constant with the parameters that pin its value."""
-
-    name: str
-    gamma: float
-    mu_l1: float
-    mu_r1: float
-    mu_b1: float
-
-    @property
-    def value(self) -> float:
-        return eom_constant(self.name, self.gamma, self.mu_l1, self.mu_r1,
-                            self.mu_b1)
-
-
-@dataclass(frozen=True)
-class D2Table:
+class D2Table(Record):
     """Recorded second-order substitution at a shifted weight.
 
     ``polynomial`` is the level-two combination acting on the shifted
@@ -262,14 +230,6 @@ class D2Table:
     shifted: CartanVector
     polynomial: FieldPolynomial
     status: str = "unverified"
-
-    def to_json(self) -> dict:
-        return {
-            "weight": _weight_json(self.weight),
-            "shifted": _vector_json(self.shifted),
-            "polynomial": self.polynomial.to_json(),
-            "status": self.status,
-        }
 
 
 D2Table.__hash__ = None
@@ -306,7 +266,7 @@ def d2_table(weight: Weight, gamma=None) -> D2Table:
 
 
 @dataclass(frozen=True)
-class EomTerm:
+class EomTerm(Record):
     """One predicted term: a coefficient times a (substituted) primary field.
 
     ``kind`` is ``"primary"`` for a plain shifted-weight field, ``"D1"`` for
@@ -320,21 +280,12 @@ class EomTerm:
     a: object = None
     b: object = None
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coefficient": _scalar_json(self.coefficient),
-            "weight": _vector_json(self.weight),
-            "a": _scalar_json(self.a),
-            "b": _scalar_json(self.b),
-        }
-
 
 EomTerm.__hash__ = None
 
 
 @dataclass(frozen=True)
-class EomRecord:
+class EomRecord(Record):
     """Predicted boundary right-hand side for one null combination."""
 
     level: int
@@ -343,16 +294,6 @@ class EomRecord:
     terms: tuple
     notes: tuple = ()
     d2: D2Table = None
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "weight": _weight_json(self.weight),
-            "status": self.status,
-            "terms": [t.to_json() for t in self.terms],
-            "notes": list(self.notes),
-            "d2": None if self.d2 is None else self.d2.to_json(),
-        }
 
 
 EomRecord.__hash__ = None

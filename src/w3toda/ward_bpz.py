@@ -43,6 +43,7 @@ from .algebra_core import (
     AlgebraError,
     CartanVector,
     CFrac,
+    Record,
     _HVECS,
     background_charge,
     inner,
@@ -54,7 +55,6 @@ from .algebra_core import (
 )
 from .descendant_forms import (
     Weight,
-    _scalar_json,
     l_form,
     miura_w_form,
     screening_branch,
@@ -86,7 +86,7 @@ def weight_ray(vector: CartanVector):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PoleTerm:
+class PoleTerm(Record):
     """One term  coefficient * X_k / (z_k - t)^pole_order  of a local
     expansion; ``kind`` selects X_k: ``"derivative"`` for d/dz_k acting on
     the correlator, ``"w1"``/``"w2"`` for the tagged spin-3 descendant
@@ -97,14 +97,9 @@ class PoleTerm:
     pole_order: int
     coefficient: object
 
-    def to_json(self) -> dict:
-        return {"insertion": self.insertion, "kind": self.kind,
-                "pole_order": self.pole_order,
-                "coefficient": _scalar_json(self.coefficient)}
-
 
 @dataclass(frozen=True)
-class LocalWardRhs:
+class LocalWardRhs(Record):
     """Pole expansions of the mode-``n`` stress-tensor and spin-3 current
     insertions at the probe, over the doubled insertion list."""
 
@@ -120,12 +115,6 @@ class LocalWardRhs:
             if (t.insertion, t.kind, t.pole_order) == (insertion, kind, pole_order):
                 return t.coefficient
         return Fraction(0)
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode,
-                "probe": _scalar_json(self.probe),
-                "virasoro": [t.to_json() for t in self.virasoro],
-                "spin3": [t.to_json() for t in self.spin3]}
 
 
 def local_ward_rhs(n: int, t, cfg: CorrelatorConfig) -> LocalWardRhs:
@@ -218,7 +207,7 @@ def evaluate_pole_terms(terms, probe: CFrac, values: dict) -> CFrac:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DescendantTag:
+class DescendantTag(Record):
     """Unknown label: the level-``order`` spin-3 descendant ratio at doubled
     insertion ``insertion``; ``mirror_of`` marks reflected bulk copies,
     whose value is the conjugated anti-holomorphic descendant of the listed
@@ -228,23 +217,15 @@ class DescendantTag:
     order: int
     mirror_of: object = None
 
-    def to_json(self) -> dict:
-        return {"insertion": self.insertion, "order": self.order,
-                "mirror_of": self.mirror_of}
-
 
 @dataclass(frozen=True)
-class RowTerm:
+class RowTerm(Record):
     unknown: int
     coefficient: CFrac
 
-    def to_json(self) -> dict:
-        return {"unknown": self.unknown,
-                "coefficient": _scalar_json(self.coefficient)}
-
 
 @dataclass(frozen=True)
-class AffineTerm:
+class AffineTerm(Record):
     """Affine part of a row: ``"derivative"`` terms multiply d/dz_k acting
     on the correlator, ``"scalar"`` terms multiply the correlator itself."""
 
@@ -252,26 +233,17 @@ class AffineTerm:
     kind: str
     coefficient: CFrac
 
-    def to_json(self) -> dict:
-        return {"insertion": self.insertion, "kind": self.kind,
-                "coefficient": _scalar_json(self.coefficient)}
-
 
 @dataclass(frozen=True)
-class WardRow:
+class WardRow(Record):
     current: str
     index: int
     entries: tuple
     affine: tuple
 
-    def to_json(self) -> dict:
-        return {"current": self.current, "index": self.index,
-                "entries": [t.to_json() for t in self.entries],
-                "affine": [t.to_json() for t in self.affine]}
-
 
 @dataclass(frozen=True)
-class WardSystem:
+class WardSystem(Record):
     """Global constraint rows as a linear system in the tagged spin-3
     descendant unknowns (two per doubled insertion, 4N + 2M in total):
     three stress-tensor rows (index 0..2, no unknowns, derivative plus
@@ -301,17 +273,6 @@ class WardSystem:
                     total = total + term.coefficient * values["derivative"][term.insertion]
             out.append(total)
         return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "positions": [_scalar_json(z) for z in self.positions],
-            "weights": [[str(w.c1), str(w.c2)] for w in self.weights],
-            "n_bulk": self.n_bulk,
-            "n_boundary": self.n_boundary,
-            "unknowns": [t.to_json() for t in self.unknowns],
-            "rows": [r.to_json() for r in self.rows],
-            "reductions": dict(self.reductions),
-        }
 
 
 def global_ward_system(cfg: CorrelatorConfig) -> WardSystem:
@@ -397,7 +358,7 @@ def free_field_residuals(cfg: CorrelatorConfig) -> tuple:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClosabilityReport:
+class ClosabilityReport(Record):
     n_bulk: int
     n_boundary: int
     bulk_semi: int
@@ -405,12 +366,6 @@ class ClosabilityReport:
     unknowns: int
     deficit: int
     closable: bool
-
-    def to_json(self) -> dict:
-        return {"n_bulk": self.n_bulk, "n_boundary": self.n_boundary,
-                "bulk_semi": self.bulk_semi, "boundary_semi": self.boundary_semi,
-                "unknowns": self.unknowns, "deficit": self.deficit,
-                "closable": self.closable}
 
 
 def closability_deficit(n_bulk: int, n_boundary: int, bulk_semi: int,
@@ -456,18 +411,13 @@ def closable(bulk, boundary) -> ClosabilityReport:
 
 
 @dataclass(frozen=True)
-class ScanCase:
+class ScanCase(Record):
     n_bulk: int
     n_boundary: int
     bulk_semi: int
     boundary_semi: int
     deficit: int
     closable: bool
-
-    def to_json(self) -> dict:
-        return {"n_bulk": self.n_bulk, "n_boundary": self.n_boundary,
-                "bulk_semi": self.bulk_semi, "boundary_semi": self.boundary_semi,
-                "deficit": self.deficit, "closable": self.closable}
 
 
 def closable_scan(max_bulk: int = 1, max_boundary: int = 3) -> tuple:
@@ -551,7 +501,7 @@ def mu_condition_check(chi, gamma, mu_left, mu_right, mu_bulk1,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HypergeometricSpec:
+class HypergeometricSpec(Record):
     """Data of the third-order operator
     u * (A1 + u d)(A2 + u d)(A3 + u d) - (B1 - 1 + u d)(B2 - 1 + u d) u d
     together with the prefactor exponents and the argument variable of the
@@ -570,14 +520,6 @@ class HypergeometricSpec:
         b1, b2 = self.b
         return ((Fraction(1), 1, tuple(self.a)),
                 (Fraction(-1), 0, (Fraction(0), b1 - 1, b2 - 1)))
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "chi": _scalar_json(self.chi),
-                "a": [_scalar_json(x) for x in self.a],
-                "b": [_scalar_json(x) for x in self.b],
-                "prefactors": [[anchor, _scalar_json(e)]
-                               for anchor, e in self.prefactors],
-                "variable": self.variable}
 
 
 def indicial_polynomial(spec: HypergeometricSpec) -> tuple:

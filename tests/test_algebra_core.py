@@ -1,5 +1,6 @@
 """Unit tests for the exact scalar tower and the rank-2 Cartan-space layer."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -28,8 +29,9 @@ from w3toda.algebra_core import (
     constants,
     cw_constant,
     inner,
+    decode,
+    encode,
     q_of_gamma,
-    ratfunc_from_json,
     spin,
     variable,
 )
@@ -300,9 +302,29 @@ def test_unregistered_variable():
 def test_json_roundtrip():
     g = variable("gamma")
     f = (3 * g**2 - Fraction(1, 2)) / (g + 7)
-    data = f.to_json()
-    assert data["den"][-1] == "1"  # monic denominator
-    assert ratfunc_from_json("gamma", data) == f
+    data = encode(f)
+    assert data == {"var": "gamma", "num": ["-1/2", "0", "3"],
+                    "den": ["7", "1"]}  # monic denominator
+    assert decode(data) == f
+
+
+def test_cartan_vector_json_roundtrip():
+    kappa, q = variable("kappa"), variable("q")
+    assert encode(CartanVector(Fraction(1, 3), 2)) == ["1/3", "2"]
+    for v in (CartanVector(Fraction(1, 3), 2), CartanVector(kappa, 1),
+              CartanVector(kappa * q, 1 / q)):
+        assert CartanVector.from_json(json.loads(json.dumps(encode(v)))) == v
+
+
+def test_codec_rejects_what_it_cannot_read():
+    q_json = {"var": "q", "num": ["1"], "den": ["0", "1"]}
+    for bad in ("x", "1/0", ["1", "2", "3"], [q_json, "0"], {"num": ["1"]},
+                {"var": "q", "num": ["1"]}, {"var": "zeta", "num": [],
+                                             "den": ["1"]}):
+        with pytest.raises(AlgebraError, match="cannot decode"):
+            decode(bad)
+    with pytest.raises(AlgebraError, match="no JSON form"):
+        encode(object())
 
 
 def test_pole_evaluation_raises():
@@ -493,13 +515,25 @@ def _to_sympy(x, gens):
     """An exact scalar, nested coefficients included, as an element of
     sympy's field of rational functions, whose values ``sympy.cancel``
     keeps reduced; ``gens`` maps variable names to its generators."""
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return gens["q"].field(x)
     v = gens[x.var]
     num = sum((_to_sympy(c, gens) * v ** i for i, c in enumerate(x.num)),
               gens[x.var].field.zero)
     den = sum(_to_sympy(c, gens) * v ** i for i, c in enumerate(x.den))
     return num / den
+
+
+def _plain(sympy, x):
+    """An exact scalar as a plain sympy expression in the symbols q, kappa,
+    gamma and s, nested coefficients flattened into it."""
+    if isinstance(x, CFrac):
+        return _plain(sympy, x.re) + sympy.I * _plain(sympy, x.im)
+    if isinstance(x, (int, Fraction)):
+        return sympy.Rational(x.numerator, x.denominator)
+    v = sympy.Symbol(x.var)
+    return (sum(_plain(sympy, c) * v ** i for i, c in enumerate(x.num))
+            / sum(_plain(sympy, c) * v ** i for i, c in enumerate(x.den)))
 
 
 def _random_operand(rng, x):
@@ -546,21 +580,11 @@ def test_ratfunc_chains_match_sympy_cancel(seed):
         # canonical: monic denominator of the reduced degree
         assert x.den[-1] == 1
         assert want.denom.degree(gens[x.var].numer) == len(x.den) - 1
-        if all(isinstance(c, Fraction) for c in x.num + x.den):
-            data = x.to_json()
-            back = ratfunc_from_json(x.var, data)
-            assert back == x and back.to_json() == data
+        data = encode(x)
+        back = decode(data)
+        assert back == x and encode(back) == data
     # the last value once more through sympy.cancel on plain expressions
-    syms = {name: sympy.Symbol(name) for name in gens}
-
-    def plain(c):
-        if isinstance(c, Fraction):
-            return sympy.Rational(c.numerator, c.denominator)
-        v = syms[c.var]
-        return (sum(plain(a) * v ** i for i, a in enumerate(c.num))
-                / sum(plain(a) * v ** i for i, a in enumerate(c.den)))
-
-    assert sympy.cancel(plain(x) - want.as_expr()) == 0
+    assert sympy.cancel(_plain(sympy, x) - want.as_expr()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +670,7 @@ def raw_gamma_pair(draw):
 
 def _sympy_json(sympy, num, den):
     """sympy.cancel's reduced numerator and denominator, divided by the
-    denominator's leading coefficient, in to_json's encoding."""
+    denominator's leading coefficient, in ``encode``'s form."""
     g = sympy.Symbol("gamma")
 
     def expr(cs):
@@ -660,7 +684,7 @@ def _sympy_json(sympy, num, den):
     def enc(p):
         return [] if p.is_zero else [str(c / lead)
                                      for c in reversed(p.all_coeffs())]
-    return {"num": enc(n), "den": enc(d)}
+    return {"var": "gamma", "num": enc(n), "den": enc(d)}
 
 
 def _check_canonical(x, num, den, sympy=None):
@@ -668,7 +692,7 @@ def _check_canonical(x, num, den, sympy=None):
     assert (x.num, x.den) == want
     assert x.den[-1] == 1
     if sympy is not None:
-        assert x.to_json() == _sympy_json(sympy, num, den)
+        assert encode(x) == _sympy_json(sympy, num, den)
 
 
 @settings(max_examples=80, deadline=None)
@@ -875,9 +899,10 @@ def test_gamma_constant_operands_match_the_lifting_path(pair, c):
 
 
 @st.composite
-def kappa_over_q(draw):
+def kappa_over_q(draw, small_st=small_st, nonzero_st=nonzero_st):
     """A rational function of kappa over Q(q), with a monomial or a general
-    denominator whose leading coefficient may itself be a function of q."""
+    denominator whose leading coefficient may itself be a function of q;
+    its rational numbers are drawn from ``small_st`` and ``nonzero_st``."""
     def coeff(nonzero=False):
         kind = draw(st.integers(0, 2))
         if kind == 0:
@@ -963,7 +988,7 @@ def test_lower_level_lead_takes_the_canonical_form():
         assert a == b
         assert shape(a) == shape(b)
         assert repr(a) == repr(b)
-        assert a.to_json() == b.to_json()
+        assert encode(a) == encode(b)
     a = RatFunc("kappa", [1], [0, _Q1])
     b = RatFunc("kappa", [1 / _Q1], [0, 1])
     assert a == b and shape(a) == shape(b) and repr(a) == repr(b)
@@ -987,7 +1012,7 @@ def test_constant_lower_level_coefficients_are_fractions():
         assert a == b
         assert shape(a) == shape(b)
         assert repr(a) == repr(b)
-        assert a.to_json() == b.to_json()
+        assert encode(a) == encode(b)
 
 
 def _step(y, op, c, c_first):
@@ -1039,3 +1064,103 @@ def test_equal_two_level_values_have_one_repr(x, steps):
     assert shape(y) == shape(x)
     rebuilt = RatFunc(y.var, y.num, y.den)
     assert repr(rebuilt) == repr(y) and shape(rebuilt) == shape(y)
+
+
+# ---------------------------------------------------------------------------
+# The JSON codec
+# ---------------------------------------------------------------------------
+
+# the same small rationals as small_st and nonzero_st, built from two
+# integers: st.fractions takes about 1.7 ms a draw (2-vCPU Xeon), which
+# 2,000 chains of up to 20 rationals each cannot afford
+lean_st = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+lean_nonzero_st = st.builds(lambda s, n, d: Fraction(s * n, d),
+                            st.sampled_from((-1, 1)), st.integers(1, 6),
+                            st.integers(1, 5))
+lean_q_constant_st = st.one_of(
+    st.integers(-9, 9), lean_st,
+    st.builds(lambda a, b: RatFunc("q", [a, b]), lean_st, lean_nonzero_st),
+    st.builds(lambda a, b, c: RatFunc("q", [a, Fraction(1)], [b, c]),
+              lean_st, lean_nonzero_st, lean_st))
+lean_chain_operand_st = st.one_of(
+    lean_q_constant_st,
+    st.builds(lambda a, b: a * variable("kappa") + b,
+              lean_q_constant_st.filter(lambda a: a != 0),
+              lean_q_constant_st))
+cfrac_st = st.builds(CFrac, lean_st, lean_st)
+
+
+def _as_quotient(x, ring):
+    """(num, den) of a rational number, or of a rational function of q or
+    of kappa over Q(q), as polynomials of ``ring`` in q and kappa: every
+    coefficient's denominator is cleared by their product, nothing is
+    reduced."""
+    if isinstance(x, (int, Fraction)):
+        return ring(x), ring(1)
+    v = ring.gens[("q", "kappa").index(x.var)]
+    num, den = ([_as_quotient(c, ring) for c in cs] for cs in (x.num, x.den))
+    common = ring(1)
+    for _, d in num + den:
+        common = common * d
+    return tuple(sum((n * common.exquo(d) * v ** i
+                      for i, (n, d) in enumerate(parts)), ring(0))
+                 for parts in (num, den))
+
+
+@st.composite
+def codec_chain(draw):
+    """(x, steps): a start value and + - * / steps on it, each with its
+    constant and a flag for the constant's side.  A two-level chain starts
+    at kappa over Q(q) and takes constants of Q(q), ints and Fractions
+    among them, and affine functions of kappa; a complex chain starts at a
+    CFrac and takes Fractions and CFracs.  Each chain keeps its start's
+    type."""
+    if draw(st.booleans()):
+        x = draw(kappa_over_q(lean_st, lean_nonzero_st))
+        operand = lean_chain_operand_st
+    else:
+        x, operand = draw(cfrac_st), st.one_of(lean_st, cfrac_st)
+    steps = draw(st.lists(st.tuples(st.sampled_from("+-*/"), operand,
+                                    st.booleans()), max_size=3))
+    return x, steps
+
+
+@settings(max_examples=2000, deadline=None)
+@given(codec_chain())
+@example(case=(variable("kappa") * variable("q"),
+               [("+", 1 / variable("q"), False)]))
+@example(case=(CFrac(1, 2), [("*", Fraction(3, 4), True)]))
+def test_codec_round_trips_chains_and_matches_sympy(case):
+    # the chain's value encodes like every equal value, comes back from
+    # JSON text equal and of the same structure, and is the value sympy
+    # gives the chain flattened: a two-level chain in sympy's field of
+    # rational functions in q and kappa, whose elements sympy.cancel keeps
+    # reduced (each value enters it as one quotient of polynomials), a
+    # complex chain in sympy's Gaussian rationals
+    sympy = pytest.importorskip("sympy")
+    x, steps = case
+    if isinstance(x, CFrac):
+        def flatten(v):
+            return sympy.QQ_I.from_sympy(_plain(sympy, v))
+    else:
+        field = sympy.field("q,kappa", sympy.QQ)[0]
+
+        def flatten(v):
+            return field.new(*_as_quotient(v, field.ring))
+    y, flat, done = x, flatten(x), []
+    for op, c, c_first in steps:
+        if op in "*/" and c == 0 or op == "/" and c_first and y == 0:
+            continue
+        y = _step(y, op, c, c_first)
+        flat = _step(flat, op, flatten(c), c_first)
+        done.append((op, c, c_first))
+    back = y
+    for op, c, c_first in reversed(done):
+        back = _undo(back, op, c, c_first)
+    assert back == x
+    assert encode(back) == encode(x) and repr(back) == repr(x)
+    data = encode(y)
+    decoded = decode(json.loads(json.dumps(data)))
+    assert decoded == y and shape(decoded) == shape(y)
+    assert encode(decoded) == data and repr(decoded) == repr(y)
+    assert flatten(decoded) == flat

@@ -1,5 +1,6 @@
 """Unit tests for derivative-field multilinear forms and the spin-3 realization."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,9 +19,12 @@ from w3toda.algebra_core import (
     RHO,
     AlgebraError,
     CartanVector,
+    CFrac,
     _HVECS,
     _as_coeff,
     conformal_weight,
+    decode,
+    encode,
     inner,
     q_of_gamma,
     spin,
@@ -43,8 +47,6 @@ from w3toda.descendant_forms import (
     miura_convention,
     miura_current_terms,
     miura_w_form,
-    scalar_from_json,
-    scalar_to_json,
     screening_branch,
     vec_factor,
 )
@@ -221,25 +223,44 @@ def test_combine_with_rational_function_coefficients():
 # ---------------------------------------------------------------------------
 
 def test_scalar_json_roundtrip():
-    for c in (Fraction(-3, 7), Fraction(5), QSYM ** 2 - 2 / QSYM):
-        back = scalar_from_json(scalar_to_json(c))
-        assert back == c
+    kappa = variable("kappa")
+    cases = [
+        (Fraction(-3, 7), "-3/7"),
+        (Fraction(5), "5"),
+        (CFrac(Fraction(1, 2), -3), ["1/2", "-3"]),
+        (QSYM ** 2 - 2 / QSYM,
+         {"var": "q", "num": ["-2", "0", "0", "1"], "den": ["0", "1"]}),
+        # kappa over Q(q): every coefficient is encoded in turn
+        (kappa * QSYM + 1 / QSYM,
+         {"var": "kappa",
+          "num": [{"var": "q", "num": ["1"], "den": ["0", "1"]},
+                  {"var": "q", "num": ["0", "1"], "den": ["1"]}],
+          "den": ["1"]}),
+    ]
+    for c, data in cases:
+        assert encode(c) == data
+        back = decode(json.loads(json.dumps(data)))
+        assert back == c and type(back) is type(c)
 
 
 def test_polynomial_json_roundtrip():
-    f = l_form((1, 2), ALPHA, q=QSYM)
-    data = f.to_json()
-    assert isinstance(data, list)
-    for entry in data:
-        assert set(entry) == {"factors", "coeff"}
-    assert FieldPolynomial.from_json(data) == f
+    # the second one's coordinates kappa and q give it coefficients in
+    # kappa over Q(q), whose JSON form nests
+    for f in (l_form((1, 2), ALPHA, q=QSYM),
+              l_form((1, 1), CartanVector(variable("kappa"), QSYM))):
+        data = json.loads(json.dumps(f.to_json()))
+        assert isinstance(data, list)
+        for entry in data:
+            assert set(entry) == {"factors", "coeff"}
+        assert FieldPolynomial.from_json(data) == f
 
 
 def test_polynomial_json_plain_rational_coeffs():
     f = l_form((1, 1), ALPHA, q=Fraction(3))
     data = f.to_json()
     for entry in data:
-        assert set(entry["coeff"]) == {"num", "den"}
+        m = FieldMonomial(tuple(tuple(pi) for pi in entry["factors"]))
+        assert entry["coeff"] == str(f.terms[m])  # "p/q"
     assert FieldPolynomial.from_json(data) == f
 
 

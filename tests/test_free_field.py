@@ -189,7 +189,14 @@ class TestCorrelatorConfig:
             ((F(1, 2), CartanVector(F(1), F(0))),),
             mu_bulk=(F(1, 7), F(0)),
             mu_boundary=((F(2, 5), F(0)),))
-        back = CorrelatorConfig.from_json(cfg.to_json())
+        data = cfg.to_json()
+        assert data == {
+            "gamma": "6/5",
+            "bulk": [{"z": ["1/3", "2"], "alpha": ["3/4", "1/2"]}],
+            "boundary": [{"s": "1/2", "beta": ["1", "0"]}],
+            "mu_bulk": ["1/7", "0"],
+            "mu_boundary": [["2/5", "0"]]}
+        back = CorrelatorConfig.from_json(data)
         assert back == cfg
 
     def test_json_validation_paths(self):
@@ -201,6 +208,20 @@ class TestCorrelatorConfig:
             CorrelatorConfig.from_json(
                 {"gamma": "6/5",
                  "boundary": [{"s": 0, "beta": [1, 0]}, {"beta": [0, 1]}]})
+        # a number where a list belongs
+        with pytest.raises(AlgebraError, match="/mu_bulk"):
+            CorrelatorConfig.from_json({"gamma": "6/5", "mu_bulk": 5})
+        with pytest.raises(AlgebraError, match="/mu_boundary/0"):
+            CorrelatorConfig.from_json({"gamma": "6/5", "mu_boundary": [5]})
+        with pytest.raises(AlgebraError, match="/mu_boundary"):
+            CorrelatorConfig.from_json({"gamma": "6/5", "mu_boundary": 5})
+        with pytest.raises(AlgebraError, match="/bulk"):
+            CorrelatorConfig.from_json({"gamma": "6/5", "bulk": 5})
+        # a value that is no exact real
+        with pytest.raises(AlgebraError, match="/mu_bulk/0"):
+            CorrelatorConfig.from_json({"gamma": "6/5", "mu_bulk": [1e999, 0]})
+        with pytest.raises(AlgebraError, match="/gamma"):
+            CorrelatorConfig.from_json({"gamma": "1/0"})
 
 
 class TestDoubledInsertions:

@@ -71,6 +71,26 @@ def test_every_module_level_definition_is_referenced():
     assert unreferenced == []
 
 
+def test_only_the_kernel_defines_json_helpers():
+    # algebra_core's encode/decode are the one JSON form of exact values;
+    # elsewhere in src/ a *_json function may only be a record's to_json or
+    # from_json method
+    found = []
+    for path in sorted((ROOT / "src" / "w3toda").glob("*.py")):
+        if path.name == "algebra_core.py":
+            continue
+        tree = ast.parse(path.read_text())
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        found += [
+            f"{path.name}: {node.name}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_json")
+            and not (id(node) in methods
+                     and node.name in ("to_json", "from_json"))]
+    assert found == []
+
+
 def test_benchmark_tracer_wraps_existing_attributes():
     # bench/tracing.py wraps package functions by attribute name; one that
     # a refactor renamed would leave its per-layer metrics silently at zero

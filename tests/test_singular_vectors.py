@@ -16,6 +16,8 @@ from w3toda.algebra_core import (
     RHO,
     AlgebraError,
     CartanVector,
+    decode,
+    encode,
     inner,
     q_of_gamma,
     variable,
@@ -31,7 +33,6 @@ from w3toda.descendant_forms import (
 from w3toda.free_field import CorrelatorConfig
 from w3toda.singular_vectors import (
     D2Table,
-    EomConstant,
     EomRecord,
     EomTerm,
     SingularVectorSpec,
@@ -121,6 +122,18 @@ class TestBuildSingular:
         assert data["level"] == 2
         assert set(data["coefficients"]) == {"W", "1,1", "2"}
         assert data["weight"]["tag"] == "fully_degenerate"
+
+    def test_to_json_two_level(self):
+        # kappa over Q(q): the coefficients nest and decode to the record's
+        spec = build_singular(1, Weight.semi_degenerate(1, KAPPA), q=QSYM)
+        data = json.loads(json.dumps(spec.to_json()))
+        assert data["weight"]["parameter"] == encode(KAPPA)
+        assert CartanVector.from_json(data["weight"]["vector"]) \
+            == spec.weight.vector
+        assert set(data["coefficients"]) == {"W", "1"}
+        for key, c in spec.coefficients.items():
+            name = key if key == W_KEY else ",".join(map(str, key))
+            assert decode(data["coefficients"][name]) == c
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +295,6 @@ class TestEomConstant:
             eom_constant("c", 0.0, 1.0, 0.0, 0.0)
         with pytest.raises(AlgebraError, match="unknown constant name"):
             eom_constant("c3", 0.7, 1.0, 0.0, 0.0)
-
-    def test_record_type_matches_function(self):
-        rec = EomConstant("c2", 0.8, 1.0, 0.5, 0.25)
-        assert rec.value == eom_constant("c2", 0.8, 1.0, 0.5, 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from w3toda.algebra_core import (
     CartanVector,
     CFrac,
     background_charge,
+    decode,
     inner,
     q_of_gamma,
     variable,
@@ -149,7 +150,8 @@ class TestLocalWardRhs:
         want = local_ward_rhs(3, F(2), cfg).to_json()
         for t in (2, 2.0, "2", "4/2", CFrac(2), [2, 0], 2 + 0j):
             assert local_ward_rhs(3, t, cfg).to_json() == want
-        for t in (CFrac(0, 1), 1j, [2, 1], "x", True, None):
+        for t in (CFrac(0, 1), 1j, [2, 1], "x", True, None,
+                  float("inf"), complex("inf")):
             with pytest.raises(AlgebraError, match="probe"):
                 local_ward_rhs(3, t, cfg)
 
@@ -538,6 +540,11 @@ class TestBpzSpec:
                         (CartanVector(F(1, 3), F(1, 4)),
                          CartanVector(variable("s"), F(1, 5)),
                          CartanVector(1, 2)), "gamma")
-        data = spec.to_json()
-        json.dumps(data)
+        data = json.loads(json.dumps(spec.to_json()))
         assert data["family"] == "boundary_4pt" and data["variable"] == "t"
+        # exponents in s over Q(gamma) come back from their JSON form
+        assert decode(data["chi"]) == spec.chi
+        assert [decode(x) for x in data["a"] + data["b"]] \
+            == list(spec.a + spec.b)
+        assert [[anchor, decode(e)] for anchor, e in data["prefactors"]] \
+            == [list(p) for p in spec.prefactors]
