@@ -80,6 +80,17 @@ def _is_pair(x) -> bool:
     return isinstance(x, (list, tuple)) and len(x) == 2
 
 
+def _pairs(entries, where: str, names: str) -> tuple:
+    """A list of pairs, checked before it is unpacked: a container or an
+    entry of another shape raises an ``AlgebraError`` naming its path."""
+    if not isinstance(entries, (list, tuple)):
+        raise AlgebraError(f"{where}: needs a list of {names} pairs")
+    for k, entry in enumerate(entries):
+        if not _is_pair(entry):
+            raise AlgebraError(f"{where}/{k}: needs two components {names}")
+    return tuple(entries)
+
+
 def _exact_complex(x, where: str) -> CFrac:
     if isinstance(x, CFrac):
         return x
@@ -127,7 +138,8 @@ class CorrelatorConfig:
         object.__setattr__(self, "gamma", g)
 
         bulk = []
-        for k, (z, alpha) in enumerate(self.bulk):
+        for k, (z, alpha) in enumerate(
+                _pairs(self.bulk, "/bulk", "(z, alpha)")):
             z = _exact_complex(z, f"/bulk/{k}/z")
             if z.im <= 0:
                 raise AlgebraError(
@@ -137,7 +149,8 @@ class CorrelatorConfig:
 
         boundary = []
         prev = None
-        for l, (s, beta) in enumerate(self.boundary):
+        for l, (s, beta) in enumerate(
+                _pairs(self.boundary, "/boundary", "(s, beta)")):
             s = _exact_real(s, f"/boundary/{l}/s")
             if prev is not None and s <= prev:
                 raise AlgebraError(
@@ -158,16 +171,13 @@ class CorrelatorConfig:
         if self.mu_boundary is None:
             object.__setattr__(self, "mu_boundary",
                                ((Fraction(0), Fraction(0)),) * arcs)
-        if not isinstance(self.mu_boundary, (list, tuple)):
-            raise AlgebraError("/mu_boundary: needs a list of (mu_1, mu_2) pairs")
-        if len(self.mu_boundary) != arcs:
+        pairs = _pairs(self.mu_boundary, "/mu_boundary", "(mu_1, mu_2)")
+        if len(pairs) != arcs:
             raise AlgebraError(
                 f"/mu_boundary: needs one (mu_1, mu_2) pair per arc, "
-                f"expected {arcs}, got {len(self.mu_boundary)}")
+                f"expected {arcs}, got {len(pairs)}")
         mub = []
-        for l, pair in enumerate(self.mu_boundary):
-            if not _is_pair(pair):
-                raise AlgebraError(f"/mu_boundary/{l}: needs two components")
+        for l, pair in enumerate(pairs):
             pair = tuple(_exact_real(x, f"/mu_boundary/{l}/{i}")
                          for i, x in enumerate(pair))
             if any(x < 0 for x in pair):

@@ -36,7 +36,13 @@ goes through ``scipy.linalg``'s BLAS and LAPACK, never numpy's ``@`` or
 its own thread pool whose workers keep spinning after a call; on a small
 host, every switch from one library to the other makes the next threaded
 call share a CPU with the other library's spinning workers.  The
-``dgemv`` products equal numpy's ``x @ a`` bit for bit.
+``dgemv`` products equal numpy's ``x @ a`` bit for bit.  scipy is loaded
+on the first GMC call, not when this module is imported: each function
+that calls ``dpotrf``, ``dtrmm``, ``dgemv`` or ``exp1`` imports it itself.
+Nothing else in the package uses scipy, and loading it (about 110 modules
+and 30 MB) took most of the start-up of a process that imports every
+layer but runs only the exact ones.  After the first call each of those
+imports is a ``sys.modules`` lookup of about a microsecond.
 
 Replicas come in antithetic pairs: every sampled field phi is followed by
 its mirror -phi, which has the same law, needs no new normals and no
@@ -83,10 +89,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from scipy.linalg.blas import dgemv, dtrmm
-from scipy.linalg.lapack import dpotrf
-from scipy.special import exp1
 
 from .algebra_core import (
     E1,
@@ -146,6 +148,7 @@ def _smoothed_log(d2: np.ndarray, tau: float) -> np.ndarray:
     at zero.  E1 is evaluated only where it does not underflow, which at
     separations of a few tau is a small share of the entries; the result
     is built in one buffer."""
+    from scipy.special import exp1
     d2 = np.asarray(d2, dtype=float)
     pos = d2 > 0
     out = np.where(pos, d2, 1.0)
@@ -224,6 +227,7 @@ class GffEnsemble:
     ``dtrmm`` takes without a copy in every ``sample_block``."""
 
     def __init__(self, points, rho: float):
+        from scipy.linalg.lapack import dpotrf
         pts = np.asarray(list(points), dtype=complex)
         if pts.size == 0:
             raise AlgebraError("field sampling needs at least one point")
@@ -261,6 +265,7 @@ class GffEnsemble:
         ``r`` of the normals is field ``r`` of component 0 and column
         ``BLOCK + r`` field ``r`` of component 1; the result is a
         (2, n, BLOCK) view of that buffer."""
+        from scipy.linalg.blas import dtrmm
         rng = np.random.default_rng([int(seed), int(block)])
         normals = rng.standard_normal((self.n, 2 * BLOCK))
         mixed = dtrmm(1.0, self.chol.T, normals.T, side=1, lower=0,
@@ -425,6 +430,7 @@ class _MassModel:
     def masses(self, exps: tuple) -> dict:
         """Replica masses of one block: the insertion weights applied to its
         ``exponentials``."""
+        from scipy.linalg.blas import dgemv
         arcs = max(self.cfg.n_boundary, 1)
         out = {}
         for i, (bulk_exp, bnd_exp) in enumerate(exps, start=1):
@@ -694,6 +700,7 @@ def _zero_mode_values(masses: dict, cfg, windows,
     ``np.exp`` runs only where it is at least _EXP_UNDERFLOW, and the rest
     is set to the 0.0 it would round to.  Each chunk's node sum is one BLAS
     ``dgemv`` on the transposed (Fortran-ordered) buffer."""
+    from scipy.linalg.blas import dgemv
     gamma = float(cfg.gamma)
     terms = []
     for window, sigma, (bulk, bnd) in zip(windows, _sigma_pair(cfg),

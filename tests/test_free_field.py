@@ -125,6 +125,21 @@ class TestCorrelatorConfig:
         with pytest.raises(AlgebraError, match="/mu_boundary/0"):
             CorrelatorConfig(GAMMA, mu_boundary=((F(0), F(-2)),))
 
+    @pytest.mark.parametrize("kwargs, path", [
+        ({"bulk": (5,)}, "/bulk/0"),
+        ({"boundary": (5,)}, "/boundary/0"),
+        ({"boundary": ((0,),)}, "/boundary/0"),
+        ({"bulk": ((1j,),)}, "/bulk/0"),
+        ({"bulk": 5}, "/bulk"),
+        ({"boundary": None}, "/boundary"),
+    ], ids=["bulk-entry-int", "boundary-entry-int", "boundary-entry-short",
+            "bulk-entry-short", "bulk-int", "boundary-none"])
+    def test_malformed_insertions_are_named(self, kwargs, path):
+        # built from Python, not from_json: the shapes are checked before
+        # any entry is unpacked
+        with pytest.raises(AlgebraError, match=f"^{path}: needs "):
+            CorrelatorConfig(GAMMA, **kwargs)
+
     def test_mu_boundary_defaults_one_pair_per_arc(self):
         cfg = boundary_neutral_cfg()
         assert len(cfg.mu_boundary) == 3

@@ -173,6 +173,61 @@ def test_no_numeric_path_loads_scipy_integrate():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_scipy_loads_only_with_the_first_gmc_call():
+    # the exact layers load neither numpy nor scipy; every module together,
+    # with the hypergeometric numerics run, loads no scipy (gmc_mc imports
+    # its BLAS, LAPACK and exp1 inside the functions that call them, and
+    # scipy is about 110 modules and 30 MB); a GMC estimate then loads it
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        from fractions import Fraction as F
+
+        def loaded(*prefixes):
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in prefixes)
+
+        import w3toda
+        for name in ("algebra_core", "descendant_forms", "free_field",
+                     "singular_vectors", "ward_bpz"):
+            importlib.import_module("w3toda." + name)
+        assert loaded("numpy", "scipy") == [], loaded("numpy", "scipy")
+
+        for info in pkgutil.iter_modules(w3toda.__path__):
+            importlib.import_module("w3toda." + info.name)
+        from w3toda.hyp_numeric import (
+            hyp_grid, ode_integrate, paper_integrals, series_derivatives)
+        from w3toda.ward_bpz import HypergeometricSpec
+        assert len(paper_integrals(0.8)) == 3
+        spec = HypergeometricSpec(
+            "bulk_boundary", F(1), (F(3, 10), F(-7, 10), F(6, 5)),
+            (F(3, 5), F(7, 5)), (("i", F(0)),), "u")
+        y0 = series_derivatives(spec, 0, 0.5, orders=2)
+        assert len(ode_integrate(spec, 0.5, y0, 0.85)) == 3
+        assert len(hyp_grid(spec, 0.05, 0.5, 0.05)) == 10
+        assert loaded("scipy") == [], loaded("scipy")
+
+        from w3toda.free_field import CorrelatorConfig
+        from w3toda.gmc_mc import estimate_correlator
+        a, b2, b3 = (F(k, 10) * F(33, 10) for k in (6, 2, 3))
+        cfg = CorrelatorConfig(
+            F(4, 5),
+            bulk=(((F(3, 10), F(1, 2)), (a, a)),
+                  ((F(-1, 4), F(9, 20)), (a, a))),
+            boundary=((F(-1, 2), (b2, b2)), (F(2, 5), (b3, b3))),
+            mu_bulk=(F(1, 2), F(7, 10)),
+            mu_boundary=((F(3, 10), F(1, 5)), (F(1, 10), F(2, 5))))
+        est = estimate_correlator(cfg, 0.12, 0.1, 0.03, 4, seed=5)
+        assert est.replicas == 4 and est.value > 0
+        assert "scipy.linalg" in sys.modules
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_source_module_imports_scipy_integrate():
     found = []
     for path in sorted((ROOT / "src" / "w3toda").glob("*.py")):
