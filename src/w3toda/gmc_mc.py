@@ -1,48 +1,55 @@
 """Monte Carlo layer: half-plane Gaussian field, chaos masses, correlators.
 
 Desk-scale probabilistic checks of the exact layer.  The two-component free
-field is sampled exactly on a finite point set (dense Cholesky of the
-mollified covariance, factorized once per call by LAPACK ``dpotrf`` and
-shared across replicas; each block of standard normals is multiplied by
-the triangular factor in place, through BLAS ``dtrmm``, and handed on as a
-view of that buffer); the interaction masses are grid quadratures of the
-renormalized exponential field against the insertion-dependent shift
-weights; the zero-mode integral factorizes over the two fundamental-weight
-directions and is evaluated by Gauss-Legendre quadrature on an adaptively
-grown window whose tail increment is reported, together with the
-quadrature error (the change under a doubled node count, on the first
-sampling block).  Boundary arcs left without grid points by the exclusion
-radius are reported as well.
+field lives on a finite point set: the mollified covariance is factored once
+per call, in float64, by LAPACK ``dpotrf``, and the factor is shared across
+replicas.  The interaction masses are grid quadratures of the renormalized
+exponential field against the insertion-dependent shift weights; the
+zero-mode integral factorizes over the two fundamental-weight directions and
+is evaluated by Gauss-Legendre quadrature on an adaptively grown window
+whose tail increment is reported, together with the quadrature error (the
+change under a doubled node count, on the first sampling block).  Boundary
+arcs left without grid points by the exclusion radius are reported as well.
 
-The quadrature grids are fixed midpoint lattices (``_EXTENT``,
-``_BULK_SHAPE``, ``_BOUNDARY_N``); only the truncation scales ``delta`` and
-``eps`` and the insertions move them.  The mass quadrature runs in two
-steps: ``exponentials`` exponentiates a block of field replicas once (it
-depends on gamma and the grids only), and ``masses`` applies the
-insertion-dependent weights to the result.  The fusion probe rebinds the
-weights of every ladder rung up front and streams its blocks once: each
-block is exponentiated once, and its draws, then its mirrors, feed every
-rung's ``masses`` before the next block is drawn, so one block's
-exponentials are held at a time whatever the replica count.
+The sampling path runs in single precision, from the triangular product up
+to the per-replica masses.  Each block draws float64 standard normals and
+casts them once to float32, so every replica is the float64 stream's
+realization moved only by rounding.  BLAS ``strmm`` multiplies them in
+place by a float32 copy of the factor; ``exponentials`` exponentiates that
+buffer in place (it depends on gamma and the grids only); and ``sgemm``
+applies the insertion-dependent weights of every mass to it in one call.
+Each mass model holds an (n, keys) weight matrix, so the fusion probe, which
+rebinds the weights of every ladder rung up front, reads every key of every
+rung from each block with that one call; it streams the blocks once and
+holds one block at a time whatever the replica count.  The masses are
+returned in float64, and all that follows them runs in float64: the
+zero-mode integral, the windows, the means and stderrs, and the mass
+expectations (``expected_masses``, from the same weight matrix).  The layer
+reports its own rounding error: ``sampling_rel_error`` is the largest
+relative gap, over every mass key, between the float32 masses of the first
+block's first ``_PROBE_DRAWS`` draws and the same draws' masses taken in
+float64 (the float64 factor through ``dtrmm``, then ``exp`` and ``dgemm``).
+float32 ``exp`` overflows above 88.72 (float64's limit is 709.78); a
+non-finite mass raises, naming gamma, rho and the block's largest exponent.
+
 ``_pooled_masses`` is the one pooling loop, over a sequence of models.  From
-pooled masses to a value there is one path,
-``_zero_mode_estimate``: the correlator estimate and every fusion rung go
-through it for their windows, quadrature error, mean and stderr.
+pooled masses to a value there is one path, ``_zero_mode_estimate``: the
+correlator estimate and every fusion rung go through it for their windows,
+quadrature error, mean and stderr.
 
 Every dense linear-algebra call of this module (the factorization, the
-triangular product, the bulk mass sums and the zero-mode quadrature sums)
-goes through ``scipy.linalg``'s BLAS and LAPACK, never numpy's ``@`` or
+triangular products, the mass sums and the zero-mode quadrature sums) goes
+through ``scipy.linalg``'s BLAS and LAPACK, never numpy's ``@`` or
 ``np.linalg``.  numpy and scipy each bundle their own OpenBLAS, each with
 its own thread pool whose workers keep spinning after a call; on a small
 host, every switch from one library to the other makes the next threaded
-call share a CPU with the other library's spinning workers.  The
-``dgemv`` products equal numpy's ``x @ a`` bit for bit.  scipy is loaded
-on the first GMC call, not when this module is imported: each function
-that calls ``dpotrf``, ``dtrmm``, ``dgemv`` or ``exp1`` imports it itself.
-Nothing else in the package uses scipy, and loading it (about 110 modules
-and 30 MB) took most of the start-up of a process that imports every
-layer but runs only the exact ones.  After the first call each of those
-imports is a ``sys.modules`` lookup of about a microsecond.
+call share a CPU with the other library's spinning workers.  scipy is
+loaded on the first GMC call, not when this module is imported: each
+function that calls into it imports it itself.  Nothing else in the
+package uses scipy, and loading it (about 110 modules and 30 MB) took most
+of the start-up of a process that imports every layer but runs only the
+exact ones.  After the first call each of those imports is a
+``sys.modules`` lookup of about a microsecond.
 
 Replicas come in antithetic pairs: every sampled field phi is followed by
 its mirror -phi, which has the same law, needs no new normals and no
@@ -110,6 +117,8 @@ _ZERO_MODE_CHUNK = 4096             # replicas per zero-mode buffer pass
 _EXP_UNDERFLOW = -745.2             # exp(x) rounds to exactly 0.0 below this
 _EXP_OVERFLOW = math.log(sys.float_info.max)    # and overflows above this
 _COV_ROWS = 128                     # rows per block of mollified_covariance
+_PROBE_DRAWS = 32                   # draws of the float64 rounding probe
+_EXP32_OVERFLOW = math.log(float(np.finfo(np.float32).max))     # 88.72
 
 _FRAME = (E1, E1 + 2 * E2)          # orthogonal frame, norms sqrt(2), sqrt(6)
 _FRAME_NORM = (math.sqrt(2.0), math.sqrt(6.0))
@@ -219,12 +228,13 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 class GffEnsemble:
     """Covariance factorization of one grid, shared by all replicas.
 
-    Keeps ``chol`` (the lower Cholesky factor, n^2 * 8 bytes, 6.4 MB on the
-    benchmark grids of about 900 points) and ``cov_diag`` (the covariance
-    diagonal); the dense covariance is dropped once factored.  LAPACK
-    ``dpotrf`` factors the covariance in place; ``chol`` is kept
-    C-contiguous, so ``chol.T`` is the Fortran-ordered operand that
-    ``dtrmm`` takes without a copy in every ``sample_block``."""
+    LAPACK ``dpotrf`` factors the covariance in place, in float64, and the
+    dense covariance survives only as that factor.  ``chol`` is the float32
+    copy of the lower factor that every ``sample_block`` multiplies by,
+    Fortran-ordered so that ``strmm`` takes it without a copy (n^2 * 4
+    bytes, 3.2 MB on the benchmark grids of about 900 points).  The float64
+    factor, ``dpotrf``'s own output, is kept only for the float64 reference
+    draws of ``sample_block``; ``cov_diag`` is the covariance diagonal."""
 
     def __init__(self, points, rho: float):
         from scipy.linalg.lapack import dpotrf
@@ -249,28 +259,47 @@ class GffEnsemble:
                 "covariance is not positive semi-definite after "
                 f"mollification; radius {rho} is too small for the grid "
                 f"spacing (dpotrf info {info})")
-        self.chol = np.ascontiguousarray(factor)
+        self.chol = factor.astype(np.float32, order="F")
+        self._factor = factor
 
     @property
     def n(self) -> int:
         return self.points.size
 
-    def sample_block(self, seed: int, block: int) -> np.ndarray:
+    def sample_block(self, seed: int, block: int,
+                     reference: np.ndarray | None = None) -> np.ndarray:
         """Field draws [block*BLOCK, (block+1)*BLOCK) of the seed's stream
-        as an array (2, n, BLOCK).
+        as a float32 array (2, n, BLOCK).
 
-        The normals (n, 2*BLOCK) are multiplied by the lower-triangular
-        factor in place: BLAS ``dtrmm`` forms ``normals.T @ chol.T`` on the
-        Fortran-ordered transposes, so neither operand is copied.  Column
-        ``r`` of the normals is field ``r`` of component 0 and column
-        ``BLOCK + r`` field ``r`` of component 1; the result is a
-        (2, n, BLOCK) view of that buffer."""
-        from scipy.linalg.blas import dtrmm
+        The block's float64 normals (n, 2*BLOCK) come from
+        ``default_rng([seed, block])`` and are cast once to float32; column
+        ``r`` is field ``r`` of component 0 and column ``BLOCK + r`` field
+        ``r`` of component 1.  ``strmm`` multiplies that buffer by ``chol``
+        in place, and the result is a (2, n, BLOCK) view of it.
+
+        ``reference``, if given, is a float64 array (2, n, k) that receives
+        the float64 fields of the block's first k draws: the same float64
+        normals times the float64 factor, through ``dtrmm``."""
+        from scipy.linalg.blas import dtrmm, strmm
         rng = np.random.default_rng([int(seed), int(block)])
         normals = rng.standard_normal((self.n, 2 * BLOCK))
-        mixed = dtrmm(1.0, self.chol.T, normals.T, side=1, lower=0,
-                      overwrite_b=1).T
-        return mixed.reshape(self.n, 2, BLOCK).transpose(1, 0, 2)
+        if reference is not None:
+            k = reference.shape[2]
+            first = normals.reshape(self.n, 2, BLOCK)[:, :, :k]
+            reference[...] = _lower_product(
+                dtrmm, self._factor, first.reshape(self.n, 2 * k))
+        return _lower_product(strmm, self.chol, normals.astype(np.float32))
+
+
+def _lower_product(trmm, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``factor @ z`` in place, for a Fortran-ordered lower-triangular
+    factor and a C-ordered z of shape (n, 2m): BLAS ``trmm`` forms
+    ``z.T @ factor.T`` on z's Fortran-ordered transpose, so neither operand
+    is copied.  Returns the (2, n, m) view (component, point, draw)."""
+    n, m = z.shape[0], z.shape[1] // 2
+    mixed = trmm(1.0, factor, z.T, side=1, lower=1, trans_a=1,
+                 overwrite_b=1).T
+    return mixed.reshape(n, 2, m).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +385,17 @@ def _shift_log_weight(cfg, x: np.ndarray, direction: int) -> np.ndarray:
 
 
 class _MassModel:
-    """Grids plus per-direction quadrature bases so that the replica mass is
-    ``base_i . exp(field_i)``.  The grids depend only on the truncation data
-    and exclusion set; ``rebound`` swaps the insertion weights while keeping
-    the grids (and hence any shared field samples and their
-    ``exponentials``) fixed.  ``empty_arcs`` lists the (direction, arc)
-    boundary masses that have no grid point, and so are identically zero:
-    an exclusion radius wider than an arc removes all of it."""
+    """Grids plus an (n, keys) weight matrix, so that a replica's masses
+    are ``weights.T @ exp(phi)``, each key read on its own direction's
+    exponentials.  The bulk key of direction i carries the quadrature base
+    of direction i on the bulk rows, and the key ("boundary", i, arc)
+    carries that direction's boundary base on the arc's rows; every other
+    entry is zero.  The grids depend only on the truncation data and
+    exclusion set; ``rebound`` swaps the insertion weights while keeping the
+    grids (and hence any shared field samples and their ``exponentials``)
+    fixed.  ``empty_arcs`` lists the (direction, arc) boundary masses that
+    have no grid point, and so are identically zero: an exclusion radius
+    wider than an arc removes all of it."""
 
     def __init__(self, cfg, delta, eps, rho, extra_exclusions=()):
         self.rho = float(rho)
@@ -388,14 +421,19 @@ class _MassModel:
                                 if not np.any(self.bnd_arc == a))
         g = float(cfg.gamma)
         log_rho = math.log(self.rho)
-        self.bulk_base, self.bnd_base = [], []
+        nb = self.n_bulk_pts
+        column = {k: c for c, k in enumerate(self.mass_keys)}
+        self.weights = np.zeros((self.points.size, len(column)), order="F")
         for i in (1, 2):
             lw_bulk = _shift_log_weight(cfg, self.bulk_pts, i)
             lw_bnd = _shift_log_weight(cfg, self.bnd_pts.astype(complex), i)
-            self.bulk_base.append(
-                self.bulk_w * np.exp(g * g * log_rho + lw_bulk))
-            self.bnd_base.append(
-                self.bnd_w * np.exp(0.5 * (g * g * log_rho + lw_bnd)))
+            self.weights[:nb, column[("bulk", i)]] = \
+                self.bulk_w * np.exp(g * g * log_rho + lw_bulk)
+            bnd_base = self.bnd_w * np.exp(0.5 * (g * g * log_rho + lw_bnd))
+            for arc in range(arcs):
+                rows = np.flatnonzero(self.bnd_arc == arc)
+                self.weights[nb + rows, column[("boundary", i, arc)]] = \
+                    bnd_base[rows]
 
     def rebound(self, cfg) -> "_MassModel":
         clone = object.__new__(_MassModel)
@@ -409,82 +447,68 @@ class _MassModel:
         return tuple([("bulk", 1), ("bulk", 2)]
                      + [("boundary", i, a) for i in (1, 2) for a in range(arcs)])
 
-    def exponentials(self, fields: np.ndarray) -> tuple:
-        """Per direction i, ``(exp(phi) on the bulk grid, exp(phi / 2) on
-        the boundary grid)`` with ``phi = gamma <e_i, X>``, from a block of
-        scalar fields of shape (2, n, R).  They depend on gamma and the
-        grids only, not on the insertion weights."""
+    def exponents(self, fields: np.ndarray) -> np.ndarray:
+        """The exponents of ``exponentials``, in place on a block of scalar
+        fields (2, n, R), which it returns: plane d becomes
+        ``phi_d = gamma <e_d, X>`` on the bulk rows and ``phi_d / 2`` on the
+        boundary rows.  gamma is folded into the frame coefficients, and
+        plane 1 is formed first, while plane 0 still holds component 0 (e_1
+        is the first frame vector, so phi_1 reads component 0 alone)."""
         g = float(self.cfg.gamma)
-        nb = self.n_bulk_pts
-        out = []
-        for c1, c2 in _ROOT_COEFFS:
-            phi = c1 * fields[0]
-            if c2:
-                phi += c2 * fields[1]
-            phi *= g
-            phi[nb:] *= 0.5
-            np.exp(phi, out=phi)
-            out.append((phi[:nb], phi[nb:]))
-        return tuple(out)
+        (a1, _), (a2, b2) = _ROOT_COEFFS
+        x0, x1 = fields
+        x1 *= g * b2
+        x1 += (g * a2) * x0
+        x0 *= g * a1
+        fields[:, self.n_bulk_pts:] *= 0.5
+        return fields
 
-    def masses(self, exps: tuple) -> dict:
-        """Replica masses of one block: the insertion weights applied to its
-        ``exponentials``."""
-        from scipy.linalg.blas import dgemv
-        arcs = max(self.cfg.n_boundary, 1)
-        out = {}
-        for i, (bulk_exp, bnd_exp) in enumerate(exps, start=1):
-            # base @ bulk_exp; dgemv rejects the empty bulk grid that a wide
-            # exclusion radius can leave
-            out[("bulk", i)] = dgemv(1.0, bulk_exp.T, self.bulk_base[i - 1]) \
-                if self.n_bulk_pts else np.zeros(bulk_exp.shape[1])
-            weighted = self.bnd_base[i - 1][:, None] * bnd_exp
-            for arc in range(arcs):
-                out[("boundary", i, arc)] = \
-                    weighted[self.bnd_arc == arc].sum(axis=0)
-        return out
+    def exponentials(self, fields: np.ndarray) -> np.ndarray:
+        """Per direction d, exp(phi_d) on the bulk grid and exp(phi_d / 2)
+        on the boundary grid, in place on a block of scalar fields
+        (2, n, R): ``exponents`` and then one ``np.exp`` over the block.
+        They depend on gamma and the grids only, not on the insertion
+        weights."""
+        return np.exp(self.exponents(fields), out=fields)
+
+    def masses(self, exps: np.ndarray) -> dict:
+        """Float64 replica masses of a block of ``exponentials`` (2, n, R):
+        the weight matrix applied in one GEMM (``_key_masses``)."""
+        own = _key_masses(exps, self.weights, self.mass_keys)
+        return {k: own[:, c].astype(float)
+                for c, k in enumerate(self.mass_keys)}
 
     def expected_masses(self, cov_diag: np.ndarray) -> dict:
         """Deterministic expectations of the replica masses: ``masses`` of
         the Gaussian exponential moments against the covariance diagonal,
-        as a block of one column (the same in both directions)."""
+        in float64, as a block of one replica (the same in both
+        directions)."""
         g = float(self.cfg.gamma)
         nb = self.n_bulk_pts
-        moments = (np.exp(g * g * cov_diag[:nb])[:, None],
-                   np.exp(0.25 * g * g * cov_diag[nb:])[:, None])
-        return {k: float(v[0])
-                for k, v in self.masses((moments, moments)).items()}
+        moments = np.exp(g * g * cov_diag)
+        moments[nb:] = np.exp(0.25 * g * g * cov_diag[nb:])
+        return {k: float(v[0]) for k, v in
+                self.masses(np.stack((moments, moments))[:, :, None]).items()}
 
 
-def _exponential_blocks(model, ensemble, seed: int, replicas: int):
-    """``model.exponentials`` of the replicas, two yields per sampling
-    block: its draws phi, then their mirrors -phi.  A block holds 2 * BLOCK
-    replicas; the last one holds the rest of the requested count, and for
-    an odd count its last draw has no mirror (a block of one replica has
-    no mirror yield).  The mirrors' exponentials are the reciprocals of the
-    draws' (exp(-phi) = 1 / exp(phi)), so they cost no normals, no
-    triangular product and no ``exp``.
-
-    The mirrors overwrite the draws' buffers, and the next block is drawn
-    only after both yields are done with: a consumer takes what it needs
-    from each yield before asking for the next, and copies what it keeps."""
-    for b in range(-(-replicas // (2 * BLOCK))):
-        count = min(2 * BLOCK, replicas - 2 * BLOCK * b)
-        mirrors = count // 2
-        exps = model.exponentials(
-            ensemble.sample_block(seed, b)[:, :, :count - mirrors])
-        yield exps
-        if mirrors:
-            exps = tuple(tuple(np.reciprocal(e[:, :mirrors],
-                                             out=e[:, :mirrors])
-                               for e in pair) for pair in exps)
-            yield exps
-        del exps            # not held while the next block is drawn
+def _key_masses(exps: np.ndarray, weights: np.ndarray, keys) -> np.ndarray:
+    """Masses (R, len(keys)) of a block of exponentials (2, n, R), each key
+    on its own direction's plane.  One GEMM takes every weight column
+    against both planes: ``sgemm`` on a float32 block, ``dgemm`` on a
+    float64 one, with the block's (n, 2R) buffer passed as its
+    Fortran-ordered transpose, so a whole sampled block is not copied."""
+    from scipy.linalg.blas import dgemm, sgemm
+    gemm = sgemm if exps.dtype == np.float32 else dgemm
+    n, r = exps.shape[1:]
+    table = gemm(1.0, exps.transpose(1, 0, 2).reshape(n, 2 * r).T,
+                 weights.astype(exps.dtype, order="F", copy=False))
+    first = np.array([k[1] == 1 for k in keys])
+    return np.where(first, table[:r], table[r:])
 
 
 def _pair_means(values: np.ndarray) -> np.ndarray:
     """Means of the (draw, mirror) pairs in replica values pooled in the
-    order of ``_exponential_blocks``; an unpaired last draw is left out."""
+    order of ``_pooled_masses``; an unpaired last draw is left out."""
     full = values.size - values.size % (2 * BLOCK)
     head = values[:full].reshape(-1, 2, BLOCK)
     tail = values[full:]
@@ -511,18 +535,82 @@ def _pairing(replicas: int) -> dict:
             "draw_blocks": -(-replicas // (2 * BLOCK))}
 
 
-def _pooled_masses(models, exp_blocks) -> list:
-    """Per-key replica masses over all blocks, in replica order: one dict
-    per mass model of the sequence ``models``, which share one grid.  Every
-    model takes its masses of a block before the next block is asked for,
-    so the models share one pass over a streamed block sequence.  ``map``
-    drops each block's exponentials once its masses are taken (a ``for``
-    loop would hold them while the next block is drawn), so the stream
-    holds one block at a time."""
-    per_block = list(map(lambda exps: [m.masses(exps) for m in models],
-                         exp_blocks))
-    return [{k: np.concatenate([block[r][k] for block in per_block])
-             for k in model.mass_keys} for r, model in enumerate(models)]
+def _pooled_masses(models, ensemble, seed: int, replicas: int) -> tuple:
+    """``(pooled, sampling_rel_error)`` for the seed's first ``replicas``
+    replicas.  ``pooled`` holds one dict per mass model of the sequence
+    ``models`` (which share one grid and gamma) of per-key float64 replica
+    masses in replica order.
+
+    Blocks stream through one at a time.  A block holds 2 * BLOCK replicas,
+    its draws phi and then their mirrors -phi; the last one holds the rest
+    of the requested count, and for an odd count its last draw has no
+    mirror.  The first model's ``exponentials`` are taken in place in the
+    sampled buffer, and one ``sgemm`` reads every key of every model from
+    it.  The mirrors' exponentials are the reciprocals of the draws'
+    (exp(-phi) = 1 / exp(phi)): one ``np.reciprocal`` over the same buffer,
+    with no normals, no triangular product and no ``exp``, and a second
+    ``sgemm`` reads their masses.  A mass that is not finite raises.
+
+    The first block also draws the float64 fields of its first
+    ``_PROBE_DRAWS`` draws (``sample_block``'s reference) and takes their
+    masses in float64; ``sampling_rel_error`` is the largest relative gap
+    between those and the same draws' float32 masses, over every key of
+    every model with a nonzero mass.  Taking it changes no pooled value."""
+    base = models[0]
+    keys = [k for m in models for k in m.mass_keys]
+    weights = np.hstack([m.weights for m in models])
+    weights32 = weights.astype(np.float32, order="F")
+    reference = np.empty((2, ensemble.n, _PROBE_DRAWS))
+    pieces, rel_error = [], 0.0
+
+    def take(exps, width, block):
+        own = _key_masses(exps, weights32, keys)
+        if not np.isfinite(own[:width]).all():
+            raise _overflow_error(base, ensemble, seed, block)
+        pieces.append(own[:width])
+        return own
+
+    for b in range(-(-replicas // (2 * BLOCK))):
+        count = min(2 * BLOCK, replicas - 2 * BLOCK * b)
+        mirrors = count // 2
+        exps = ensemble.sample_block(seed, b, reference if b == 0 else None)
+        # an overflow shows as a non-finite mass, which raises in take
+        with np.errstate(over="ignore", divide="ignore"):
+            own = take(base.exponentials(exps), count - mirrors, b)
+            if b == 0:
+                rel_error = _probe_gap(own[:_PROBE_DRAWS], _key_masses(
+                    base.exponentials(reference), weights, keys))
+            if mirrors:
+                take(np.reciprocal(exps, out=exps), mirrors, b)
+        del exps, own       # not held while the next block is drawn
+    table = np.concatenate(pieces).T.astype(float, order="C")
+    pooled, col = [], 0
+    for m in models:
+        pooled.append({k: table[col + c] for c, k in enumerate(m.mass_keys)})
+        col += len(m.mass_keys)
+    return pooled, rel_error
+
+
+def _probe_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest relative gap of float32 masses ``got`` from their float64
+    reference ``want``, over the entries whose reference is nonzero (an
+    empty arc's weights, and so both its masses, are exactly zero; every
+    grid point carries a positive weight, so some entry is not)."""
+    live = want != 0
+    return float((np.abs(got[live] - want[live]) / np.abs(want[live])).max())
+
+
+def _overflow_error(model, ensemble, seed: int, block: int) -> AlgebraError:
+    """The error for a block with a non-finite mass, naming gamma, rho and
+    the block's largest exponent |phi| (|phi / 2| on the boundary), which
+    is read from a fresh draw of the block."""
+    largest = float(np.abs(model.exponents(
+        ensemble.sample_block(seed, block))).max())
+    return AlgebraError(
+        f"a replica mass of sampling block {block} is not finite: at gamma "
+        f"{float(model.cfg.gamma)!r} and rho {model.rho!r} the block's "
+        f"largest exponent |phi| is {largest:.6g}, and float32 exp overflows "
+        f"above {_EXP32_OVERFLOW:.2f}")
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +838,12 @@ class GmcEstimate:
     sampling block's mean integral under a doubled node count), grid sizes,
     the boundary masses with no grid point (``empty_arcs``, as (direction,
     arc) pairs), the closed-form Coulomb factor, the deterministic mass
-    expectations, and the pairing: ``pairs`` (draw, mirror) pairs,
+    expectations, the pairing: ``pairs`` (draw, mirror) pairs,
     ``unpaired`` draws (1 for an odd replica count, else 0) and
-    ``draw_blocks``, the number of sampled field blocks."""
+    ``draw_blocks``, the number of sampled field blocks, and
+    ``sampling_rel_error``, the float32 sampling path's rounding error: the
+    largest relative gap, over every mass key, between the float32 and the
+    float64 masses of the first block's first 32 draws."""
 
     value: float
     stderr: float
@@ -794,9 +885,9 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     from the pair means, with an unpaired last draw counted as half a pair;
     with fewer than two pairs (under four replicas) they are 0.0.  The
     blocks stream through one at a time, the mirrors' reciprocals
-    overwriting the draws' exponentials once the draws' masses are taken.
-    The mass expectations read the covariance diagonal
-    (``GffEnsemble.cov_diag``).
+    overwriting the draws' exponentials once the draws' masses are taken
+    (``_pooled_masses``).  The mass expectations read the covariance
+    diagonal (``GffEnsemble.cov_diag``).
     """
     if replicas <= 0:
         raise AlgebraError("no data: at least one replica is required")
@@ -807,8 +898,10 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
 
     model = _MassModel(cfg, delta, eps, rho)
     ensemble = GffEnsemble(model.points, rho)
-    pooled = _pooled_masses(
-        (model,), _exponential_blocks(model, ensemble, seed, replicas))[0]
+    expected = model.expected_masses(ensemble.cov_diag)
+    (pooled,), sampling_rel_error = _pooled_masses(
+        (model,), ensemble, seed, replicas)
+    del ensemble        # its factors are not held through the zero mode
 
     mass_stats = {k: _paired_mean_stderr(v) for k, v in pooled.items()}
 
@@ -819,8 +912,9 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
         "grid_boundary": int(model.bnd_pts.size),
         "empty_arcs": model.empty_arcs,
         "rho": float(rho), "delta": float(delta), "eps": float(eps),
-        "expected_masses": model.expected_masses(ensemble.cov_diag),
+        "expected_masses": expected,
         **_pairing(replicas),
+        "sampling_rel_error": sampling_rel_error,
     }
 
     if free_case:
@@ -848,8 +942,10 @@ class FusionReport:
     ``quad_errors`` the zero-mode quadrature error and ``empty_arcs`` the
     (direction, arc) boundary masses with no grid point (see
     ``GmcEstimate``).  ``pairs`` and ``draw_blocks`` count the shared
-    antithetic pairs and sampled field blocks (both 0 in the free case,
-    which samples nothing)."""
+    antithetic pairs and sampled field blocks, and ``sampling_rel_error``
+    is the float32 sampling path's rounding error over every key of every
+    rung (see ``GmcEstimate``); all three are 0 in the free case, which
+    samples nothing."""
 
     slope: float
     exponent: float
@@ -862,6 +958,7 @@ class FusionReport:
     empty_arcs: tuple = ()
     pairs: int = 0
     draw_blocks: int = 0
+    sampling_rel_error: float = 0.0
 
     @property
     def bound(self) -> float:
@@ -880,7 +977,8 @@ class FusionReport:
                 "quad_errors": list(self.quad_errors),
                 "empty_arcs": [[list(k) for k in rung]
                                for rung in self.empty_arcs],
-                "pairs": self.pairs, "draw_blocks": self.draw_blocks}
+                "pairs": self.pairs, "draw_blocks": self.draw_blocks,
+                "sampling_rel_error": self.sampling_rel_error}
 
 
 def _moved_config(cfg, kind, i, j, d):
@@ -907,18 +1005,18 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     position is excluded from the quadrature grid up front).  Every rung
     rebinds the insertion-dependent weights before sampling starts; the
     field blocks then stream through once, each exponentiated once, and
-    its draws, then its mirrors, feed every rung's masses before the next
-    block is drawn.  So one block's exponentials are held at a time, and
-    only the per-rung masses grow with the replica count.  Each rung then
-    grows its own zero-mode window from its mean masses and reports that
-    window's tail increments.  The rungs thus re-weight the same (draw,
-    mirror) pairs, and take their stderrs from the pair means as
-    ``estimate_correlator`` does; at least two pairs (four replicas) are
-    required.  The predicted
-    short-distance exponent is ``-inner`` of the pair weights for a bulk
-    pair and ``-inner/2`` for a boundary pair, plus a positive-part
-    correction in the second simple-root direction; the fitted slope is
-    expected on or below that bound.
+    its draws, then its mirrors, feed every rung's masses (one GEMM over
+    all of them) before the next block is drawn.  So one block's
+    exponentials are held at a time, and only the per-rung masses grow
+    with the replica count.  Each rung then grows its own zero-mode window
+    from its mean masses and reports that window's tail increments.  The
+    rungs thus re-weight the same (draw, mirror) pairs, and take their
+    stderrs from the pair means as ``estimate_correlator`` does; at least
+    two pairs (four replicas) are required.  The predicted short-distance
+    exponent is ``-inner`` of the pair weights for a bulk pair and
+    ``-inner/2`` for a boundary pair, plus a positive-part correction in
+    the second simple-root direction; the fitted slope is expected on or
+    below that bound.
     """
     kind, i, j = pair
     if kind not in ("bulk", "boundary"):
@@ -956,6 +1054,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     configs = [_moved_config(cfg, kind, i, j, d) for d in ladder]
     coulombs = [coulomb_value(cfg_d) for cfg_d in configs]
     values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
+    sampling_rel_error = 0.0
     if free_case:
         values, errs = coulombs, [0.0] * len(ladder)
     else:
@@ -966,8 +1065,8 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         base_model = _MassModel(cfg, delta, eps, rho,
                                 extra_exclusions=[anchor + d for d in ladder])
         models = [base_model.rebound(cfg_d) for cfg_d in configs]
-        pooled = _pooled_masses(models, _exponential_blocks(
-            base_model, GffEnsemble(base_model.points, rho), seed, replicas))
+        pooled, sampling_rel_error = _pooled_masses(
+            models, GffEnsemble(base_model.points, rho), seed, replicas)
         for model, cfg_d, coulomb, masses in zip(models, configs, coulombs,
                                                  pooled):
             mean, err, _, tail, quad_error = _zero_mode_estimate(
@@ -987,4 +1086,5 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
                         tuple(float(v) for v in values),
                         tuple(float(e) for e in errs), tuple(tails),
                         tuple(quad_errors), tuple(empty_arcs),
-                        counts["pairs"], counts["draw_blocks"])
+                        counts["pairs"], counts["draw_blocks"],
+                        sampling_rel_error)

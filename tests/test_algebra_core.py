@@ -743,19 +743,69 @@ def nested_kappa(draw):
     return RatFunc("kappa", num, den), num, den
 
 
+def sympy_reduced(num, den, gens):
+    """num/den over Q(q)[kappa] reduced by sympy and divided by the
+    denominator's leading coefficient in kappa: the (num, den) coefficient
+    lists, as elements of sympy's field.  This is the nested reference.  A
+    Euclid over Q(q) coefficients, as ``euclid_reduced`` runs it, swells
+    their degree in q past the kernel's ``DEGREE_CAP`` on some pairs."""
+    q, kappa = gens["q"], gens["kappa"]
+    value = (sum((_to_sympy(c, gens) * kappa ** i for i, c in enumerate(num)),
+                 q.field.zero)
+             / sum(_to_sympy(c, gens) * kappa ** i for i, c in enumerate(den)))
+
+    def by_kappa(poly):
+        coeffs = {}
+        for (eq, ek), c in poly.terms():
+            coeffs[ek] = coeffs.get(ek, q.field.zero) + q.field(c) * q ** eq
+        return [coeffs.get(i, q.field.zero)
+                for i in range(max(coeffs, default=-1) + 1)]
+
+    num_cs, den_cs = by_kappa(value.numer), by_kappa(value.denom)
+    lead = den_cs[-1]
+    return [c / lead for c in num_cs], [c / lead for c in den_cs]
+
+
+def _check_nested(x, num, den, gens):
+    want = sympy_reduced(num, den, gens)
+    assert ([_to_sympy(c, gens) for c in x.num],
+            [_to_sympy(c, gens) for c in x.den]) == want
+    assert x.den[-1] == 1
+
+
+def _nested_case(num, den):
+    return RatFunc("kappa", num, den), num, den
+
+
+# a pair on which a Euclid over Q(q) coefficients passes DEGREE_CAP: the
+# product's remainders reach degree 70 in q
+_SWELLING_PAIR = (
+    _nested_case([RatFunc("q", [Fraction(-16, 7), Fraction(4, 7)],
+                          [Fraction(-1, 7), Fraction(1)]),
+                  RatFunc("q", [Fraction(5), Fraction(17, 3)]),
+                  RatFunc("q", [Fraction(-1, 3), Fraction(-4, 21)])],
+                 [Fraction(0), Fraction(0), Fraction(-3)]),
+    _nested_case([RatFunc("q", [Fraction(-5, 2), Fraction(-21, 4)]),
+                  RatFunc("q", [Fraction(-24, 23), Fraction(4, 23)],
+                          [Fraction(-32, 69), Fraction(1)]),
+                  Fraction(0)],
+                 [Fraction(0), Fraction(0), Fraction(-19, 4)]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(nested_kappa(), nested_kappa())
+@example(*_SWELLING_PAIR)
 def test_nested_monomial_denominators_match_euclid_and_sympy(p, r):
     sympy = pytest.importorskip("sympy")
     _, qs, ks = sympy.field("q,kappa", sympy.QQ)
     gens = {"q": qs, "kappa": ks}
     (x, *xraw), (y, *_) = p, r
-    _check_canonical(x, *xraw)
+    _check_nested(x, *xraw, gens)
     for op, fn in OPS.items():
         if op == "/" and y.is_zero:
             continue
         got = fn(x, y)
-        _check_canonical(got, *unreduced(op, x, y))
+        _check_nested(got, *unreduced(op, x, y), gens)
         want = OPS[op](_to_sympy(x, gens), _to_sympy(y, gens))
         assert _to_sympy(got, gens) == want
         assert want.denom.degree(ks.numer) == len(got.den) - 1

@@ -5,12 +5,19 @@ import ast
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
+from scipy.linalg.blas import dtrmm
 from scipy.special import exp1
 
 from w3toda.algebra_core import (
@@ -44,9 +51,9 @@ from w3toda.gmc_mc import (
     _CIRCLE_NODES,
     _EXP1_ZERO,
     _EXP_UNDERFLOW,
+    _PROBE_DRAWS,
     _ROOT_COEFFS,
     _MassModel,
-    _exponential_blocks,
     _mean_stderr,
     _moved_config,
     _paired_mean_stderr,
@@ -207,7 +214,11 @@ class TestSampler:
         GffEnsemble(PROBE_POINTS, 0.05)
         assert calls == [0.05, 0.05]
         cov = real(PROBE_POINTS, 0.05)
-        assert ens.chol.tobytes() == np.linalg.cholesky(cov).tobytes()
+        ref = np.linalg.cholesky(cov)
+        # the float32 sampling factor is the float64 factor rounded once
+        assert ens.chol.dtype == np.float32
+        assert ens.chol.tobytes() == ref.astype(np.float32).tobytes()
+        assert ens._factor.tobytes() == ref.tobytes()
         assert ens.cov_diag.tobytes() == np.diag(cov).tobytes()
         assert not hasattr(ens, "cov")
 
@@ -218,13 +229,19 @@ class TestSampler:
         ens = GffEnsemble(points, 0.03)
         ref = np.linalg.cholesky(mollified_covariance(points, 0.03))
         assert ens.n == 897
-        assert np.abs(ens.chol - ref).max() <= 1e-14
+        assert np.abs(ens._factor - ref).max() <= 1e-14
+        # rounded once to float32: within the unit roundoff 2^-24 of the
+        # float64 factor, plus the two builds' gap
+        assert np.all(np.abs(ens.chol - ref) <= 2.0 ** -24 * np.abs(ref)
+                      + 1e-14)
 
     def test_factor_transpose_is_fortran_ordered(self):
-        # dtrmm takes chol.T without a copy only in Fortran order
+        # strmm (and dtrmm, for the float64 factor) take the factor without
+        # a copy only in Fortran order and in their own precision
         ens = GffEnsemble(PROBE_POINTS, 0.05)
-        assert ens.chol.flags.c_contiguous
-        assert ens.chol.T.flags.f_contiguous
+        assert ens.chol.flags.f_contiguous and ens.chol.dtype == np.float32
+        assert ens._factor.flags.f_contiguous
+        assert ens._factor.dtype == np.float64
 
     def test_grid_budget(self):
         pts = np.arange(5000) * 1j + 1j
@@ -236,18 +253,34 @@ class TestSampler:
             GffEnsemble([1j], -0.1)
 
     def test_block_matches_dense_product(self):
-        # the in-place triangular multiply against chol @ normals of the
-        # same draw, split into the two components
+        # the in-place float32 triangular multiply against chol @ normals of
+        # the same draw, cast once to float32 and split into the two
+        # components.  The reference takes the same float32 operands
+        # exactly, in float64; a float32 sum of n products lies within
+        # accumulation_bound(n) of the sum of their absolute values
         model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
         ens = GffEnsemble(model.points, 0.03)
+        n, gamma_n = ens.n, accumulation_bound(ens.n)
+        chol = ens.chol.astype(float)
         for seed, b in ((0, 0), (5, 3)):
             block = ens.sample_block(seed, b)
             normals = np.random.default_rng([seed, b]).standard_normal(
-                (ens.n, 2 * BLOCK))
-            mixed = ens.chol @ normals
+                (n, 2 * BLOCK))
+            z = normals.astype(np.float32).astype(float)
+            mixed, scale = chol @ z, np.abs(chol) @ np.abs(z)
             dense = np.stack((mixed[:, :BLOCK], mixed[:, BLOCK:]))
-            assert block.shape == (2, ens.n, BLOCK)
-            assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
+            bound = gamma_n * np.stack((scale[:, :BLOCK], scale[:, BLOCK:]))
+            assert block.shape == (2, n, BLOCK)
+            assert block.dtype == np.float32
+            assert np.all(np.abs(block - dense) <= bound)
+            # the float64 reference draws: the same normals through the
+            # float64 factor, leaving the float32 block's bits alone
+            ref = np.empty((2, n, 5))
+            again = ens.sample_block(seed, b, ref)
+            assert again.tobytes() == block.tobytes()
+            exact = ens._factor @ normals
+            want = np.stack((exact[:, :5], exact[:, BLOCK:BLOCK + 5]))
+            assert np.abs(ref - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def plain_smoothed_log(d2, tau):
@@ -278,29 +311,89 @@ def test_mollified_covariance_matches_plain_formula_bitwise(rho):
     assert cov.tobytes() == plain_covariance(points, rho).tobytes()
 
 
+def plain_exponents(model, fields):
+    """The exponents of ``exponentials`` in the code's operation order,
+    in the fields' own precision: gamma folded into each frame coefficient,
+    direction 2 as scaled component 1 plus scaled component 0, then the
+    boundary rows halved."""
+    g, nb = float(model.cfg.gamma), model.n_bulk_pts
+    (a1, _), (a2, b2) = _ROOT_COEFFS
+    x0, x1 = fields
+    phi = np.stack((x0 * (g * a1), x1 * (g * b2) + (g * a2) * x0))
+    phi[:, nb:] = 0.5 * phi[:, nb:]
+    return phi
+
+
+def accumulation_bound(n):
+    """gamma_n = n u / (1 - n u) with u = 2^-24: a float32 sum of n
+    products lies within gamma_n times the sum of their absolute values of
+    its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1)."""
+    u = 2.0 ** -24
+    return n * u / (1 - n * u)
+
+
+def fsum_masses(model, exps, weights=None):
+    """Per-key replica masses of float32 exponentials (2, n, R) as math.fsum
+    of the exact float64 products of the float32 weights and exponentials,
+    each key on its own direction's plane."""
+    weights = model.weights.astype(np.float32) if weights is None \
+        else weights
+    out = {}
+    for c, key in enumerate(model.mass_keys):
+        rows = np.flatnonzero(weights[:, c])
+        w = weights[rows, c].astype(float)
+        plane = exps[key[1] - 1][rows].astype(float)
+        out[key] = np.array([math.fsum((w * plane[:, r]).tolist())
+                             for r in range(plane.shape[1])])
+    return out
+
+
 def test_exponentials_match_plain_formula_bitwise():
     model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
     fields = GffEnsemble(model.points, 0.03).sample_block(2, 1)[:, :, :100]
-    g, nb = float(model.cfg.gamma), model.n_bulk_pts
-    for (bulk, bnd), (c1, c2) in zip(model.exponentials(fields), _ROOT_COEFFS):
-        phi = g * (c1 * fields[0] + c2 * fields[1])
-        assert bulk.tobytes() == np.exp(phi[:nb]).tobytes()
-        assert bnd.tobytes() == np.exp(0.5 * phi[nb:]).tobytes()
+    want = np.exp(plain_exponents(model, fields))
+    got = model.exponentials(fields.copy())
+    assert got.dtype == np.float32 and want.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    # in place: the block's own buffer is returned
+    assert model.exponentials(fields) is fields
+    assert fields.tobytes() == want.tobytes()
 
 
-def test_masses_match_numpy_products_bitwise():
-    # dgemv against base @ exp on full draw and mirror yields, and on the
-    # partial last block of an odd count, whose mirrors are a column slice
+def test_masses_match_fsum_within_the_float32_accumulation_bound(monkeypatch):
+    # every key's sgemm mass against math.fsum of the same float32 products
+    # within the float32 accumulation bound, on full draw and mirror yields
+    # and on the partial last block of an odd count
+    from scipy.linalg import blas
     model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
     ens = GffEnsemble(model.points, 0.03)
-    widths = []
-    for exps in _exponential_blocks(model, ens, 4, 2 * BLOCK + 301):
-        got = model.masses(exps)
-        for i, (bulk_exp, _) in enumerate(exps, start=1):
-            want = model.bulk_base[i - 1] @ bulk_exp
-            assert got[("bulk", i)].tobytes() == want.tobytes()
-        widths.append((exps[0][0].shape[1], exps[0][0].flags.c_contiguous))
-    assert widths == [(BLOCK, True), (BLOCK, True), (151, True), (150, False)]
+    operands = []
+    real = blas.sgemm
+
+    def spy(alpha, a, b, *args, **kwargs):
+        operands.append((a.shape, a.flags.f_contiguous))
+        return real(alpha, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(blas, "sgemm", spy)
+    replicas, seed = 2 * BLOCK + 301, 4
+    (pooled,), _ = _pooled_masses((model,), ens, seed, replicas)
+    # one sgemm per yield, each on a whole block's buffer, not copied
+    assert operands == [((2 * BLOCK, ens.n), True)] * 4
+    bound = accumulation_bound(ens.n)
+    start = 0
+    for b, count in enumerate((2 * BLOCK, 301)):
+        exps = model.exponentials(ens.sample_block(seed, b))
+        draws = count - count // 2
+        want = fsum_masses(model, exps[:, :, :draws])
+        mirrors = fsum_masses(model, np.reciprocal(exps[:, :, :count // 2]))
+        for key, values in pooled.items():
+            got = values[start:start + count]
+            ref = np.concatenate((want[key], mirrors[key]))
+            assert got.dtype == np.float64 and got.size == count
+            assert np.all(np.abs(got - ref) <= bound * ref)
+        start += count
+    assert start == replicas
 
 
 def test_masses_on_an_empty_bulk_grid_are_zero():
@@ -344,6 +437,142 @@ def test_gmc_layer_calls_no_numpy_blas():
     assert found == []
 
 
+def bench_grid_models(grid, rho):
+    """The mass models of one benchmark workload's grid: the
+    ``gmc_estimate`` model, or the four rung models of ``fusion_ladder``
+    (boundary pair (0, 1) moved along its ladder)."""
+    cfg = mu_config()
+    if grid == "gmc_estimate":
+        return (_MassModel(cfg, 0.12, 0.1, rho),)
+    ladder = (0.006, 0.009, 0.0135, 0.02)
+    anchor = complex(float(cfg.boundary[0][0]))
+    base = _MassModel(cfg, 0.12, 0.12, rho,
+                      extra_exclusions=[anchor + d for d in ladder])
+    return tuple(base.rebound(_moved_config(cfg, "boundary", 0, 1, d))
+                 for d in ladder)
+
+
+@pytest.mark.parametrize("grid", ["gmc_estimate", "fusion_ladder"])
+@pytest.mark.parametrize("rho", [0.003, 0.03, 0.07])
+def test_float32_masses_match_float64_reference(grid, rho):
+    # one block (its draws, then their mirrors) of float32 masses against
+    # the same normals taken through the float64 path: scipy's Cholesky
+    # factor, BLAS dtrmm, np.exp and math.fsum over the float64 weights.
+    # 0.07 is the widest radius these grids factor: from 0.08 on the
+    # mollified covariance is numerically singular, and at 0.07 (condition
+    # number about 2e14) numpy's OpenBLAS build already gives a factor
+    # 3.6e-6 away from scipy's, a different realization of the same law
+    models, seed = bench_grid_models(grid, rho), 8
+    points = models[0].points
+    ens = GffEnsemble(points, rho)
+    pooled, rel_error = _pooled_masses(models, ens, seed, 2 * BLOCK)
+    chol = cholesky(mollified_covariance(points, rho), lower=True)
+    normals = np.random.default_rng([seed, 0]).standard_normal(
+        (ens.n, 2 * BLOCK))
+    mixed = dtrmm(1.0, chol, normals, lower=1)
+    x0, x1 = mixed[:, :BLOCK], mixed[:, BLOCK:]
+    g, nb = float(models[0].cfg.gamma), models[0].n_bulk_pts
+    phi = np.stack([g * (c1 * x0 + c2 * x1) for c1, c2 in _ROOT_COEFFS])
+    phi[:, nb:] *= 0.5
+    probe_gap = 0.0
+    for model, masses in zip(models, pooled):
+        draws = fsum_masses(model, np.exp(phi), model.weights)
+        mirrors = fsum_masses(model, np.exp(-phi), model.weights)
+        for key, got in masses.items():
+            want = np.concatenate((draws[key], mirrors[key]))
+            if not want.any():          # an empty arc: both exactly zero
+                assert not got.any()
+                continue
+            gap = np.abs(got - want) / want
+            assert gap.max() <= 1e-5
+            probe_gap = max(probe_gap, gap[:_PROBE_DRAWS].max())
+    # the reported error is that gap on the first block's first draws
+    assert 0 < rel_error == pytest.approx(probe_gap, rel=1e-6)
+    # and taking it moved no mass: the first model's draws without it
+    first = models[0]
+    plain = first.masses(first.exponentials(ens.sample_block(seed, 0)))
+    for key, values in plain.items():
+        assert values.tobytes() == pooled[0][key][:BLOCK].tobytes()
+
+
+def synthetic_sampler(phi_max):
+    """A stand-in for ``GffEnsemble.sample_block``: every field zero but
+    component 0 at the first (bulk) grid point of the first draw, set so
+    that direction 1's exponent there is ``phi_max``."""
+    g = float(mu_config().gamma)
+
+    def sample_block(self, seed, block, reference=None):
+        buf = np.zeros((self.n, 2 * BLOCK), dtype=np.float32)
+        buf[0, 0] = phi_max / (g * _ROOT_COEFFS[0][0])
+        if reference is not None:
+            reference[...] = 0.0
+        return buf.reshape(self.n, 2, BLOCK).transpose(1, 0, 2)
+    return sample_block
+
+
+@pytest.mark.parametrize("phi_max", [89.0, -89.0])
+def test_non_finite_mass_raises_naming_gamma_rho_and_phi(monkeypatch,
+                                                         phi_max):
+    # float32 exp overflows above 88.72: a draw at phi = 89 has an
+    # infinite exponential, and the mirror of a draw at -89 the reciprocal
+    # of a subnormal one; each raises instead of returning inf, and numpy
+    # warns of nothing
+    model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
+    ens = GffEnsemble(model.points, 0.03)
+    monkeypatch.setattr(GffEnsemble, "sample_block",
+                        synthetic_sampler(phi_max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraError, match="not finite") as info:
+            _pooled_masses((model,), ens, 1, 2 * BLOCK)
+    message = str(info.value)
+    largest = float(np.abs(model.exponents(ens.sample_block(1, 0))).max())
+    assert largest == pytest.approx(89.0, rel=1e-6)
+    for part in ("block 0", "gamma 0.8", "rho 0.03", f"{largest:.6g}",
+                 "88.72"):
+        assert part in message
+
+
+def test_finite_masses_just_below_the_float32_exp_limit(monkeypatch):
+    model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
+    ens = GffEnsemble(model.points, 0.03)
+    monkeypatch.setattr(GffEnsemble, "sample_block", synthetic_sampler(88.0))
+    (pooled,), _ = _pooled_masses((model,), ens, 1, 2 * BLOCK)
+    assert all(np.isfinite(v).all() for v in pooled.values())
+    assert pooled[("bulk", 1)][0] > 1e30
+
+
+def test_thread_count_moves_the_seeded_estimate_by_under_1e5():
+    # one BLAS thread against the inherited default, each in its own
+    # subprocess: a seeded estimate's value and mass means agree within
+    # 1e-5 relative (the float32 sums' order may follow the thread count)
+    code = textwrap.dedent("""
+        import json, sys
+        from w3toda.free_field import CorrelatorConfig
+        from w3toda.gmc_mc import estimate_correlator
+        cfg = CorrelatorConfig.from_json(json.loads(sys.argv[1]))
+        est = estimate_correlator(cfg, 0.12, 0.1, 0.03, 2048, seed=11)
+        print(json.dumps([est.value] + [m for m, _ in est.masses.values()]))
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    args = [sys.executable, "-c", code, json.dumps(mu_config().to_json())]
+    runs = [subprocess.Popen(args, env=e, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for e in (dict(env, OPENBLAS_NUM_THREADS="1"), env)]
+    results = []
+    for proc in runs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        results.append(json.loads(out))
+    one, default = results
+    assert len(one) == 7
+    for a, b in zip(one, default):
+        assert a == pytest.approx(b, rel=1e-5)
+
+
 def plain_zero_mode_values(masses, cfg, windows, nodes=128):
     """The zero-mode integrals with ``np.exp`` taken on every argument."""
     gamma, total = float(cfg.gamma), 1.0
@@ -364,8 +593,8 @@ def test_zero_mode_values_skip_only_exact_zeros():
     cfg, replicas = mu_config(), 2048
     est = estimate_correlator(cfg, 0.12, 0.1, 0.03, replicas, seed=3)
     model = _MassModel(cfg, 0.12, 0.1, 0.03)
-    pooled = _pooled_masses((model,), _exponential_blocks(
-        model, GffEnsemble(model.points, 0.03), 3, replicas))[0]
+    (pooled,), _ = _pooled_masses(
+        (model,), GffEnsemble(model.points, 0.03), 3, replicas)
     windows = est.diagnostics["window"]
     plain, expo = plain_zero_mode_values(pooled, cfg, windows)
     assert (expo < _EXP_UNDERFLOW).mean() > 0.1
@@ -468,6 +697,7 @@ class TestEstimateCorrelator:
             assert tail < 1e-8
         assert 0 <= mu_estimate.diagnostics["quad_error"] < 1e-5
         assert mu_estimate.diagnostics["empty_arcs"] == ()
+        assert 0 < mu_estimate.diagnostics["sampling_rel_error"] <= 1e-5
 
     def test_stderr_scales_with_replicas(self, mu_estimate):
         est4 = estimate_correlator(mu_config(), delta=0.12, eps=0.1,
@@ -660,6 +890,8 @@ class TestFusionProbe:
         assert blob["tail_increments"] == [list(p) for p in rep.tail_increments]
         assert blob["quad_errors"] == list(rep.quad_errors)
         assert blob["empty_arcs"] == [[[1, 0], [2, 0]]] * len(rep.values)
+        assert 0 < rep.sampling_rel_error <= 1e-5
+        assert blob["sampling_rel_error"] == rep.sampling_rel_error
 
     def test_rungs_reweight_shared_exponentials_bitwise(self):
         cfg = mu_config()
@@ -668,11 +900,12 @@ class TestFusionProbe:
         base = _MassModel(cfg, 0.12, 0.12, 0.003,
                           extra_exclusions=[anchor + d for d in ladder])
         fields = GffEnsemble(base.points, 0.003).sample_block(3, 0)[:, :, :64]
-        shared = base.exponentials(fields)
+        # exponentials work in place: each rung gets its own copy
+        shared = base.exponentials(fields.copy())
         rungs = []
         for d in ladder:
             model = base.rebound(_moved_config(cfg, "boundary", 0, 1, d))
-            own = model.masses(model.exponentials(fields))
+            own = model.masses(model.exponentials(fields.copy()))
             reweighted = model.masses(shared)
             assert own.keys() == reweighted.keys()
             for k in own:
@@ -690,6 +923,7 @@ class TestFusionProbe:
         assert blob["satisfied"] is True
         assert blob["tail_increments"] == []
         assert blob["quad_errors"] == [] and blob["empty_arcs"] == []
+        assert blob["sampling_rel_error"] == 0.0
 
     def test_ladder_below_mollification_scale(self):
         with pytest.raises(AlgebraError, match="mollification scale"):
@@ -739,36 +973,54 @@ def reference_pair_means(values):
     return np.array(out)
 
 
+def streamed_exponentials(monkeypatch, models, ens, seed, replicas):
+    """Copies of the float32 exponentials every mass GEMM of one
+    ``_pooled_masses`` pass read, in order, with its result."""
+    seen = []
+    real = gmc_mc._key_masses
+
+    def spy(exps, weights, keys):
+        if exps.dtype == np.float32:
+            seen.append(exps.copy())
+        return real(exps, weights, keys)
+
+    monkeypatch.setattr(gmc_mc, "_key_masses", spy)
+    pooled = _pooled_masses(models, ens, seed, replicas)
+    monkeypatch.setattr(gmc_mc, "_key_masses", real)
+    return seen, pooled
+
+
 class TestAntitheticPairs:
-    def test_mirror_exponentials_within_two_ulps_of_exp(self):
+    def test_mirror_exponentials_are_reciprocals_within_three_ulps_of_exp(
+            self, monkeypatch):
+        # the mirrors are np.reciprocal of the draws' exponentials, bit for
+        # bit.  numpy's float32 exp is off by up to 2.4 ulps on this block
+        # (2.3 on the draws), and the reciprocal adds one rounding, so a
+        # mirror lies within three float32 ulps of exp(-phi) itself,
+        # evaluated in float64 (2.8 on this block)
         model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
         ens = GffEnsemble(model.points, 0.03)
-        g, nb = float(model.cfg.gamma), model.n_bulk_pts
-        fields = ens.sample_block(2, 0)
-        # the stream reciprocates in place: copy each yield to keep it
-        draws, mirrors = [tuple(tuple(e.copy() for e in pair) for pair in exps)
-                          for exps in _exponential_blocks(model, ens, 2,
-                                                          2 * BLOCK)]
-        for (bulk, bnd), (c1, c2) in zip(mirrors, _ROOT_COEFFS):
-            phi = g * (c1 * fields[0] + c2 * fields[1])
-            for got, want in ((bulk, np.exp(-phi[:nb])),
-                              (bnd, np.exp(-0.5 * phi[nb:]))):
-                assert got.shape == want.shape == (want.shape[0], BLOCK)
-                assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        phi = plain_exponents(model, ens.sample_block(2, 0))
+        (draws, mirrors), _ = streamed_exponentials(
+            monkeypatch, (model,), ens, 2, 2 * BLOCK)
+        assert draws.shape == mirrors.shape == (2, ens.n, BLOCK)
+        assert draws.tobytes() == np.exp(phi).tobytes()
+        assert mirrors.tobytes() == np.reciprocal(np.exp(phi)).tobytes()
+        exact = np.exp(-phi.astype(float))
+        ulp = np.spacing(exact.astype(np.float32)).astype(float)
+        assert np.all(np.abs(mirrors - exact) <= 3 * ulp)
         # a second pass over the stream replays the same bits
-        streamed = [tuple(tuple(e.copy() for e in pair) for pair in exps)
-                    for exps in _exponential_blocks(model, ens, 2, 2 * BLOCK)]
-        for a, b in zip(streamed, (draws, mirrors)):
-            for pa, pb in zip(a, b):
-                for ea, eb in zip(pa, pb):
-                    assert ea.tobytes() == eb.tobytes()
+        again, _ = streamed_exponentials(monkeypatch, (model,), ens, 2,
+                                         2 * BLOCK)
+        for a, b in zip(again, (draws, mirrors)):
+            assert a.tobytes() == b.tobytes()
 
     def test_stderrs_are_the_sample_formula_on_pair_means(self):
         cfg, replicas, seed = mu_config(), 2 * 2 * BLOCK + 300, 4
         est = estimate_correlator(cfg, 0.12, 0.1, 0.03, replicas, seed=seed)
         model = _MassModel(cfg, 0.12, 0.1, 0.03)
-        pooled = _pooled_masses((model,), _exponential_blocks(
-            model, GffEnsemble(model.points, 0.03), seed, replicas))[0]
+        (pooled,), _ = _pooled_masses(
+            (model,), GffEnsemble(model.points, 0.03), seed, replicas)
         for key, values in pooled.items():
             mean, err = est.masses[key]
             assert mean == float(values.mean())
@@ -817,9 +1069,9 @@ class TestAntitheticPairs:
         calls = []
         real = GffEnsemble.sample_block
 
-        def counted(self, seed, block):
+        def counted(self, seed, block, reference=None):
             calls.append(block)
-            return real(self, seed, block)
+            return real(self, seed, block, reference)
 
         monkeypatch.setattr(GffEnsemble, "sample_block", counted)
         est = estimate_correlator(bench_config(), delta=0.1, eps=0.08,
@@ -850,8 +1102,7 @@ class TestAntitheticPairs:
         for cfg_d, pooled in seen:
             # a fresh streamed pass for this rung alone: same pairs, same bits
             model = base.rebound(cfg_d)
-            streamed = _pooled_masses(
-                (model,), _exponential_blocks(model, ens, seed, replicas))[0]
+            (streamed,), _ = _pooled_masses((model,), ens, seed, replicas)
             assert pooled.keys() == streamed.keys()
             for k in streamed:
                 assert pooled[k].size == replicas
@@ -892,6 +1143,8 @@ class TestAntitheticPairs:
         diag = json.loads(json.dumps(mu_estimate.to_json()))["diagnostics"]
         assert (diag["pairs"], diag["unpaired"], diag["draw_blocks"]) == \
             (2048, 0, 4)
+        assert diag["sampling_rel_error"] == \
+            mu_estimate.diagnostics["sampling_rel_error"]
         rep = fusion_probe(mu_config(), ("boundary", 0, 1), [0.006, 0.02],
                            delta=0.12, eps=0.12, rho=0.003, replicas=1025,
                            seed=3)
@@ -900,8 +1153,9 @@ class TestAntitheticPairs:
         free = fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
                             TestFusionProbe.LADDER, delta=0.1, eps=0.002,
                             rho=0.004, replicas=16)
-        assert (free.to_json()["pairs"], free.to_json()["draw_blocks"]) == \
-            (0, 0)          # the free case samples nothing
+        assert (free.to_json()["pairs"], free.to_json()["draw_blocks"],
+                free.to_json()["sampling_rel_error"]) == \
+            (0, 0, 0.0)     # the free case samples nothing
 
 
 # ---------------------------------------------------------------------------
