@@ -12,17 +12,17 @@ change under a doubled node count, on the first sampling block).  Boundary
 arcs left without grid points by the exclusion radius are reported as well.
 
 The sampling path runs in single precision, from the triangular product up
-to the per-replica masses.  Each block draws float64 standard normals and
-casts them once to float32, so every replica is the float64 stream's
-realization moved only by rounding.  BLAS ``strmm`` multiplies them in
-place by a float32 copy of the factor; ``exponentials`` exponentiates that
-buffer in place (it depends on gamma and the grids only); and ``sgemm``
-applies the insertion-dependent weights of every mass to it in one call.
-Each mass model holds an (n, keys) weight matrix, so the fusion probe, which
-rebinds the weights of every ladder rung up front, reads every key of every
-rung from each block with that one call; it streams the blocks once and
-holds one block at a time whatever the replica count.  The masses are
-returned in float64, and all that follows them runs in float64: the
+to the per-replica masses.  Each block draws float64 standard normals, a
+chunk of rows at a time, and casts them once to float32, so every replica is
+the float64 stream's realization moved only by rounding.  BLAS ``strmm``
+multiplies them in place by a float32 copy of the factor; ``exponentials``
+exponentiates that buffer in place (it depends on gamma and the grids only);
+and ``sgemm`` applies the insertion-dependent weights of every mass to it in
+one call.  Each mass model holds an (n, keys) weight matrix, so the fusion
+probe, which rebinds the weights of every ladder rung up front, reads every
+key of every rung from each block with that one call; it streams the blocks
+once and holds one block per worker whatever the replica count.  The masses
+are returned in float64, and all that follows them runs in float64: the
 zero-mode integral, the windows, the means and stderrs, and the mass
 expectations (``expected_masses``, from the same weight matrix).  The layer
 reports its own rounding error: ``sampling_rel_error`` is the largest
@@ -32,23 +32,47 @@ float64 (the float64 factor through ``dtrmm``, then ``exp`` and ``dgemm``).
 float32 ``exp`` overflows above 88.72 (float64's limit is 709.78); a
 non-finite mass raises, naming gamma, rho and the block's largest exponent.
 
-``_pooled_masses`` is the one pooling loop, over a sequence of models.  From
-pooled masses to a value there is one path, ``_zero_mode_estimate``: the
-correlator estimate and every fusion rung go through it for their windows,
-quadrature error, mean and stderr.
+``_pooled_masses`` is the one pooling loop, over a sequence of models.  It
+runs the blocks on one worker thread per CPU the process may use (at most
+one per block): worker w takes blocks w, w + W, w + 2W, ... and writes each
+block's masses into that block's own rows of one preallocated table, so the
+replica order and every random stream are those of a serial loop, and the
+result is the same bits at any worker count.  From pooled masses to a value
+there is one path, ``_zero_mode_estimate``: the correlator estimate and
+every fusion rung go through it for their windows, quadrature error, mean
+and stderr.
 
 Every dense linear-algebra call of this module (the factorization, the
 triangular products, the mass sums and the zero-mode quadrature sums) goes
-through ``scipy.linalg``'s BLAS and LAPACK, never numpy's ``@`` or
-``np.linalg``.  numpy and scipy each bundle their own OpenBLAS, each with
-its own thread pool whose workers keep spinning after a call; on a small
-host, every switch from one library to the other makes the next threaded
-call share a CPU with the other library's spinning workers.  scipy is
-loaded on the first GMC call, not when this module is imported: each
-function that calls into it imports it itself.  Nothing else in the
-package uses scipy, and loading it (about 110 modules and 30 MB) took most
-of the start-up of a process that imports every layer but runs only the
-exact ones.  After the first call each of those imports is a
+through scipy's BLAS and LAPACK, never numpy's ``@`` or ``np.linalg``.
+numpy and scipy each bundle their own OpenBLAS, each with its own thread
+pool whose workers keep spinning after a call; on a small host, every
+switch from one library to the other makes the next threaded call share a
+CPU with the other library's spinning workers.  Two more facts shape the
+sampling path.  scipy's f2py BLAS wrappers hold the GIL for the whole call,
+so a second Python thread stalls while one of them runs; the sampling path
+therefore calls ``strmm``, ``sgemm``, ``dtrmm`` and ``dgemm`` through
+ctypes (``_Blas``), which releases the GIL, at the addresses scipy
+publishes in ``scipy.linalg.cython_blas``.  And a threaded OpenBLAS call
+keeps a pool worker spinning on another CPU, which is the CPU a second
+sampling worker needs; so every BLAS and LAPACK call of this module runs
+with scipy's OpenBLAS pinned to one thread (``_one_blas_thread``), each
+sampling worker's calls in that worker.  The pin also makes every result
+independent of the BLAS thread count: a threaded ``dpotrf``, ``strmm`` or
+``sgemm`` sums in an order that follows it.  OpenBLAS's
+``openblas_set_num_threads_local``, the call behind the pin, sets the count
+of the whole library in this build, so the pins of all threads are
+counted, the last holder restores the count the first one found, and
+``_pooled_masses`` holds one pin around its whole pool; other threads'
+scipy BLAS calls run on one thread meanwhile.  Where the library does not
+export that call, nothing is pinned and the pool has one worker.
+
+scipy is loaded on the first GMC call, not when this module is imported:
+each function that calls into it imports it itself, and so do the sampling
+pool (``concurrent.futures``) and its DEBUG line (``logging``).  Nothing
+else in the package uses scipy, and loading it (about 110 modules and
+30 MB) took most of the start-up of a process that imports every layer but
+runs only the exact ones.  After the first call each of those imports is a
 ``sys.modules`` lookup of about a microsecond.
 
 Replicas come in antithetic pairs: every sampled field phi is followed by
@@ -91,8 +115,13 @@ mirrors alike; for an odd count the last draw has no mirror.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +148,8 @@ _EXP_OVERFLOW = math.log(sys.float_info.max)    # and overflows above this
 _COV_ROWS = 128                     # rows per block of mollified_covariance
 _PROBE_DRAWS = 32                   # draws of the float64 rounding probe
 _EXP32_OVERFLOW = math.log(float(np.finfo(np.float32).max))     # 88.72
+_NORMAL_CHUNKS = 8                  # float64 normals chunks per sampled block
+_EXPONENT_ROWS = 32                 # rows per temporary of ``exponents``
 
 _FRAME = (E1, E1 + 2 * E2)          # orthogonal frame, norms sqrt(2), sqrt(6)
 _FRAME_NORM = (math.sqrt(2.0), math.sqrt(6.0))
@@ -139,6 +170,140 @@ def _doubled_floats(cfg: CorrelatorConfig) -> tuple:
         pts.append(complex(z))
         wts.append(alpha)
     return np.asarray(pts, dtype=complex), tuple(wts)
+
+
+# ---------------------------------------------------------------------------
+# GIL-free BLAS, pinned to one thread
+# ---------------------------------------------------------------------------
+
+class _Blas:
+    """``trmm`` and ``gemm`` on scipy's OpenBLAS, called through ctypes.
+
+    The routines are ``scipy.linalg.cython_blas``'s, at the addresses scipy
+    publishes in its ``__pyx_capi__`` capsules.  ctypes releases the GIL for
+    the call, where scipy's f2py wrappers hold it, and every call runs
+    under ``_one_blas_thread``, so its result does not depend on the BLAS
+    thread count, whoever calls it.  ``set_threads`` is OpenBLAS's
+    ``openblas_set_num_threads_local`` from the library those routines link
+    (it returns the previous count), or None where that library does not
+    export it."""
+
+    def __init__(self):
+        from scipy.linalg import cython_blas
+        api = ctypes.pythonapi
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", api))
+        address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(("PyCapsule_GetPointer",
+                                                      api))
+
+        def bind(routine, args):
+            capsule = cython_blas.__pyx_capi__[routine]
+            prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * args)
+            return prototype(address(capsule, name(capsule)))
+
+        self._routines = {
+            np.dtype(np.float32): (ctypes.c_float, bind("strmm", 11),
+                                   bind("sgemm", 13)),
+            np.dtype(np.float64): (ctypes.c_double, bind("dtrmm", 11),
+                                   bind("dgemm", 13)),
+        }
+        try:
+            set_threads = ctypes.CDLL(cython_blas.__file__)[
+                "openblas_set_num_threads_local"]
+        except AttributeError:
+            set_threads = None
+        else:
+            set_threads.restype = ctypes.c_int
+            set_threads.argtypes = [ctypes.c_int]
+        self.set_threads = set_threads
+
+    def trmm(self, factor: np.ndarray, z: np.ndarray) -> None:
+        """``z = factor @ z`` in place, for a Fortran-ordered lower-triangular
+        factor (n, n) and a C-ordered z (n, m) of the same dtype: ``trmm``
+        forms ``z.T @ factor.T`` on z's Fortran-ordered transpose, so neither
+        operand is copied."""
+        n, m = z.shape
+        if not (factor.flags.f_contiguous and z.flags.c_contiguous
+                and factor.shape == (n, n) and factor.dtype == z.dtype):
+            raise ValueError("trmm needs a Fortran-ordered (n, n) factor and "
+                             "a C-ordered (n, m) operand of one dtype")
+        scalar, trmm, _ = self._routines[z.dtype]
+        with _one_blas_thread():
+            trmm(b"R", b"L", b"T", b"N", _int(m), _int(n),
+                 ctypes.byref(scalar(1.0)), factor.ctypes.data, _int(n),
+                 z.ctypes.data, _int(m))
+
+    def gemm(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``a.T @ w`` as a new Fortran-ordered (m, k) array, for a C-ordered
+        a (n, m) and a Fortran-ordered w (n, k) of the same dtype: ``gemm``
+        reads a as its Fortran-ordered transpose, so neither operand is
+        copied."""
+        (n, m), k = a.shape, w.shape[1]
+        if not (a.flags.c_contiguous and w.flags.f_contiguous
+                and w.shape[0] == n and a.dtype == w.dtype):
+            raise ValueError("gemm needs a C-ordered (n, m) and a "
+                             "Fortran-ordered (n, k) operand of one dtype")
+        scalar, _, gemm = self._routines[a.dtype]
+        out = np.empty((m, k), dtype=a.dtype, order="F")
+        with _one_blas_thread():
+            gemm(b"N", b"N", _int(m), _int(k), _int(n),
+                 ctypes.byref(scalar(1.0)), a.ctypes.data, _int(m),
+                 w.ctypes.data, _int(n), ctypes.byref(scalar(0.0)),
+                 out.ctypes.data, _int(m))
+        return out
+
+
+def _int(value: int):
+    """A Fortran integer argument: a pointer to a C int."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+@functools.cache
+def _blas() -> _Blas:
+    """The module's one ``_Blas``, bound on the first GMC call."""
+    return _Blas()
+
+
+_PIN_LOCK = threading.Lock()
+_pin = {"holders": 0, "saved": 0}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread.
+
+    The count is process-wide in this build: its
+    ``openblas_set_num_threads_local`` calls ``openblas_set_num_threads``.
+    So the pins of all threads are counted: the first holder saves the
+    count it finds and the last one restores it, whatever the order in
+    which holders leave.  A no-op where the library cannot be pinned."""
+    set_threads = _blas().set_threads
+    if set_threads is None:
+        yield
+        return
+    with _PIN_LOCK:
+        if not _pin["holders"]:
+            _pin["saved"] = set_threads(1)
+        _pin["holders"] += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin["holders"] -= 1
+            if not _pin["holders"]:
+                set_threads(_pin["saved"])
+
+
+def _worker_count(blocks: int) -> int:
+    """Sampling workers for ``blocks`` blocks: one per CPU this process may
+    run on, at most one per block, and one where BLAS cannot be pinned to a
+    thread (a threaded BLAS call would spin on the CPUs the others need)."""
+    if _blas().set_threads is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return max(1, min(cpus, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +393,14 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 class GffEnsemble:
     """Covariance factorization of one grid, shared by all replicas.
 
-    LAPACK ``dpotrf`` factors the covariance in place, in float64, and the
-    dense covariance survives only as that factor.  ``chol`` is the float32
-    copy of the lower factor that every ``sample_block`` multiplies by,
-    Fortran-ordered so that ``strmm`` takes it without a copy (n^2 * 4
-    bytes, 3.2 MB on the benchmark grids of about 900 points).  The float64
-    factor, ``dpotrf``'s own output, is kept only for the float64 reference
-    draws of ``sample_block``; ``cov_diag`` is the covariance diagonal."""
+    LAPACK ``dpotrf`` factors the covariance in place, in float64 and on one
+    BLAS thread, and the dense covariance survives only as that factor.
+    ``chol`` is the float32 copy of the lower factor that every
+    ``sample_block`` multiplies by, Fortran-ordered so that ``strmm`` takes
+    it without a copy (n^2 * 4 bytes, 3.2 MB on the benchmark grids of about
+    900 points).  The float64 factor, ``dpotrf``'s own output, is kept only
+    for the float64 reference draws of ``sample_block``; ``cov_diag`` is the
+    covariance diagonal."""
 
     def __init__(self, points, rho: float):
         from scipy.linalg.lapack import dpotrf
@@ -253,12 +419,17 @@ class GffEnsemble:
         self.cov_diag = cov.diagonal().copy()
         # cov is symmetric, so its Fortran-ordered transpose is the same
         # matrix and LAPACK factors it in place
-        factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
+        with _one_blas_thread():
+            factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
         if info != 0:
             raise AlgebraError(
-                "covariance is not positive semi-definite after "
-                f"mollification; radius {rho} is too small for the grid "
-                f"spacing (dpotrf info {info})")
+                "covariance is not positive semi-definite in floating point "
+                f"after mollification (dpotrf info {info}): rho {rho!r} is "
+                "too large for the grid, whose smallest spacing is "
+                f"{_smallest_spacing(pts):.4g}; at that radius the mollified "
+                "kernel is smooth on the grid scale and neighbouring rows "
+                "are numerically dependent.  Take a smaller rho or points "
+                "further apart")
         self.chol = factor.astype(np.float32, order="F")
         self._factor = factor
 
@@ -266,40 +437,66 @@ class GffEnsemble:
     def n(self) -> int:
         return self.points.size
 
+    def workspace(self) -> tuple:
+        """Buffers ``sample_block`` draws a block into: the float32 block
+        (n, 2 * BLOCK) and a float64 normals chunk of ceil(n /
+        _NORMAL_CHUNKS) rows."""
+        rows = -(-self.n // _NORMAL_CHUNKS)
+        return (np.empty((self.n, 2 * BLOCK), dtype=np.float32),
+                np.empty((rows, 2 * BLOCK)))
+
     def sample_block(self, seed: int, block: int,
-                     reference: np.ndarray | None = None) -> np.ndarray:
+                     reference: np.ndarray | None = None,
+                     workspace: tuple | None = None) -> np.ndarray:
         """Field draws [block*BLOCK, (block+1)*BLOCK) of the seed's stream
-        as a float32 array (2, n, BLOCK).
+        as a float32 array (2, n, BLOCK), a view of the workspace's block
+        buffer (of a new ``workspace()`` if none is given).
 
         The block's float64 normals (n, 2*BLOCK) come from
-        ``default_rng([seed, block])`` and are cast once to float32; column
-        ``r`` is field ``r`` of component 0 and column ``BLOCK + r`` field
-        ``r`` of component 1.  ``strmm`` multiplies that buffer by ``chol``
-        in place, and the result is a (2, n, BLOCK) view of it.
+        ``default_rng([seed, block])``, drawn into the float64 chunk a few
+        rows at a time (the same stream as one draw of the whole block) and
+        cast to float32 into the block buffer; column ``r`` is field ``r``
+        of component 0 and column ``BLOCK + r`` field ``r`` of component 1.
+        ``strmm`` multiplies that buffer by ``chol`` in place.
 
         ``reference``, if given, is a float64 array (2, n, k) that receives
         the float64 fields of the block's first k draws: the same float64
         normals times the float64 factor, through ``dtrmm``."""
-        from scipy.linalg.blas import dtrmm, strmm
+        out, chunk = self.workspace() if workspace is None else workspace
         rng = np.random.default_rng([int(seed), int(block)])
-        normals = rng.standard_normal((self.n, 2 * BLOCK))
         if reference is not None:
             k = reference.shape[2]
-            first = normals.reshape(self.n, 2, BLOCK)[:, :, :k]
-            reference[...] = _lower_product(
-                dtrmm, self._factor, first.reshape(self.n, 2 * k))
-        return _lower_product(strmm, self.chol, normals.astype(np.float32))
+            first = np.empty((self.n, 2, k))
+        for lo in range(0, self.n, chunk.shape[0]):
+            part = chunk[:self.n - lo]
+            rng.standard_normal(out=part)
+            hi = lo + part.shape[0]
+            out[lo:hi] = part
+            if reference is not None:
+                first[lo:hi] = part.reshape(-1, 2, BLOCK)[:, :, :k]
+        if reference is not None:
+            reference[...] = _lower_product(self._factor,
+                                            first.reshape(self.n, 2 * k))
+        return _lower_product(self.chol, out)
 
 
-def _lower_product(trmm, factor: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``factor @ z`` in place, for a Fortran-ordered lower-triangular
-    factor and a C-ordered z of shape (n, 2m): BLAS ``trmm`` forms
-    ``z.T @ factor.T`` on z's Fortran-ordered transpose, so neither operand
-    is copied.  Returns the (2, n, m) view (component, point, draw)."""
+def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``factor @ z`` in place (``_Blas.trmm``) for a C-ordered z of shape
+    (n, 2m); returns the (2, n, m) view (component, point, draw)."""
     n, m = z.shape[0], z.shape[1] // 2
-    mixed = trmm(1.0, factor, z.T, side=1, lower=1, trans_a=1,
-                 overwrite_b=1).T
-    return mixed.reshape(n, 2, m).transpose(1, 0, 2)
+    _blas().trmm(factor, z)
+    return z.reshape(n, 2, m).transpose(1, 0, 2)
+
+
+def _smallest_spacing(points: np.ndarray) -> float:
+    """Smallest distance between two of the points (0.0 for a repeated
+    point), in blocks of ``_COV_ROWS`` rows."""
+    best = math.inf
+    for lo in range(0, points.size, _COV_ROWS):
+        dist = np.abs(points[lo:lo + _COV_ROWS, None] - points[None, :])
+        np.fill_diagonal(dist[:, lo:], math.inf)
+        best = min(best, float(dist.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +650,16 @@ class _MassModel:
         ``phi_d = gamma <e_d, X>`` on the bulk rows and ``phi_d / 2`` on the
         boundary rows.  gamma is folded into the frame coefficients, and
         plane 1 is formed first, while plane 0 still holds component 0 (e_1
-        is the first frame vector, so phi_1 reads component 0 alone)."""
+        is the first frame vector, so phi_1 reads component 0 alone).  Its
+        component-0 term is added ``_EXPONENT_ROWS`` rows at a time, so no
+        temporary as large as a plane is allocated."""
         g = float(self.cfg.gamma)
         (a1, _), (a2, b2) = _ROOT_COEFFS
         x0, x1 = fields
         x1 *= g * b2
-        x1 += (g * a2) * x0
+        for lo in range(0, x0.shape[0], _EXPONENT_ROWS):
+            rows = slice(lo, lo + _EXPONENT_ROWS)
+            x1[rows] += (g * a2) * x0[rows]
         x0 *= g * a1
         fields[:, self.n_bulk_pts:] *= 0.5
         return fields
@@ -493,15 +694,14 @@ class _MassModel:
 
 def _key_masses(exps: np.ndarray, weights: np.ndarray, keys) -> np.ndarray:
     """Masses (R, len(keys)) of a block of exponentials (2, n, R), each key
-    on its own direction's plane.  One GEMM takes every weight column
-    against both planes: ``sgemm`` on a float32 block, ``dgemm`` on a
-    float64 one, with the block's (n, 2R) buffer passed as its
-    Fortran-ordered transpose, so a whole sampled block is not copied."""
-    from scipy.linalg.blas import dgemm, sgemm
-    gemm = sgemm if exps.dtype == np.float32 else dgemm
+    on its own direction's plane.  One GEMM (``_Blas.gemm``, in the block's
+    precision) takes every weight column against both planes, with the
+    block's (n, 2R) buffer passed as its Fortran-ordered transpose, so a
+    whole sampled block is not copied."""
     n, r = exps.shape[1:]
-    table = gemm(1.0, exps.transpose(1, 0, 2).reshape(n, 2 * r).T,
-                 weights.astype(exps.dtype, order="F", copy=False))
+    table = _blas().gemm(
+        np.ascontiguousarray(exps.transpose(1, 0, 2).reshape(n, 2 * r)),
+        weights.astype(exps.dtype, order="F", copy=False))
     first = np.array([k[1] == 1 for k in keys])
     return np.where(first, table[:r], table[r:])
 
@@ -536,59 +736,99 @@ def _pairing(replicas: int) -> dict:
 
 
 def _pooled_masses(models, ensemble, seed: int, replicas: int) -> tuple:
-    """``(pooled, sampling_rel_error)`` for the seed's first ``replicas``
-    replicas.  ``pooled`` holds one dict per mass model of the sequence
-    ``models`` (which share one grid and gamma) of per-key float64 replica
-    masses in replica order.
+    """``(pooled, sampling)`` for the seed's first ``replicas`` replicas.
+    ``pooled`` holds one dict per mass model of the sequence ``models``
+    (which share one grid and gamma) of per-key float64 replica masses in
+    replica order.  ``sampling`` holds ``sampling_rel_error`` and ``blas``:
+    the worker count and whether BLAS was pinned to one thread.
 
-    Blocks stream through one at a time.  A block holds 2 * BLOCK replicas,
-    its draws phi and then their mirrors -phi; the last one holds the rest
-    of the requested count, and for an odd count its last draw has no
-    mirror.  The first model's ``exponentials`` are taken in place in the
-    sampled buffer, and one ``sgemm`` reads every key of every model from
-    it.  The mirrors' exponentials are the reciprocals of the draws'
-    (exp(-phi) = 1 / exp(phi)): one ``np.reciprocal`` over the same buffer,
-    with no normals, no triangular product and no ``exp``, and a second
-    ``sgemm`` reads their masses.  A mass that is not finite raises.
+    A block holds 2 * BLOCK replicas, its draws phi and then their mirrors
+    -phi; the last one holds the rest of the requested count, and for an
+    odd count its last draw has no mirror.  The first model's
+    ``exponentials`` are taken in place in the sampled buffer, and one
+    ``sgemm`` reads every key of every model from it.  The mirrors'
+    exponentials are the reciprocals of the draws' (exp(-phi) = 1 /
+    exp(phi)): one ``np.reciprocal`` over the same buffer, with no normals,
+    no triangular product and no ``exp``, and a second ``sgemm`` reads their
+    masses.
+
+    The blocks run on ``_worker_count`` threads, each with a fixed stride of
+    blocks and its own workspace (allocated here, in the calling thread),
+    under one ``_one_blas_thread`` pin.  Every block writes its masses into
+    its own rows of one float32 (replicas, keys) table, so the result does
+    not depend on the worker count.  numpy's error state is per thread, so
+    each worker ignores overflow itself: an overflow shows as a non-finite
+    mass, and the non-finite mass of the lowest such block raises once every
+    worker has stopped (a worker skips the blocks past a failed one).  Any
+    other error of a worker is raised from its future.
 
     The first block also draws the float64 fields of its first
     ``_PROBE_DRAWS`` draws (``sample_block``'s reference) and takes their
     masses in float64; ``sampling_rel_error`` is the largest relative gap
     between those and the same draws' float32 masses, over every key of
     every model with a nonzero mass.  Taking it changes no pooled value."""
+    import logging
+    from concurrent.futures import ThreadPoolExecutor
     base = models[0]
     keys = [k for m in models for k in m.mass_keys]
     weights = np.hstack([m.weights for m in models])
     weights32 = weights.astype(np.float32, order="F")
+    blocks = -(-replicas // (2 * BLOCK))
+    width = _worker_count(blocks)
+    table = np.empty((replicas, len(keys)), dtype=np.float32)
     reference = np.empty((2, ensemble.n, _PROBE_DRAWS))
-    pieces, rel_error = [], 0.0
+    rel_error, lowest, failed = 0.0, blocks, {}
 
-    def take(exps, width, block):
+    def take(exps, at, count, block):
         own = _key_masses(exps, weights32, keys)
-        if not np.isfinite(own[:width]).all():
+        if not np.isfinite(own[:count]).all():
             raise _overflow_error(base, ensemble, seed, block)
-        pieces.append(own[:width])
+        table[at:at + count] = own[:count]
         return own
 
-    for b in range(-(-replicas // (2 * BLOCK))):
-        count = min(2 * BLOCK, replicas - 2 * BLOCK * b)
-        mirrors = count // 2
-        exps = ensemble.sample_block(seed, b, reference if b == 0 else None)
-        # an overflow shows as a non-finite mass, which raises in take
+    def work(start, workspace):
+        nonlocal rel_error, lowest
         with np.errstate(over="ignore", divide="ignore"):
-            own = take(base.exponentials(exps), count - mirrors, b)
-            if b == 0:
-                rel_error = _probe_gap(own[:_PROBE_DRAWS], _key_masses(
-                    base.exponentials(reference), weights, keys))
-            if mirrors:
-                take(np.reciprocal(exps, out=exps), mirrors, b)
-        del exps, own       # not held while the next block is drawn
-    table = np.concatenate(pieces).T.astype(float, order="C")
+            for b in range(start, blocks, width):
+                if b > lowest:
+                    return
+                try:
+                    at = 2 * BLOCK * b
+                    count = min(2 * BLOCK, replicas - at)
+                    mirrors = count // 2
+                    exps = base.exponentials(ensemble.sample_block(
+                        seed, b, reference if b == 0 else None, workspace))
+                    own = take(exps, at, count - mirrors, b)
+                    if b == 0:
+                        rel_error = _probe_gap(own[:_PROBE_DRAWS], _key_masses(
+                            base.exponentials(reference), weights, keys))
+                    if mirrors:
+                        take(np.reciprocal(exps, out=exps),
+                             at + count - mirrors, mirrors, b)
+                except AlgebraError as err:
+                    failed[b] = err
+                    lowest = min(lowest, b)
+                    return
+
+    with _one_blas_thread(), ThreadPoolExecutor(
+            width, thread_name_prefix="w3toda-gmc") as pool:
+        runs = [pool.submit(work, w, ensemble.workspace())
+                for w in range(width)]
+    for run in runs:
+        run.result()
+    if failed:
+        raise failed[min(failed)]
+    blas = {"workers": width, "pinned": _blas().set_threads is not None}
+    logging.getLogger("w3toda").debug(
+        "gmc_mc: %d blocks of %d points on %d workers, BLAS %s", blocks,
+        ensemble.n, width,
+        "pinned to one thread" if blas["pinned"] else "not pinned")
+    columns = table.T.astype(float, order="C")
     pooled, col = [], 0
     for m in models:
-        pooled.append({k: table[col + c] for c, k in enumerate(m.mass_keys)})
+        pooled.append({k: columns[col + c] for c, k in enumerate(m.mass_keys)})
         col += len(m.mass_keys)
-    return pooled, rel_error
+    return pooled, {"sampling_rel_error": rel_error, "blas": blas}
 
 
 def _probe_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -787,7 +1027,8 @@ def _zero_mode_values(masses: dict, cfg, windows,
     buffers and one mask.  Far out in a window the exponent reaches -1e9;
     ``np.exp`` runs only where it is at least _EXP_UNDERFLOW, and the rest
     is set to the 0.0 it would round to.  Each chunk's node sum is one BLAS
-    ``dgemv`` on the transposed (Fortran-ordered) buffer."""
+    ``dgemv`` on the transposed (Fortran-ordered) buffer, on one BLAS
+    thread."""
     from scipy.linalg.blas import dgemv
     gamma = float(cfg.gamma)
     terms = []
@@ -800,24 +1041,25 @@ def _zero_mode_values(masses: dict, cfg, windows,
     total = np.empty(n)
     buf = np.empty(2 * nodes * min(n, _ZERO_MODE_CHUNK))
     mask = np.empty(nodes * min(n, _ZERO_MODE_CHUNK), dtype=bool)
-    for lo in range(0, n, _ZERO_MODE_CHUNK):
-        hi = min(lo + _ZERO_MODE_CHUNK, n)
-        size = nodes * (hi - lo)
-        expo = buf[:size].reshape(nodes, hi - lo)
-        scratch = buf[size:2 * size].reshape(nodes, hi - lo)
-        live = mask[:size].reshape(nodes, hi - lo)
-        for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
-            np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
-            np.multiply.outer(half_e, bnd[lo:hi], out=scratch)
-            expo -= scratch
-            np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
-            np.exp(expo, out=expo, where=live)
-            np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
-            part = dgemv(1.0, expo.T, lin)
-            if i == 0:
-                total[lo:hi] = part
-            else:
-                total[lo:hi] *= part
+    with _one_blas_thread():
+        for lo in range(0, n, _ZERO_MODE_CHUNK):
+            hi = min(lo + _ZERO_MODE_CHUNK, n)
+            size = nodes * (hi - lo)
+            expo = buf[:size].reshape(nodes, hi - lo)
+            scratch = buf[size:2 * size].reshape(nodes, hi - lo)
+            live = mask[:size].reshape(nodes, hi - lo)
+            for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
+                np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
+                np.multiply.outer(half_e, bnd[lo:hi], out=scratch)
+                expo -= scratch
+                np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
+                np.exp(expo, out=expo, where=live)
+                np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
+                part = dgemv(1.0, expo.T, lin)
+                if i == 0:
+                    total[lo:hi] = part
+                else:
+                    total[lo:hi] *= part
     total /= _SQRT3
     return total
 
@@ -840,10 +1082,11 @@ class GmcEstimate:
     arc) pairs), the closed-form Coulomb factor, the deterministic mass
     expectations, the pairing: ``pairs`` (draw, mirror) pairs,
     ``unpaired`` draws (1 for an odd replica count, else 0) and
-    ``draw_blocks``, the number of sampled field blocks, and
+    ``draw_blocks``, the number of sampled field blocks,
     ``sampling_rel_error``, the float32 sampling path's rounding error: the
     largest relative gap, over every mass key, between the float32 and the
-    float64 masses of the first block's first 32 draws."""
+    float64 masses of the first block's first 32 draws, and ``blas``: the
+    sampling ``workers`` and whether BLAS was ``pinned`` to one thread."""
 
     value: float
     stderr: float
@@ -855,7 +1098,8 @@ class GmcEstimate:
         diag = {}
         for k, v in self.diagnostics.items():
             if isinstance(v, dict):
-                diag[k] = {"_".join(map(str, kk)): vv for kk, vv in v.items()}
+                diag[k] = {"_".join(map(str, kk)) if isinstance(kk, tuple)
+                           else kk: vv for kk, vv in v.items()}
             else:
                 diag[k] = v
         return {
@@ -884,10 +1128,10 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     their mirrors, from ceil(replicas / 1024) sampled blocks.  Stderrs come
     from the pair means, with an unpaired last draw counted as half a pair;
     with fewer than two pairs (under four replicas) they are 0.0.  The
-    blocks stream through one at a time, the mirrors' reciprocals
-    overwriting the draws' exponentials once the draws' masses are taken
-    (``_pooled_masses``).  The mass expectations read the covariance
-    diagonal (``GffEnsemble.cov_diag``).
+    blocks stream through one per worker at a time, the mirrors'
+    reciprocals overwriting the draws' exponentials once the draws' masses
+    are taken (``_pooled_masses``).  The mass expectations read the
+    covariance diagonal (``GffEnsemble.cov_diag``).
     """
     if replicas <= 0:
         raise AlgebraError("no data: at least one replica is required")
@@ -899,8 +1143,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     model = _MassModel(cfg, delta, eps, rho)
     ensemble = GffEnsemble(model.points, rho)
     expected = model.expected_masses(ensemble.cov_diag)
-    (pooled,), sampling_rel_error = _pooled_masses(
-        (model,), ensemble, seed, replicas)
+    (pooled,), sampling = _pooled_masses((model,), ensemble, seed, replicas)
     del ensemble        # its factors are not held through the zero mode
 
     mass_stats = {k: _paired_mean_stderr(v) for k, v in pooled.items()}
@@ -914,7 +1157,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
         "rho": float(rho), "delta": float(delta), "eps": float(eps),
         "expected_masses": expected,
         **_pairing(replicas),
-        "sampling_rel_error": sampling_rel_error,
+        **sampling,
     }
 
     if free_case:
@@ -942,10 +1185,11 @@ class FusionReport:
     ``quad_errors`` the zero-mode quadrature error and ``empty_arcs`` the
     (direction, arc) boundary masses with no grid point (see
     ``GmcEstimate``).  ``pairs`` and ``draw_blocks`` count the shared
-    antithetic pairs and sampled field blocks, and ``sampling_rel_error``
-    is the float32 sampling path's rounding error over every key of every
-    rung (see ``GmcEstimate``); all three are 0 in the free case, which
-    samples nothing."""
+    antithetic pairs and sampled field blocks, ``sampling_rel_error`` is
+    the float32 sampling path's rounding error over every key of every rung
+    and ``blas`` records the sampling workers and the BLAS pin (see
+    ``GmcEstimate``); the first three are 0 and ``blas`` is empty in the
+    free case, which samples nothing."""
 
     slope: float
     exponent: float
@@ -959,6 +1203,7 @@ class FusionReport:
     pairs: int = 0
     draw_blocks: int = 0
     sampling_rel_error: float = 0.0
+    blas: dict = field(default_factory=dict)
 
     @property
     def bound(self) -> float:
@@ -978,7 +1223,8 @@ class FusionReport:
                 "empty_arcs": [[list(k) for k in rung]
                                for rung in self.empty_arcs],
                 "pairs": self.pairs, "draw_blocks": self.draw_blocks,
-                "sampling_rel_error": self.sampling_rel_error}
+                "sampling_rel_error": self.sampling_rel_error,
+                "blas": dict(self.blas)}
 
 
 def _moved_config(cfg, kind, i, j, d):
@@ -1006,8 +1252,8 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     rebinds the insertion-dependent weights before sampling starts; the
     field blocks then stream through once, each exponentiated once, and
     its draws, then its mirrors, feed every rung's masses (one GEMM over
-    all of them) before the next block is drawn.  So one block's
-    exponentials are held at a time, and only the per-rung masses grow
+    all of them) before its worker draws its next block.  So one block's
+    exponentials are held per worker, and only the per-rung masses grow
     with the replica count.  Each rung then grows its own zero-mode window
     from its mean masses and reports that window's tail increments.  The
     rungs thus re-weight the same (draw, mirror) pairs, and take their
@@ -1054,7 +1300,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     configs = [_moved_config(cfg, kind, i, j, d) for d in ladder]
     coulombs = [coulomb_value(cfg_d) for cfg_d in configs]
     values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
-    sampling_rel_error = 0.0
+    sampling = {}
     if free_case:
         values, errs = coulombs, [0.0] * len(ladder)
     else:
@@ -1065,7 +1311,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         base_model = _MassModel(cfg, delta, eps, rho,
                                 extra_exclusions=[anchor + d for d in ladder])
         models = [base_model.rebound(cfg_d) for cfg_d in configs]
-        pooled, sampling_rel_error = _pooled_masses(
+        pooled, sampling = _pooled_masses(
             models, GffEnsemble(base_model.points, rho), seed, replicas)
         for model, cfg_d, coulomb, masses in zip(models, configs, coulombs,
                                                  pooled):
@@ -1086,5 +1332,4 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
                         tuple(float(v) for v in values),
                         tuple(float(e) for e in errs), tuple(tails),
                         tuple(quad_errors), tuple(empty_arcs),
-                        counts["pairs"], counts["draw_blocks"],
-                        sampling_rel_error)
+                        counts["pairs"], counts["draw_blocks"], **sampling)

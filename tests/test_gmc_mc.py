@@ -4,11 +4,13 @@ correlator estimator."""
 import ast
 import inspect
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -196,8 +198,25 @@ class TestSampler:
         assert cov[0, 1] == pytest.approx(math.log(2.5), abs=1e-8)
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(AlgebraError, match="positive semi-definite"):
+        with pytest.raises(AlgebraError, match="positive semi-definite") \
+                as info:
             GffEnsemble([0.5j, 0.5j, 1j], 0.05)
+        assert "smallest spacing is 0;" in str(info.value)
+
+    def test_singular_covariance_blames_a_radius_too_large(self):
+        # on the gmc_estimate grid (smallest spacing 4/96, on the boundary)
+        # rho 0.07 factors and 0.08 does not: the mollified kernel is smooth
+        # on the grid scale, so the radius is too large, not too small
+        points = _MassModel(mu_config(), 0.12, 0.1, 0.08).points
+        assert GffEnsemble(points, 0.07).n == 897
+        with pytest.raises(AlgebraError, match="positive semi-definite") \
+                as info:
+            GffEnsemble(points, 0.08)
+        message = str(info.value)
+        for part in ("rho 0.08 is too large", "smallest spacing is 0.04167",
+                     "dpotrf info ", "smaller rho"):
+            assert part in message
+        assert "too small" not in message
 
     def test_keeps_factor_and_diagonal_only(self, monkeypatch):
         # every ensemble factors its own grid through the module-level
@@ -223,17 +242,25 @@ class TestSampler:
         assert not hasattr(ens, "cov")
 
     def test_factor_matches_numpy_on_the_estimate_grid(self):
-        # the two bundled OpenBLAS builds round potrf differently in the
-        # trailing entries of this 897-point grid
+        # the two bundled OpenBLAS builds, and one build at different thread
+        # counts, round potrf differently in the trailing entries of this
+        # 897-point grid (by up to 6e-14), so the factors are not compared
+        # with each other: each must meet the Cholesky backward-error bound
+        # |L L^T - C| <= gamma_{n+1} |L| |L^T| entrywise (Higham, Accuracy
+        # and Stability of Numerical Algorithms, Thm 10.3)
+        if np.finfo(np.longdouble).eps > 2.0 ** -60:
+            pytest.skip("long double is not wider than double here")
         points = _MassModel(mu_config(), 0.12, 0.1, 0.03).points
+        cov = mollified_covariance(points, 0.03)
         ens = GffEnsemble(points, 0.03)
-        ref = np.linalg.cholesky(mollified_covariance(points, 0.03))
         assert ens.n == 897
-        assert np.abs(ens._factor - ref).max() <= 1e-14
-        # rounded once to float32: within the unit roundoff 2^-24 of the
-        # float64 factor, plus the two builds' gap
-        assert np.all(np.abs(ens.chol - ref) <= 2.0 ** -24 * np.abs(ref)
-                      + 1e-14)
+        gamma = accumulation_bound(ens.n + 1, 2.0 ** -53)
+        for factor in (ens._factor, np.linalg.cholesky(cov)):
+            residual, scale = cholesky_residual(factor, cov)
+            assert np.all(residual <= gamma * scale)
+        # the float32 sampling factor is the float64 factor rounded once
+        assert ens.chol.tobytes() == \
+            ens._factor.astype(np.float32, order="F").tobytes()
 
     def test_factor_transpose_is_fortran_ordered(self):
         # strmm (and dtrmm, for the float64 factor) take the factor without
@@ -324,13 +351,25 @@ def plain_exponents(model, fields):
     return phi
 
 
-def accumulation_bound(n):
-    """gamma_n = n u / (1 - n u) with u = 2^-24: a float32 sum of n
-    products lies within gamma_n times the sum of their absolute values of
-    its exact value (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 3.1)."""
-    u = 2.0 ** -24
+def accumulation_bound(n, u=2.0 ** -24):
+    """gamma_n = n u / (1 - n u), by default with float32's u = 2^-24: a
+    floating-point sum of n products lies within gamma_n times the sum of
+    their absolute values of its exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1)."""
     return n * u / (1 - n * u)
+
+
+def cholesky_residual(factor, cov):
+    """Lower triangles, row by row, of |L L^T - C| with L L^T formed in
+    long double (whose rounding is 2^-11 of double's), and of |L| |L^T|."""
+    low = np.ascontiguousarray(factor, dtype=np.longdouble)
+    scale = np.abs(factor) @ np.abs(factor).T
+    residual, bound = [], []
+    for i in range(low.shape[0]):
+        row = low[:i + 1, :i + 1] @ low[i, :i + 1]
+        residual.append(np.abs(row - cov[i, :i + 1]).astype(float))
+        bound.append(scale[i, :i + 1])
+    return np.concatenate(residual), np.concatenate(bound)
 
 
 def fsum_masses(model, exps, weights=None):
@@ -365,21 +404,31 @@ def test_masses_match_fsum_within_the_float32_accumulation_bound(monkeypatch):
     # every key's sgemm mass against math.fsum of the same float32 products
     # within the float32 accumulation bound, on full draw and mirror yields
     # and on the partial last block of an odd count
-    from scipy.linalg import blas
     model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
     ens = GffEnsemble(model.points, 0.03)
-    operands = []
-    real = blas.sgemm
+    operands, buffers = [], set()
+    real_gemm, real_sample = gmc_mc._Blas.gemm, GffEnsemble.sample_block
 
-    def spy(alpha, a, b, *args, **kwargs):
-        operands.append((a.shape, a.flags.f_contiguous))
-        return real(alpha, a, b, *args, **kwargs)
+    def spy(blas, a, w):
+        if a.dtype == np.float32:
+            operands.append((a.shape, a.ctypes.data))
+        return real_gemm(blas, a, w)
 
-    monkeypatch.setattr(blas, "sgemm", spy)
+    def sampled(self, *args):
+        block = real_sample(self, *args)
+        buffers.add(block.ctypes.data)
+        return block
+
+    monkeypatch.setattr(gmc_mc._Blas, "gemm", spy)
+    monkeypatch.setattr(GffEnsemble, "sample_block", sampled)
     replicas, seed = 2 * BLOCK + 301, 4
     (pooled,), _ = _pooled_masses((model,), ens, seed, replicas)
-    # one sgemm per yield, each on a whole block's buffer, not copied
-    assert operands == [((2 * BLOCK, ens.n), True)] * 4
+    # one sgemm per yield, each on a whole sampled block's own buffer, not
+    # on a copy of it
+    assert len(operands) == 4
+    assert all(shape == (ens.n, 2 * BLOCK) and data in buffers
+               for shape, data in operands)
+    monkeypatch.setattr(GffEnsemble, "sample_block", real_sample)
     bound = accumulation_bound(ens.n)
     start = 0
     for b, count in enumerate((2 * BLOCK, 301)):
@@ -461,15 +510,20 @@ def test_float32_masses_match_float64_reference(grid, rho):
     # 0.07 is the widest radius these grids factor: from 0.08 on the
     # mollified covariance is numerically singular, and at 0.07 (condition
     # number about 2e14) numpy's OpenBLAS build already gives a factor
-    # 3.6e-6 away from scipy's, a different realization of the same law
+    # 3.6e-6 away from scipy's, a different realization of the same law,
+    # and scipy's own factor at another thread count moves the probe's gap
+    # on the gmc_estimate grid from 7.2e-7 to 1.7e-6; so the reference
+    # factors on one thread too, as the layer does
     models, seed = bench_grid_models(grid, rho), 8
     points = models[0].points
     ens = GffEnsemble(points, rho)
-    pooled, rel_error = _pooled_masses(models, ens, seed, 2 * BLOCK)
-    chol = cholesky(mollified_covariance(points, rho), lower=True)
+    pooled, sampling = _pooled_masses(models, ens, seed, 2 * BLOCK)
+    rel_error = sampling["sampling_rel_error"]
     normals = np.random.default_rng([seed, 0]).standard_normal(
         (ens.n, 2 * BLOCK))
-    mixed = dtrmm(1.0, chol, normals, lower=1)
+    with gmc_mc._one_blas_thread():
+        chol = cholesky(mollified_covariance(points, rho), lower=True)
+        mixed = dtrmm(1.0, chol, normals, lower=1)
     x0, x1 = mixed[:, :BLOCK], mixed[:, BLOCK:]
     g, nb = float(models[0].cfg.gamma), models[0].n_bulk_pts
     phi = np.stack([g * (c1 * x0 + c2 * x1) for c1, c2 in _ROOT_COEFFS])
@@ -495,15 +549,17 @@ def test_float32_masses_match_float64_reference(grid, rho):
         assert values.tobytes() == pooled[0][key][:BLOCK].tobytes()
 
 
-def synthetic_sampler(phi_max):
+def synthetic_sampler(phi_max, blocks=None):
     """A stand-in for ``GffEnsemble.sample_block``: every field zero but
     component 0 at the first (bulk) grid point of the first draw, set so
-    that direction 1's exponent there is ``phi_max``."""
+    that direction 1's exponent there is ``phi_max`` (on the given blocks
+    only, if ``blocks`` is given)."""
     g = float(mu_config().gamma)
 
-    def sample_block(self, seed, block, reference=None):
+    def sample_block(self, seed, block, reference=None, workspace=None):
         buf = np.zeros((self.n, 2 * BLOCK), dtype=np.float32)
-        buf[0, 0] = phi_max / (g * _ROOT_COEFFS[0][0])
+        if blocks is None or block in blocks:
+            buf[0, 0] = phi_max / (g * _ROOT_COEFFS[0][0])
         if reference is not None:
             reference[...] = 0.0
         return buf.reshape(self.n, 2, BLOCK).transpose(1, 0, 2)
@@ -542,35 +598,231 @@ def test_finite_masses_just_below_the_float32_exp_limit(monkeypatch):
     assert pooled[("bulk", 1)][0] > 1e30
 
 
-def test_thread_count_moves_the_seeded_estimate_by_under_1e5():
+def hexed(blob):
+    """A JSON value with every float written as ``float.hex``, so that two
+    values compare equal only bit for bit."""
+    if isinstance(blob, float):
+        return blob.hex()
+    if isinstance(blob, dict):
+        return {k: hexed(v) for k, v in blob.items()}
+    if isinstance(blob, (list, tuple)):
+        return [hexed(v) for v in blob]
+    return blob
+
+
+FUSION_LADDER = (0.006, 0.009, 0.0135, 0.02)
+
+
+def seeded_outputs(replicas, seed):
+    """``to_json`` of a seeded estimate and a seeded fusion probe on the
+    benchmark grids, every float as ``float.hex``, with the sampling worker
+    count (the one field allowed to differ) taken out."""
+    est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, replicas,
+                              seed=seed).to_json()
+    rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
+                       delta=0.12, eps=0.12, rho=0.003, replicas=replicas,
+                       seed=seed).to_json()
+    est["diagnostics"]["blas"].pop("workers")
+    rep["blas"].pop("workers")
+    return hexed([est, rep])
+
+
+def test_seeded_outputs_are_bitwise_equal_at_one_blas_thread_and_default():
     # one BLAS thread against the inherited default, each in its own
-    # subprocess: a seeded estimate's value and mass means agree within
-    # 1e-5 relative (the float32 sums' order may follow the thread count)
+    # subprocess: every field of a seeded estimate and fusion probe, in
+    # float.hex, is the same (the layer pins scipy's OpenBLAS to one thread)
     code = textwrap.dedent("""
         import json, sys
-        from w3toda.free_field import CorrelatorConfig
-        from w3toda.gmc_mc import estimate_correlator
-        cfg = CorrelatorConfig.from_json(json.loads(sys.argv[1]))
-        est = estimate_correlator(cfg, 0.12, 0.1, 0.03, 2048, seed=11)
-        print(json.dumps([est.value] + [m for m, _ in est.masses.values()]))
+        sys.path.insert(0, sys.argv[1])
+        from test_gmc_mc import seeded_outputs
+        print(json.dumps(seeded_outputs(2 * 2 * 512 + 301, 11)))
         """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    args = [sys.executable, "-c", code, json.dumps(mu_config().to_json())]
+    args = [sys.executable, "-c", code, str(Path(__file__).resolve().parent)]
     runs = [subprocess.Popen(args, env=e, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True)
             for e in (dict(env, OPENBLAS_NUM_THREADS="1"), env)]
     results = []
     for proc in runs:
-        out, err = proc.communicate(timeout=120)
+        out, err = proc.communicate(timeout=180)
         assert proc.returncode == 0, err
         results.append(json.loads(out))
     one, default = results
-    assert len(one) == 7
-    for a, b in zip(one, default):
-        assert a == pytest.approx(b, rel=1e-5)
+    assert one == default
+    est, rep = one
+    assert len(est["masses"]) == 6 and len(rep["values"]) == 4
+    assert est["diagnostics"]["blas"] == rep["blas"] == \
+        {"pinned": gmc_mc._blas().set_threads is not None}
+
+
+@pytest.mark.parametrize("replicas", [2 * 2 * BLOCK, 3 * 2 * BLOCK + 301])
+def test_seeded_outputs_are_bitwise_equal_on_one_and_two_workers(
+        monkeypatch, replicas):
+    # each block writes its own rows, so the worker count moves no bit;
+    # 3 * 2 * BLOCK + 301 is an odd count whose partial last block falls
+    # to the second of two workers.  Four workers (more than this host's
+    # CPUs, one block each) switching threads every microsecond must give
+    # the same bits too
+    outputs = []
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for width in (1, 2, 4):
+            monkeypatch.setattr(gmc_mc, "_worker_count",
+                                lambda blocks, width=width: min(width, blocks))
+            outputs.append(seeded_outputs(replicas, 5))
+    finally:
+        sys.setswitchinterval(switch)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_overflow_in_a_worker_raises_the_lowest_failing_block(monkeypatch):
+    # blocks 1 and 2 overflow, on the second and the first of two workers;
+    # the error is the one a serial loop would raise (block 1), numpy warns
+    # of nothing in either worker, and no sampling thread is left running
+    model = _MassModel(mu_config(), 0.12, 0.1, 0.03)
+    ens = GffEnsemble(model.points, 0.03)
+    monkeypatch.setattr(gmc_mc, "_worker_count", lambda blocks: 2)
+    monkeypatch.setattr(GffEnsemble, "sample_block",
+                        synthetic_sampler(89.0, blocks={1, 2}))
+    before = set(threading.enumerate())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraError, match="not finite") as info:
+            _pooled_masses((model,), ens, 1, 3 * 2 * BLOCK)
+    message = str(info.value)
+    assert "sampling block 1 " in message and "88.72" in message
+    assert set(threading.enumerate()) == before
+
+
+def test_no_sampling_thread_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(gmc_mc, "_worker_count",
+                        lambda blocks: min(2, blocks))
+    before = set(threading.enumerate())
+    est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 3 * 2 * BLOCK,
+                              seed=2)
+    assert est.diagnostics["blas"]["workers"] == 2
+    assert set(threading.enumerate()) == before
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("w3toda-gmc")]
+
+
+def blas_threads():
+    """OpenBLAS's thread-count setter of the GMC layer, or a skip."""
+    set_threads = gmc_mc._blas().set_threads
+    if set_threads is None:
+        pytest.skip("this OpenBLAS build cannot be pinned to one thread")
+    return set_threads
+
+
+def test_the_callers_blas_thread_count_is_restored(monkeypatch):
+    # the count is one while the blocks are drawn, and the caller's own
+    # count again afterwards
+    set_threads = blas_threads()
+    seen = []
+    real = GffEnsemble.sample_block
+
+    def spy(self, *args):
+        seen.append(set_threads(1))     # the count in force, left as it is
+        return real(self, *args)
+
+    monkeypatch.setattr(GffEnsemble, "sample_block", spy)
+    old = set_threads(2)
+    try:
+        est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 2 * 2 * BLOCK,
+                                  seed=3)
+        assert set_threads(2) == 2
+    finally:
+        set_threads(old)
+    assert seen == [1, 1]
+    assert est.diagnostics["blas"]["pinned"] is True
+
+
+def test_pins_of_several_threads_restore_the_first_count():
+    # the count is process-wide: a pin taken by a second thread outlives
+    # the first holder's, and the last holder to leave restores the count
+    # the first one found
+    set_threads = blas_threads()
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with gmc_mc._one_blas_thread():
+            inside.set()
+            release.wait(30)
+
+    old = set_threads(2)
+    try:
+        with gmc_mc._one_blas_thread():
+            other = threading.Thread(target=hold)
+            other.start()
+            assert inside.wait(30)
+        assert set_threads(1) == 1      # still pinned by the other thread
+        release.set()
+        other.join(30)
+        assert not other.is_alive()
+        assert set_threads(2) == 2
+    finally:
+        release.set()
+        set_threads(old)
+
+
+def test_pin_count_survives_many_threads_switching_often():
+    # in each of six rounds, eight threads take and drop the pin 2,000
+    # times each, switching every microsecond: a lost update of the holder
+    # count would leave the count pinned, or restore it while another
+    # thread still holds the pin.  Without the lock, a round shows it about
+    # every other time
+    set_threads = blas_threads()
+    errors = []
+
+    def churn():
+        for _ in range(2000):
+            with gmc_mc._one_blas_thread():
+                if set_threads(1) != 1:
+                    errors.append("unpinned while held")
+
+    old = set_threads(2)
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(6):
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert gmc_mc._pin["holders"] == 0
+            assert set_threads(2) == 2
+    finally:
+        sys.setswitchinterval(switch)
+        set_threads(old)
+
+
+def test_sampling_reports_workers_and_pin_and_logs_them(caplog):
+    with caplog.at_level(logging.DEBUG, logger="w3toda"):
+        est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 3 * 2 * BLOCK,
+                                  seed=4)
+    blas = est.diagnostics["blas"]
+    pinned = gmc_mc._blas().set_threads is not None
+    assert blas == {"workers": gmc_mc._worker_count(3), "pinned": pinned}
+    assert 1 <= blas["workers"] <= 3
+    assert json.loads(json.dumps(est.to_json()))["diagnostics"]["blas"] == blas
+    lines = [r.getMessage() for r in caplog.records if r.name == "w3toda"]
+    pin = "pinned to one thread" if pinned else "not pinned"
+    assert lines == [f"gmc_mc: 3 blocks of 897 points on {blas['workers']} "
+                     f"workers, BLAS {pin}"]
+    rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
+                       delta=0.12, eps=0.12, rho=0.003, replicas=64, seed=3)
+    assert rep.to_json()["blas"] == {"workers": 1, "pinned": pinned}
+    free = fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
+                        TestFusionProbe.LADDER, delta=0.1, eps=0.002,
+                        rho=0.004, replicas=16)
+    assert free.to_json()["blas"] == {}     # the free case samples nothing
 
 
 def plain_zero_mode_values(masses, cfg, windows, nodes=128):
@@ -1069,14 +1321,15 @@ class TestAntitheticPairs:
         calls = []
         real = GffEnsemble.sample_block
 
-        def counted(self, seed, block, reference=None):
+        def counted(self, seed, block, reference=None, workspace=None):
             calls.append(block)
-            return real(self, seed, block, reference)
+            return real(self, seed, block, reference, workspace)
 
         monkeypatch.setattr(GffEnsemble, "sample_block", counted)
         est = estimate_correlator(bench_config(), delta=0.1, eps=0.08,
                                   rho=0.03, replicas=50_000, seed=1)
-        assert calls == list(range(49))     # ceil(50_000 / 1024)
+        # each block drawn once, in whatever order the workers reach them
+        assert sorted(calls) == list(range(49))     # ceil(50_000 / 1024)
         assert est.replicas == 50_000
         assert (est.diagnostics["pairs"], est.diagnostics["unpaired"],
                 est.diagnostics["draw_blocks"]) == (25_000, 0, 49)

@@ -175,9 +175,10 @@ def test_no_numeric_path_loads_scipy_integrate():
 
 def test_scipy_loads_only_with_the_first_gmc_call():
     # the exact layers load neither numpy nor scipy; every module together,
-    # with the hypergeometric numerics run, loads no scipy (gmc_mc imports
-    # its BLAS, LAPACK and exp1 inside the functions that call them, and
-    # scipy is about 110 modules and 30 MB); a GMC estimate then loads it
+    # with the hypergeometric numerics run, loads no scipy and no
+    # concurrent.futures (gmc_mc imports its BLAS, LAPACK, exp1 and its
+    # sampling pool inside the functions that use them, and scipy is about
+    # 110 modules and 30 MB); a GMC estimate then loads both
     code = textwrap.dedent("""
         import importlib, pkgutil, sys
         from fractions import Fraction as F
@@ -204,7 +205,8 @@ def test_scipy_loads_only_with_the_first_gmc_call():
         y0 = series_derivatives(spec, 0, 0.5, orders=2)
         assert len(ode_integrate(spec, 0.5, y0, 0.85)) == 3
         assert len(hyp_grid(spec, 0.05, 0.5, 0.05)) == 10
-        assert loaded("scipy") == [], loaded("scipy")
+        assert loaded("scipy", "concurrent") == [], \
+            loaded("scipy", "concurrent")
 
         from w3toda.free_field import CorrelatorConfig
         from w3toda.gmc_mc import estimate_correlator
@@ -219,6 +221,7 @@ def test_scipy_loads_only_with_the_first_gmc_call():
         est = estimate_correlator(cfg, 0.12, 0.1, 0.03, 4, seed=5)
         assert est.replicas == 4 and est.value > 0
         assert "scipy.linalg" in sys.modules
+        assert "concurrent.futures" in sys.modules
         """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
