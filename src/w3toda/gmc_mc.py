@@ -32,15 +32,23 @@ float64 (the float64 factor through ``dtrmm``, then ``exp`` and ``dgemm``).
 float32 ``exp`` overflows above 88.72 (float64's limit is 709.78); a
 non-finite mass raises, naming gamma, rho and the block's largest exponent.
 
-``_pooled_masses`` is the one pooling loop, over a sequence of models.  It
-runs the blocks on one worker thread per CPU the process may use (at most
-one per block): worker w takes blocks w, w + W, w + 2W, ... and writes each
-block's masses into that block's own rows of one preallocated table, so the
-replica order and every random stream are those of a serial loop, and the
-result is the same bits at any worker count.  From pooled masses to a value
-there is one path, ``_zero_mode_estimate``: the correlator estimate and
-every fusion rung go through it for their windows, quadrature error, mean
-and stderr.
+``_pool`` is the module's one thread pool.  It runs a list of tasks on one
+worker thread per CPU the process may use (at most one per task): worker w
+takes tasks w, w + W, w + 2W, ..., each worker with its own workspace from
+the calling thread, and every task writes only its own part of an output
+allocated before the run, so the result is the same bits at any worker
+count.  Three stages of a GMC call are its tasks: the row blocks of the
+covariance (``mollified_covariance``), the sampling blocks
+(``_pooled_masses``, the one pooling loop, over a sequence of models, in
+which each block writes its masses into its own rows of one table, so the
+replica order and every random stream are those of a serial loop), and
+the zero-mode chunks.  From pooled masses to a value there is one path,
+``_zero_mode_estimates``: the correlator estimate and every fusion rung go
+through it for their windows, quadrature error, mean and stderr, the
+windows growing in the calling thread and the value chunks of every rung
+running on one pool.  Each call logs the wall time and pool width of each
+of its stages (covariance, ``dpotrf``, sampling and zero mode) on one
+DEBUG line of the ``w3toda`` logger.
 
 Every dense linear-algebra call of this module (the factorization, the
 triangular products, the mass sums and the zero-mode quadrature sums) goes
@@ -49,27 +57,27 @@ numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool whose workers keep spinning after a call; on a small host, every
 switch from one library to the other makes the next threaded call share a
 CPU with the other library's spinning workers.  Two more facts shape the
-sampling path.  scipy's f2py BLAS wrappers hold the GIL for the whole call,
-so a second Python thread stalls while one of them runs; the sampling path
-therefore calls ``strmm``, ``sgemm``, ``dtrmm`` and ``dgemm`` through
-ctypes (``_Blas``), which releases the GIL, at the addresses scipy
+pooled stages.  scipy's f2py BLAS wrappers hold the GIL for the whole call,
+so a second Python thread stalls while one of them runs; the pool's tasks
+therefore call ``strmm``, ``sgemm``, ``dtrmm``, ``dgemm`` and ``dgemv``
+through ctypes (``_Blas``), which releases the GIL, at the addresses scipy
 publishes in ``scipy.linalg.cython_blas``.  And a threaded OpenBLAS call
 keeps a pool worker spinning on another CPU, which is the CPU a second
-sampling worker needs; so every BLAS and LAPACK call of this module runs
-with scipy's OpenBLAS pinned to one thread (``_one_blas_thread``), each
-sampling worker's calls in that worker.  The pin also makes every result
+worker needs; so every BLAS and LAPACK call of this module runs with
+scipy's OpenBLAS pinned to one thread (``_one_blas_thread``), each worker's
+calls in that worker.  The pin also makes every result
 independent of the BLAS thread count: a threaded ``dpotrf``, ``strmm`` or
 ``sgemm`` sums in an order that follows it.  OpenBLAS's
 ``openblas_set_num_threads_local``, the call behind the pin, sets the count
 of the whole library in this build, so the pins of all threads are
 counted, the last holder restores the count the first one found, and
-``_pooled_masses`` holds one pin around its whole pool; other threads'
-scipy BLAS calls run on one thread meanwhile.  Where the library does not
+``_pool`` holds one pin around each of its runs; other threads' scipy BLAS
+calls run on one thread meanwhile.  Where the library does not
 export that call, nothing is pinned and the pool has one worker.
 
 scipy is loaded on the first GMC call, not when this module is imported:
-each function that calls into it imports it itself, and so do the sampling
-pool (``concurrent.futures``) and its DEBUG line (``logging``).  Nothing
+each function that calls into it imports it itself, and so do the pool
+(``concurrent.futures``) and the DEBUG line (``logging``).  Nothing
 else in the package uses scipy, and loading it (about 110 modules and
 30 MB) took most of the start-up of a process that imports every layer but
 runs only the exact ones.  After the first call each of those imports is a
@@ -115,12 +123,14 @@ mirrors alike; for an odd count the last draw has no mirror.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
 import os
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -143,9 +153,10 @@ MAX_GRID = 4096
 _SQRT3 = math.sqrt(3.0)
 _QUAD_NODES = 128
 _ZERO_MODE_CHUNK = 4096             # replicas per zero-mode buffer pass
+_SLAB_ROWS = 16                     # node rows per boundary-term slab
 _EXP_UNDERFLOW = -745.2             # exp(x) rounds to exactly 0.0 below this
 _EXP_OVERFLOW = math.log(sys.float_info.max)    # and overflows above this
-_COV_ROWS = 128                     # rows per block of mollified_covariance
+_COV_ROWS = 32                      # rows per block of mollified_covariance
 _PROBE_DRAWS = 32                   # draws of the float64 rounding probe
 _EXP32_OVERFLOW = math.log(float(np.finfo(np.float32).max))     # 88.72
 _NORMAL_CHUNKS = 8                  # float64 normals chunks per sampled block
@@ -164,12 +175,27 @@ _ROOT_COEFFS = (frame_coefficients(E1), frame_coefficients(E2))
 
 
 def _doubled_floats(cfg: CorrelatorConfig) -> tuple:
-    """Doubled positions as complex floats with their listed charge weights."""
-    pts, wts = [], []
-    for z, alpha in doubled_insertions(cfg):
-        pts.append(complex(z))
-        wts.append(alpha)
-    return np.asarray(pts, dtype=complex), tuple(wts)
+    """The doubled insertions: their complex positions, and their listed
+    weights as a tuple."""
+    doubled = doubled_insertions(cfg)
+    return (np.asarray([complex(z) for z, _ in doubled], dtype=complex),
+            tuple(w for _, w in doubled))
+
+
+def _float_pairings(weights: tuple) -> tuple:
+    """Each pairing of the doubled ``weights`` taken once, as floats:
+    ``(shifts, exponents)``, with ``shifts[i - 1][k]`` the pairing
+    <e_i, w_k> and ``exponents`` the nonzero -<w_k, w_l> / 2 of the pairs
+    k < l, as (k, l, exponent) in (k, l) order."""
+    shifts = tuple(tuple(float(inner(e_i, w)) for w in weights)
+                   for e_i in (E1, E2))
+    exponents = []
+    for k in range(len(weights)):
+        for l in range(k + 1, len(weights)):
+            e = -0.5 * float(inner(weights[k], weights[l]))
+            if e:
+                exponents.append((k, l, e))
+    return shifts, tuple(exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +234,7 @@ class _Blas:
             np.dtype(np.float64): (ctypes.c_double, bind("dtrmm", 11),
                                    bind("dgemm", 13)),
         }
+        self._dgemv = bind("dgemv", 11)
         try:
             set_threads = ctypes.CDLL(cython_blas.__file__)[
                 "openblas_set_num_threads_local"]
@@ -253,6 +280,23 @@ class _Blas:
                  out.ctypes.data, _int(m))
         return out
 
+    def gemv(self, a: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """``out = a.T @ x`` for a C-ordered float64 a (k, m), a float64 x
+        (k,) and a contiguous float64 out (m,): ``dgemv`` reads a as its
+        Fortran-ordered transpose, so a is not copied."""
+        k, m = a.shape
+        if not (a.flags.c_contiguous and x.shape == (k,) and out.shape == (m,)
+                and out.flags.c_contiguous and x.flags.c_contiguous
+                and a.dtype == x.dtype == out.dtype == np.float64):
+            raise ValueError("gemv needs a C-ordered (k, m), a (k,) and a "
+                             "contiguous (m,) float64 operand")
+        with _one_blas_thread():
+            self._dgemv(b"N", _int(m), _int(k),
+                        ctypes.byref(ctypes.c_double(1.0)), a.ctypes.data,
+                        _int(m), x.ctypes.data, _int(1),
+                        ctypes.byref(ctypes.c_double(0.0)), out.ctypes.data,
+                        _int(1))
+
 
 def _int(value: int):
     """A Fortran integer argument: a pointer to a C int."""
@@ -295,15 +339,102 @@ def _one_blas_thread():
                 set_threads(_pin["saved"])
 
 
-def _worker_count(blocks: int) -> int:
-    """Sampling workers for ``blocks`` blocks: one per CPU this process may
-    run on, at most one per block, and one where BLAS cannot be pinned to a
+def _worker_count(tasks: int) -> int:
+    """Pool workers for ``tasks`` tasks: one per CPU this process may run
+    on, at most one per task, and one where BLAS cannot be pinned to a
     thread (a threaded BLAS call would spin on the CPUs the others need)."""
     if _blas().set_threads is None:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    return max(1, min(cpus, blocks))
+    return max(1, min(cpus, tasks))
+
+
+def _pool(tasks: int, work, workspace=lambda: None) -> int:
+    """Run ``work(t, space)`` for every task t in range(tasks) on
+    ``_worker_count(tasks)`` threads, and return that width.
+
+    Worker w takes tasks w, w + W, w + 2W, ... in order, each with the
+    worker's own ``space``, a ``workspace()`` allocated here, in the calling
+    thread: buffers allocated in a worker thread stay in that thread's
+    malloc arena once freed, which raised peak RSS by 5-10 MB.  The workers
+    run under the caller's numpy error state (numpy's is per thread) and
+    the pool under one ``_one_blas_thread`` pin.  A task that raises stops
+    its worker, and every worker skips the tasks past the lowest failed
+    one; once all of them have stopped, that task's error is raised, which
+    is the error a serial loop would raise.  A pool of one worker runs in
+    the calling thread; no worker thread outlives the call."""
+    from concurrent.futures import ThreadPoolExecutor
+    width = _worker_count(tasks)
+    spaces = [workspace() for _ in range(width)]
+    errstate = np.geterr()
+    lock, failed = threading.Lock(), {}
+
+    def run(w):
+        with np.errstate(**errstate):
+            for t in range(w, tasks, width):
+                with lock:
+                    if failed and t > min(failed):
+                        return
+                try:
+                    work(t, spaces[w])
+                except Exception as err:    # raised from the caller below
+                    with lock:
+                        failed[t] = err
+                    return
+
+    with _one_blas_thread():
+        if width == 1:
+            run(0)
+        else:
+            with ThreadPoolExecutor(
+                    width, thread_name_prefix="w3toda-gmc") as pool:
+                runs = [pool.submit(run, w) for w in range(width)]
+            for r in runs:
+                r.result()
+    if failed:
+        raise failed[min(failed)]
+    return width
+
+
+# the stage timings of the GMC call open in this context (``_logged_stages``)
+_STAGES = contextvars.ContextVar("w3toda_gmc_stages", default=None)
+
+
+@contextmanager
+def _stage(name: str):
+    """Time the block as stage ``name`` of the GMC call open in
+    ``_logged_stages`` (a no-op outside one).  The block may set the
+    ``workers`` of the dict it is given to the width of its pool."""
+    entry = {"workers": 1}
+    start = time.perf_counter()
+    yield entry
+    stages = _STAGES.get()
+    if stages is not None:
+        seconds, workers = stages.get(name, (0.0, 1))
+        stages[name] = (seconds + time.perf_counter() - start,
+                        max(workers, entry["workers"]))
+
+
+@contextmanager
+def _logged_stages(blocks: int, points: int):
+    """Collect the ``_stage`` timings of one GMC call and, once it returns,
+    log them on one DEBUG line of the ``w3toda`` logger, after the call's
+    sampling blocks, grid points and BLAS pin.  No result reads them."""
+    import logging
+    stages = {}
+    token = _STAGES.set(stages)
+    try:
+        yield
+    finally:
+        _STAGES.reset(token)
+    logging.getLogger("w3toda").debug(
+        "gmc_mc: %d blocks of %d points, BLAS %s; %s", blocks, points,
+        "not pinned" if _blas().set_threads is None else
+        "pinned to one thread",
+        ", ".join(f"{name} {seconds:.4f} s on {workers} worker"
+                  + "s" * (workers > 1)
+                  for name, (seconds, workers) in stages.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +496,30 @@ def mollified_covariance(points, rho: float) -> np.ndarray:
     Every term is symmetric in its two points bit for bit, so only the
     lower triangle is computed, in blocks of ``_COV_ROWS`` rows (each up to
     and including its diagonal block), and each block is copied into the
-    upper triangle as it is done."""
+    upper triangle as it is done.  The blocks are the tasks of one
+    ``_pool`` run: a block writes only its own rows and their mirror
+    columns, which no other block writes, and every entry is elementwise,
+    so the matrix is the same bits at any worker count.  The blocks are
+    small because each allocates its temporaries in its worker."""
     p = np.asarray(points, dtype=complex)
     tau = 2.0 * rho
-    lplus = _smoothed_log_plus(p, rho)
-    cov = np.empty((p.size, p.size))
-    for lo in range(0, p.size, _COV_ROWS):
-        hi = min(lo + _COV_ROWS, p.size)
-        rows, cols = p[lo:hi, None], p[None, :hi]
-        block = cov[lo:hi, :hi]
-        block[...] = _smoothed_log(_abs2(rows - cols), tau)
-        block += _smoothed_log(_abs2(rows - np.conj(cols)), tau)
-        plus = np.add(lplus[lo:hi, None], lplus[None, :hi])
-        plus *= 2.0
-        block += plus
-        cov[:lo, lo:hi] = block[:, :lo].T
+    with _stage("covariance") as stage:
+        lplus = _smoothed_log_plus(p, rho)
+        cov = np.empty((p.size, p.size))
+
+        def fill(b, _):
+            lo = b * _COV_ROWS
+            hi = min(lo + _COV_ROWS, p.size)
+            rows, cols = p[lo:hi, None], p[None, :hi]
+            block = cov[lo:hi, :hi]
+            block[...] = _smoothed_log(_abs2(rows - cols), tau)
+            block += _smoothed_log(_abs2(rows - np.conj(cols)), tau)
+            plus = np.add(lplus[lo:hi, None], lplus[None, :hi])
+            plus *= 2.0
+            block += plus
+            cov[:lo, lo:hi] = block[:, :lo].T
+
+        stage["workers"] = _pool(-(-p.size // _COV_ROWS), fill)
     return cov
 
 
@@ -419,7 +559,7 @@ class GffEnsemble:
         self.cov_diag = cov.diagonal().copy()
         # cov is symmetric, so its Fortran-ordered transpose is the same
         # matrix and LAPACK factors it in place
-        with _one_blas_thread():
+        with _stage("dpotrf"), _one_blas_thread():
             factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
         if info != 0:
             raise AlgebraError(
@@ -507,13 +647,16 @@ def coulomb_value(cfg: CorrelatorConfig) -> float:
     """Zero-measure correlator: the Gaussian pairing of the insertion
     charges, as the product over unordered doubled pairs of
     ``|zeta_k - zeta_l| ** (-inner(w_k, w_l) / 2)``."""
-    pts, wts = _doubled_floats(cfg)
+    pts, weights = _doubled_floats(cfg)
+    return _coulomb(pts, _float_pairings(weights)[1])
+
+
+def _coulomb(points: np.ndarray, exponents) -> float:
+    """``coulomb_value`` from the doubled points and ``_float_pairings``'
+    exponents."""
     log_value = 0.0
-    for k in range(len(pts)):
-        for l in range(k + 1, len(pts)):
-            e = -0.5 * float(inner(wts[k], wts[l]))
-            if e:
-                log_value += e * math.log(abs(pts[k] - pts[l]))
+    for k, l, e in exponents:
+        log_value += e * math.log(abs(points[k] - points[l]))
     return math.exp(log_value)
 
 
@@ -564,18 +707,19 @@ def _arc_index(xs: np.ndarray, cfg: CorrelatorConfig) -> np.ndarray:
 # Interaction masses
 # ---------------------------------------------------------------------------
 
-def _shift_log_weight(cfg, x: np.ndarray, direction: int) -> np.ndarray:
+def _shift_log_weight(cfg, points: np.ndarray, shifts: tuple,
+                      x: np.ndarray) -> np.ndarray:
     """ln of the deterministic mass weight in direction i: the pairing of
     ``gamma e_i`` against the insertion shift (full listed weight at every
-    doubled point) plus the background ``|x|_+ ** (-2 gamma q)`` decay."""
-    e_i = (E1, E2)[direction - 1]
+    doubled point, ``shifts`` being direction i's pairings <e_i, w_k> at
+    the doubled ``points``) plus the background ``|x|_+ ** (-2 gamma q)``
+    decay."""
     g = float(cfg.gamma)
     q = float(cfg.q)
-    pts, weights = _doubled_floats(cfg)
     lp = np.log(np.maximum(np.abs(x), 1.0))
     total = -2.0 * g * q * lp
-    for zk, wk in zip(pts, weights):
-        c = g * float(inner(e_i, wk))
+    for zk, shift in zip(points, shifts):
+        c = g * shift
         if c:
             total = total + c * (lp - np.log(np.abs(x - zk)))
     return total
@@ -592,7 +736,10 @@ class _MassModel:
     grids (and hence any shared field samples and their ``exponentials``)
     fixed.  ``empty_arcs`` lists the (direction, arc) boundary masses that
     have no grid point, and so are identically zero: an exclusion radius
-    wider than an arc removes all of it."""
+    wider than an arc removes all of it.  ``coulomb`` is the bound
+    configuration's ``coulomb_value``, taken from the same float pairings
+    as the weights; a rebound that keeps the insertion weights, and moves
+    only their positions, keeps those pairings."""
 
     def __init__(self, cfg, delta, eps, rho, extra_exclusions=()):
         self.rho = float(rho)
@@ -608,6 +755,7 @@ class _MassModel:
         self.bnd_pts, self.bnd_w = _boundary_grid(eps, bnd_excl)
         self.points = np.concatenate([self.bulk_pts, self.bnd_pts])
         self.n_bulk_pts = self.bulk_pts.size
+        self._charge_weights = None
         self._bind(cfg)
 
     def _bind(self, cfg):
@@ -616,14 +764,22 @@ class _MassModel:
         arcs = max(cfg.n_boundary, 1)
         self.empty_arcs = tuple((i, a) for i in (1, 2) for a in range(arcs)
                                 if not np.any(self.bnd_arc == a))
+        pts, weights = _doubled_floats(cfg)
+        if weights != self._charge_weights:
+            self._charge_weights = weights
+            self._pairings = _float_pairings(weights)
+        shifts, exponents = self._pairings
+        self.coulomb = _coulomb(pts, exponents)
         g = float(cfg.gamma)
         log_rho = math.log(self.rho)
         nb = self.n_bulk_pts
         column = {k: c for c, k in enumerate(self.mass_keys)}
         self.weights = np.zeros((self.points.size, len(column)), order="F")
         for i in (1, 2):
-            lw_bulk = _shift_log_weight(cfg, self.bulk_pts, i)
-            lw_bnd = _shift_log_weight(cfg, self.bnd_pts.astype(complex), i)
+            lw_bulk = _shift_log_weight(cfg, pts, shifts[i - 1],
+                                        self.bulk_pts)
+            lw_bnd = _shift_log_weight(cfg, pts, shifts[i - 1],
+                                       self.bnd_pts.astype(complex))
             self.weights[:nb, column[("bulk", i)]] = \
                 self.bulk_w * np.exp(g * g * log_rho + lw_bulk)
             bnd_base = self.bnd_w * np.exp(0.5 * (g * g * log_rho + lw_bnd))
@@ -752,32 +908,26 @@ def _pooled_masses(models, ensemble, seed: int, replicas: int) -> tuple:
     no triangular product and no ``exp``, and a second ``sgemm`` reads their
     masses.
 
-    The blocks run on ``_worker_count`` threads, each with a fixed stride of
-    blocks and its own workspace (allocated here, in the calling thread),
-    under one ``_one_blas_thread`` pin.  Every block writes its masses into
-    its own rows of one float32 (replicas, keys) table, so the result does
-    not depend on the worker count.  numpy's error state is per thread, so
-    each worker ignores overflow itself: an overflow shows as a non-finite
-    mass, and the non-finite mass of the lowest such block raises once every
-    worker has stopped (a worker skips the blocks past a failed one).  Any
-    other error of a worker is raised from its future.
+    The blocks are the tasks of one ``_pool`` run, each worker drawing
+    into its own workspace.  Every block writes its masses into its own
+    rows of one float32 (replicas, keys) table, so the result does not
+    depend on the worker count.  Overflow is ignored in the workers: it
+    shows as a non-finite mass, which raises for its block, and the pool
+    raises the lowest such block's error.
 
     The first block also draws the float64 fields of its first
     ``_PROBE_DRAWS`` draws (``sample_block``'s reference) and takes their
     masses in float64; ``sampling_rel_error`` is the largest relative gap
     between those and the same draws' float32 masses, over every key of
     every model with a nonzero mass.  Taking it changes no pooled value."""
-    import logging
-    from concurrent.futures import ThreadPoolExecutor
     base = models[0]
     keys = [k for m in models for k in m.mass_keys]
     weights = np.hstack([m.weights for m in models])
     weights32 = weights.astype(np.float32, order="F")
     blocks = -(-replicas // (2 * BLOCK))
-    width = _worker_count(blocks)
     table = np.empty((replicas, len(keys)), dtype=np.float32)
     reference = np.empty((2, ensemble.n, _PROBE_DRAWS))
-    rel_error, lowest, failed = 0.0, blocks, {}
+    rel_error = 0.0
 
     def take(exps, at, count, block):
         own = _key_masses(exps, weights32, keys)
@@ -786,43 +936,26 @@ def _pooled_masses(models, ensemble, seed: int, replicas: int) -> tuple:
         table[at:at + count] = own[:count]
         return own
 
-    def work(start, workspace):
-        nonlocal rel_error, lowest
-        with np.errstate(over="ignore", divide="ignore"):
-            for b in range(start, blocks, width):
-                if b > lowest:
-                    return
-                try:
-                    at = 2 * BLOCK * b
-                    count = min(2 * BLOCK, replicas - at)
-                    mirrors = count // 2
-                    exps = base.exponentials(ensemble.sample_block(
-                        seed, b, reference if b == 0 else None, workspace))
-                    own = take(exps, at, count - mirrors, b)
-                    if b == 0:
-                        rel_error = _probe_gap(own[:_PROBE_DRAWS], _key_masses(
-                            base.exponentials(reference), weights, keys))
-                    if mirrors:
-                        take(np.reciprocal(exps, out=exps),
-                             at + count - mirrors, mirrors, b)
-                except AlgebraError as err:
-                    failed[b] = err
-                    lowest = min(lowest, b)
-                    return
+    def work(b, workspace):
+        nonlocal rel_error
+        at = 2 * BLOCK * b
+        count = min(2 * BLOCK, replicas - at)
+        mirrors = count // 2
+        exps = base.exponentials(ensemble.sample_block(
+            seed, b, reference if b == 0 else None, workspace))
+        own = take(exps, at, count - mirrors, b)
+        if b == 0:
+            rel_error = _probe_gap(own[:_PROBE_DRAWS], _key_masses(
+                base.exponentials(reference), weights, keys))
+        if mirrors:
+            take(np.reciprocal(exps, out=exps), at + count - mirrors,
+                 mirrors, b)
 
-    with _one_blas_thread(), ThreadPoolExecutor(
-            width, thread_name_prefix="w3toda-gmc") as pool:
-        runs = [pool.submit(work, w, ensemble.workspace())
-                for w in range(width)]
-    for run in runs:
-        run.result()
-    if failed:
-        raise failed[min(failed)]
-    blas = {"workers": width, "pinned": _blas().set_threads is not None}
-    logging.getLogger("w3toda").debug(
-        "gmc_mc: %d blocks of %d points on %d workers, BLAS %s", blocks,
-        ensemble.n, width,
-        "pinned to one thread" if blas["pinned"] else "not pinned")
+    with _stage("sampling") as stage, \
+            np.errstate(over="ignore", divide="ignore"):
+        stage["workers"] = _pool(blocks, work, ensemble.workspace)
+    blas = {"workers": stage["workers"],
+            "pinned": _blas().set_threads is not None}
     columns = table.T.astype(float, order="C")
     pooled, col = [], 0
     for m in models:
@@ -1002,34 +1135,54 @@ def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
     return tuple(w for w, _ in found), tuple(t for _, t in found)
 
 
-def _zero_mode_estimate(pooled: dict, cfg, tol: float) -> tuple:
+def _zero_mode_estimates(rungs, tol: float) -> list:
     """(mean, stderr, windows, tails, quad_error) of the zero-mode integral
-    over the pooled replica masses: the windows grow from the mean masses,
-    the stderr comes from the pair means (``_paired_mean_stderr``), and
-    ``quad_error`` is the relative change of the first sampling block's
-    mean integral (its draws and their mirrors) when the node count
-    doubles."""
+    for each (pooled masses, cfg) of ``rungs``.  Each rung's windows grow
+    here, in the calling thread (``_zero_mode_estimate``); then the value
+    chunks of every rung and of its quadrature-error reference run as one
+    ``_pool`` run (``_run_zero_mode``)."""
+    with _stage("zero mode") as stage:
+        started = [_zero_mode_estimate(pooled, cfg, tol)
+                   for pooled, cfg in rungs]
+        stage["workers"] = _run_zero_mode(
+            [task for tasks, _ in started for task in tasks])
+        return [finish() for _, finish in started]
+
+
+def _zero_mode_estimate(pooled: dict, cfg, tol: float) -> tuple:
+    """Start the zero-mode estimate of one set of pooled replica masses:
+    grow the windows from the mean masses, and return ``(tasks, finish)``,
+    the chunk tasks of its values and of its quadrature-error reference,
+    and the function that, once those have run, gives (mean, stderr,
+    windows, tails, quad_error).  The stderr comes from the pair means
+    (``_paired_mean_stderr``), and ``quad_error`` is the relative change of
+    the first sampling block's mean integral (its draws and their mirrors)
+    when the node count doubles."""
     windows, tails = _windows_from_means(
         {k: float(v.mean()) for k, v in pooled.items()}, cfg, tol)
-    values = _zero_mode_values(pooled, cfg, windows)
+    tasks = []
+    values = _zero_mode_values(pooled, cfg, windows, tasks=tasks)
     first = {k: v[:2 * BLOCK] for k, v in pooled.items()}
-    ref = float(_zero_mode_values(first, cfg, windows, 2 * _QUAD_NODES).mean())
-    quad_error = abs(float(values[:2 * BLOCK].mean()) - ref) / ref
-    mean, stderr = _paired_mean_stderr(values)
-    return mean, stderr, windows, tails, quad_error
+    ref = _zero_mode_values(first, cfg, windows, 2 * _QUAD_NODES, tasks)
+
+    def finish():
+        mean_ref = float(ref.mean())
+        quad_error = abs(float(values[:2 * BLOCK].mean()) - mean_ref) \
+            / mean_ref
+        mean, stderr = _paired_mean_stderr(values)
+        return mean, stderr, windows, tails, quad_error
+    return tasks, finish
 
 
-def _zero_mode_values(masses: dict, cfg, windows,
-                      nodes: int = _QUAD_NODES) -> np.ndarray:
+def _zero_mode_values(masses: dict, cfg, windows, nodes: int = _QUAD_NODES,
+                      tasks: list | None = None) -> np.ndarray:
     """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica),
     each I_i by ``nodes``-point Gauss-Legendre quadrature on its window.
-    Replicas go through in chunks that reuse two (nodes, _ZERO_MODE_CHUNK)
-    buffers and one mask.  Far out in a window the exponent reaches -1e9;
-    ``np.exp`` runs only where it is at least _EXP_UNDERFLOW, and the rest
-    is set to the 0.0 it would round to.  Each chunk's node sum is one BLAS
-    ``dgemv`` on the transposed (Fortran-ordered) buffer, on one BLAS
-    thread."""
-    from scipy.linalg.blas import dgemv
+    The replicas are cut into chunks of ``_ZERO_MODE_CHUNK``, each one task
+    of ``_zero_mode_chunk``; the cuts are fixed, since a chunk's width sets
+    the bits of its ``dgemv``.  Given a list ``tasks``, the chunks are
+    appended to it and the returned array is filled once they have run;
+    otherwise they run here (``_run_zero_mode``)."""
     gamma = float(cfg.gamma)
     terms = []
     for window, sigma, (bulk, bnd) in zip(windows, _sigma_pair(cfg),
@@ -1039,29 +1192,69 @@ def _zero_mode_values(masses: dict, cfg, windows,
                       np.exp(0.5 * gamma * v), bnd))
     n = terms[0][2].size
     total = np.empty(n)
-    buf = np.empty(2 * nodes * min(n, _ZERO_MODE_CHUNK))
-    mask = np.empty(nodes * min(n, _ZERO_MODE_CHUNK), dtype=bool)
-    with _one_blas_thread():
-        for lo in range(0, n, _ZERO_MODE_CHUNK):
-            hi = min(lo + _ZERO_MODE_CHUNK, n)
-            size = nodes * (hi - lo)
-            expo = buf[:size].reshape(nodes, hi - lo)
-            scratch = buf[size:2 * size].reshape(nodes, hi - lo)
-            live = mask[:size].reshape(nodes, hi - lo)
-            for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
-                np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
-                np.multiply.outer(half_e, bnd[lo:hi], out=scratch)
-                expo -= scratch
-                np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
-                np.exp(expo, out=expo, where=live)
-                np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
-                part = dgemv(1.0, expo.T, lin)
-                if i == 0:
-                    total[lo:hi] = part
-                else:
-                    total[lo:hi] *= part
-    total /= _SQRT3
+    chunks = [(total, terms, lo, min(lo + _ZERO_MODE_CHUNK, n))
+              for lo in range(0, n, _ZERO_MODE_CHUNK)]
+    if tasks is None:
+        _run_zero_mode(chunks)
+    else:
+        tasks.extend(chunks)
     return total
+
+
+def _run_zero_mode(tasks: list) -> int:
+    """Run zero-mode chunk tasks on one ``_pool`` run, largest first, so
+    that the workers' strides get about equal work, and return its width.
+    Each worker's workspace holds the largest chunk's exponent plane and
+    mask, one slab of ``_SLAB_ROWS`` node rows and one node sum."""
+    tasks = sorted(tasks, key=_chunk_cells, reverse=True)
+    cells = _chunk_cells(tasks[0])
+    width = max(hi - lo for _, _, lo, hi in tasks)
+
+    def workspace():
+        return (np.empty(cells), np.empty(_SLAB_ROWS * width),
+                np.empty(cells, dtype=bool), np.empty(width))
+
+    return _pool(len(tasks),
+                 lambda t, space: _zero_mode_chunk(*tasks[t], space),
+                 workspace)
+
+
+def _chunk_cells(task: tuple) -> int:
+    """Nodes times replicas of a zero-mode chunk task: its work."""
+    _, terms, lo, hi = task
+    return terms[0][0].size * (hi - lo)
+
+
+def _zero_mode_chunk(total: np.ndarray, terms, lo: int, hi: int,
+                     space: tuple) -> None:
+    """``total[lo:hi]`` of ``_zero_mode_values``, in a worker's ``space``.
+    Far out in a window the exponent reaches -1e9; ``np.exp`` runs only
+    where it is at least _EXP_UNDERFLOW, and the rest is set to the 0.0 it
+    would round to.  The boundary term is subtracted a slab of node rows at
+    a time.  Each direction's node sum is one BLAS ``dgemv``
+    (``_Blas.gemv``) on the transposed plane."""
+    buf, slab, mask, part = space
+    m = hi - lo
+    size = terms[0][0].size * m
+    expo = buf[:size].reshape(-1, m)
+    live = mask[:size].reshape(-1, m)
+    out = total[lo:hi]
+    for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
+        np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
+        for r in range(0, lin.size, _SLAB_ROWS):
+            rows = expo[r:r + _SLAB_ROWS]
+            sub = slab[:rows.size].reshape(rows.shape)
+            np.multiply.outer(half_e[r:r + _SLAB_ROWS], bnd[lo:hi], out=sub)
+            rows -= sub
+        np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
+        np.exp(expo, out=expo, where=live)
+        np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
+        if i == 0:
+            _blas().gemv(expo, lin, out)
+        else:
+            _blas().gemv(expo, lin, part[:m])
+            out *= part[:m]
+    out /= _SQRT3
 
 
 # ---------------------------------------------------------------------------
@@ -1141,14 +1334,18 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     free_case = _check_convergence_conditions(cfg)
 
     model = _MassModel(cfg, delta, eps, rho)
-    ensemble = GffEnsemble(model.points, rho)
-    expected = model.expected_masses(ensemble.cov_diag)
-    (pooled,), sampling = _pooled_masses((model,), ensemble, seed, replicas)
-    del ensemble        # its factors are not held through the zero mode
+    with _logged_stages(_pairing(replicas)["draw_blocks"], model.points.size):
+        ensemble = GffEnsemble(model.points, rho)
+        expected = model.expected_masses(ensemble.cov_diag)
+        (pooled,), sampling = _pooled_masses((model,), ensemble, seed,
+                                             replicas)
+        del ensemble    # its factors are not held through the zero mode
+        zero_mode = None if free_case else \
+            _zero_mode_estimates([(pooled, cfg)], window_tol)[0]
 
     mass_stats = {k: _paired_mean_stderr(v) for k, v in pooled.items()}
 
-    coulomb = coulomb_value(cfg)
+    coulomb = model.coulomb
     diagnostics = {
         "coulomb": coulomb,
         "grid_bulk": int(model.n_bulk_pts),
@@ -1163,8 +1360,7 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     if free_case:
         return GmcEstimate(coulomb, 0.0, replicas, mass_stats, diagnostics)
 
-    mean, stderr, windows, tails, quad_error = _zero_mode_estimate(
-        pooled, cfg, window_tol)
+    mean, stderr, windows, tails, quad_error = zero_mode
     diagnostics["window"] = windows
     diagnostics["tail_increment"] = tails
     diagnostics["quad_error"] = quad_error
@@ -1298,11 +1494,11 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     # the free case samples nothing
     counts = _pairing(0 if free_case else replicas)
     configs = [_moved_config(cfg, kind, i, j, d) for d in ladder]
-    coulombs = [coulomb_value(cfg_d) for cfg_d in configs]
     values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
     sampling = {}
     if free_case:
-        values, errs = coulombs, [0.0] * len(ladder)
+        values = [coulomb_value(cfg_d) for cfg_d in configs]
+        errs = [0.0] * len(ladder)
     else:
         if kind == "bulk":
             anchor = complex(store[i][0])
@@ -1311,17 +1507,16 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         base_model = _MassModel(cfg, delta, eps, rho,
                                 extra_exclusions=[anchor + d for d in ladder])
         models = [base_model.rebound(cfg_d) for cfg_d in configs]
-        pooled, sampling = _pooled_masses(
-            models, GffEnsemble(base_model.points, rho), seed, replicas)
-        for model, cfg_d, coulomb, masses in zip(models, configs, coulombs,
-                                                 pooled):
-            mean, err, _, tail, quad_error = _zero_mode_estimate(
-                masses, cfg_d, 1e-8)
+        with _logged_stages(counts["draw_blocks"], base_model.points.size):
+            pooled, sampling = _pooled_masses(
+                models, GffEnsemble(base_model.points, rho), seed, replicas)
+            rungs = _zero_mode_estimates(list(zip(pooled, configs)), 1e-8)
+        for model, (mean, err, _, tail, quad_error) in zip(models, rungs):
             tails.append(tail)
             quad_errors.append(quad_error)
             empty_arcs.append(model.empty_arcs)
-            values.append(coulomb * mean)
-            errs.append(coulomb * err)
+            values.append(model.coulomb * mean)
+            errs.append(model.coulomb * err)
 
     logs = np.log(np.asarray(values))
     if np.ptp(logs) > 1e-14:

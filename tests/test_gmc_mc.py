@@ -2,11 +2,13 @@
 correlator estimator."""
 
 import ast
+import functools
 import inspect
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -658,25 +660,140 @@ def test_seeded_outputs_are_bitwise_equal_at_one_blas_thread_and_default():
         {"pinned": gmc_mc._blas().set_threads is not None}
 
 
+def pooled_task_counts(replicas):
+    """The task count of each ``_pool`` run of ``seeded_outputs``, in
+    order: per call, the covariance row blocks, the sampling blocks and the
+    zero-mode chunks (per rung, its value chunks and its reference)."""
+    blocks = -(-replicas // (2 * BLOCK))
+    chunks = -(-replicas // gmc_mc._ZERO_MODE_CHUNK) + 1
+    fusion_points = bench_grid_models("fusion_ladder", 0.003)[0].points.size
+    return [-(-897 // gmc_mc._COV_ROWS), blocks, chunks,
+            -(-fusion_points // gmc_mc._COV_ROWS), blocks,
+            len(FUSION_LADDER) * chunks]
+
+
 @pytest.mark.parametrize("replicas", [2 * 2 * BLOCK, 3 * 2 * BLOCK + 301])
 def test_seeded_outputs_are_bitwise_equal_on_one_and_two_workers(
         monkeypatch, replicas):
-    # each block writes its own rows, so the worker count moves no bit;
-    # 3 * 2 * BLOCK + 301 is an odd count whose partial last block falls
-    # to the second of two workers.  Four workers (more than this host's
-    # CPUs, one block each) switching threads every microsecond must give
-    # the same bits too
+    # each task writes its own part of the output, so the worker count
+    # moves no bit; 3 * 2 * BLOCK + 301 is an odd count whose partial last
+    # block falls to the second of two workers.  Four workers (more than
+    # this host's CPUs) switching threads every microsecond must give the
+    # same bits too.  The width reaches the covariance, sampling and
+    # zero-mode stages of both calls, each through _worker_count
     outputs = []
     switch = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for width in (1, 2, 4):
-            monkeypatch.setattr(gmc_mc, "_worker_count",
-                                lambda blocks, width=width: min(width, blocks))
+            tasks = []
+
+            def count(n, width=width):
+                tasks.append(n)
+                return min(width, n)
+
+            monkeypatch.setattr(gmc_mc, "_worker_count", count)
             outputs.append(seeded_outputs(replicas, 5))
+            assert tasks == pooled_task_counts(replicas)
     finally:
         sys.setswitchinterval(switch)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_mollified_covariance_is_the_same_bits_on_one_two_and_four_workers(
+        monkeypatch):
+    # each row block writes its own rows and their mirror columns, and
+    # every entry is elementwise; four workers switching threads every
+    # microsecond share the 29 blocks of the estimate grid
+    points = _MassModel(mu_config(), 0.12, 0.1, 0.03).points
+    covs = []
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for width in (1, 2, 4):
+            monkeypatch.setattr(gmc_mc, "_worker_count",
+                                lambda tasks, width=width: min(width, tasks))
+            covs.append(mollified_covariance(points, 0.03).tobytes())
+    finally:
+        sys.setswitchinterval(switch)
+    assert covs[0] == covs[1] == covs[2]
+    assert covs[0] == plain_covariance(points, 0.03).tobytes()
+
+
+@pytest.mark.parametrize("stage", ["covariance", "zero mode"])
+def test_a_failing_pooled_task_raises_from_the_caller(monkeypatch, stage):
+    # tasks 1 and 2 fail, on the second and the first of two workers (the
+    # first may skip its failing task once the other has failed): the
+    # caller raises the error of task 1, the one a serial loop would
+    # raise, and no worker thread is left running
+    monkeypatch.setattr(gmc_mc, "_worker_count", lambda tasks: min(2, tasks))
+    failed_in = []
+
+    def fail(label):
+        failed_in.append(threading.current_thread())
+        raise ValueError(label)
+
+    if stage == "covariance":
+        # 29 row blocks on the estimate grid
+        real_abs2 = gmc_mc._abs2
+
+        def abs2(z):
+            block = -(-z.shape[1] // gmc_mc._COV_ROWS) - 1
+            return fail(f"block {block}") if block in (1, 2) \
+                else real_abs2(z)
+
+        monkeypatch.setattr(gmc_mc, "_abs2", abs2)
+        call = functools.partial(
+            mollified_covariance,
+            _MassModel(mu_config(), 0.12, 0.1, 0.03).points, 0.03)
+        first = "block 1"
+    else:
+        # 4 * 2 * BLOCK + 301 replicas make three tasks, largest first:
+        # the values of replicas [0, 4096), the quadrature-error reference
+        # (256 nodes on the first 1,024) and the values of [4096, 4397)
+        real_chunk = gmc_mc._zero_mode_chunk
+
+        def chunk(total, terms, lo, hi, space):
+            label = f"{terms[0][0].size} nodes from replica {lo}"
+            if label in ("256 nodes from replica 0",
+                         "128 nodes from replica 4096"):
+                return fail(label)
+            return real_chunk(total, terms, lo, hi, space)
+
+        monkeypatch.setattr(gmc_mc, "_zero_mode_chunk", chunk)
+        call = functools.partial(estimate_correlator, mu_config(), 0.12, 0.1,
+                                 0.03, 4 * 2 * BLOCK + 301, seed=2)
+        first = "256 nodes from replica 0"
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == first
+    assert 1 <= len(failed_in) <= 2
+    assert threading.current_thread() not in failed_in
+    assert set(threading.enumerate()) == before
+
+
+def test_the_gmc_layer_starts_threads_in_one_function():
+    """``_pool`` is the module's one thread pool: ``ThreadPoolExecutor``
+    appears in exactly one function of ``gmc_mc``, and no function starts a
+    ``threading.Thread`` of its own."""
+    tree = ast.parse(inspect.getsource(gmc_mc))
+    owners, mentions = set(), 0
+    for node in ast.walk(tree):
+        named = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else \
+            node.name if isinstance(node, ast.alias) else None
+        mentions += named in ("ThreadPoolExecutor", "Thread")
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = [n for n in ast.walk(fn) if isinstance(n, ast.alias)
+                   and n.name == "ThreadPoolExecutor"
+                   or isinstance(n, ast.Name) and n.id == "ThreadPoolExecutor"]
+            if own:
+                owners.add(fn.name)
+    assert owners == {"_pool"}
+    # the import and the one call, both in _pool
+    assert mentions == 2
 
 
 def test_overflow_in_a_worker_raises_the_lowest_failing_block(monkeypatch):
@@ -803,26 +920,57 @@ def test_pin_count_survives_many_threads_switching_often():
         set_threads(old)
 
 
+def stage_line(blocks, points, stages):
+    """The DEBUG line of a GMC call: its blocks and points, the BLAS pin,
+    and each (stage, pool width) with its wall time in seconds."""
+    pin = "not pinned" if gmc_mc._blas().set_threads is None \
+        else "pinned to one thread"
+    timed = ", ".join(rf"{name} \d+\.\d{{4}} s on {w} worker" + "s" * (w > 1)
+                      for name, w in stages)
+    return rf"gmc_mc: {blocks} blocks of {points} points, BLAS {pin}; {timed}"
+
+
 def test_sampling_reports_workers_and_pin_and_logs_them(caplog):
     with caplog.at_level(logging.DEBUG, logger="w3toda"):
         est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, 3 * 2 * BLOCK,
                                   seed=4)
+        rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
+                           delta=0.12, eps=0.12, rho=0.003, replicas=64,
+                           seed=3)
+        free = fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
+                            TestFusionProbe.LADDER, delta=0.1, eps=0.002,
+                            rho=0.004, replicas=16)
     blas = est.diagnostics["blas"]
     pinned = gmc_mc._blas().set_threads is not None
     assert blas == {"workers": gmc_mc._worker_count(3), "pinned": pinned}
     assert 1 <= blas["workers"] <= 3
     assert json.loads(json.dumps(est.to_json()))["diagnostics"]["blas"] == blas
-    lines = [r.getMessage() for r in caplog.records if r.name == "w3toda"]
-    pin = "pinned to one thread" if pinned else "not pinned"
-    assert lines == [f"gmc_mc: 3 blocks of 897 points on {blas['workers']} "
-                     f"workers, BLAS {pin}"]
-    rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
-                       delta=0.12, eps=0.12, rho=0.003, replicas=64, seed=3)
     assert rep.to_json()["blas"] == {"workers": 1, "pinned": pinned}
-    free = fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
-                        TestFusionProbe.LADDER, delta=0.1, eps=0.002,
-                        rho=0.004, replicas=16)
     assert free.to_json()["blas"] == {}     # the free case samples nothing
+    # one line per sampled call, naming the wall time and pool width of
+    # each stage: the covariance row blocks, the sampling blocks, and the
+    # zero-mode chunks (a value chunk and a reference per rung); the free
+    # case samples nothing and logs nothing
+    fusion_points = bench_grid_models("fusion_ladder", 0.003)[0].points.size
+
+    def width(tasks):
+        return gmc_mc._worker_count(tasks)
+
+    def rows(points):
+        return width(-(-points // gmc_mc._COV_ROWS))
+
+    wants = [
+        stage_line(3, 897, [("covariance", rows(897)), ("dpotrf", 1),
+                            ("sampling", blas["workers"]),
+                            ("zero mode", width(2))]),
+        stage_line(1, fusion_points, [("covariance", rows(fusion_points)),
+                                      ("dpotrf", 1), ("sampling", 1),
+                                      ("zero mode", width(8))]),
+    ]
+    lines = [r.getMessage() for r in caplog.records if r.name == "w3toda"]
+    assert len(lines) == len(wants)
+    for line, want in zip(lines, wants):
+        assert re.fullmatch(want, line), (line, want)
 
 
 def plain_zero_mode_values(masses, cfg, windows, nodes=128):
@@ -1165,6 +1313,28 @@ class TestFusionProbe:
             rungs.append(own)
         # the rungs do see different weights
         assert not np.array_equal(rungs[0][("bulk", 1)], rungs[1][("bulk", 1)])
+
+    def test_rebound_matches_a_fresh_model_bitwise(self):
+        # a rebound that only moves an insertion keeps the base's float
+        # pairings; one that swaps two weights takes its own.  Either way
+        # the weights and the Coulomb factor are a fresh model's, bit for bit
+        cfg = mu_config()
+        (s0, b2), (s1, b3) = cfg.boundary
+        moved = _moved_config(cfg, "boundary", 0, 1, 0.006)
+        swapped = CorrelatorConfig(cfg.gamma, cfg.bulk,
+                                   ((s0, b3), (s1, b2)), cfg.mu_bulk,
+                                   cfg.mu_boundary)
+        # every model excludes both positions of the moved insertion
+        extra = [float(s0) + 0.006, float(s1)]
+        base = _MassModel(cfg, 0.12, 0.12, 0.003, extra_exclusions=extra)
+        for target in (moved, swapped, cfg):
+            bound = base.rebound(target)
+            fresh = _MassModel(target, 0.12, 0.12, 0.003,
+                               extra_exclusions=extra)
+            assert bound.points.tobytes() == fresh.points.tobytes()
+            assert bound.weights.tobytes() == fresh.weights.tobytes()
+            assert bound.coulomb == fresh.coulomb == coulomb_value(target)
+        assert base.rebound(swapped).coulomb != base.coulomb
 
     def test_report_serializes(self):
         rep = FusionReport(slope=-0.5, exponent=-0.48, correction=0.0,
