@@ -42,13 +42,16 @@ covariance (``mollified_covariance``), the sampling blocks
 (``_pooled_masses``, the one pooling loop, over a sequence of models, in
 which each block writes its masses into its own rows of one table, so the
 replica order and every random stream are those of a serial loop), and
-the zero-mode chunks.  From pooled masses to a value there is one path,
-``_zero_mode_estimates``: the correlator estimate and every fusion rung go
-through it for their windows, quadrature error, mean and stderr, the
-windows growing in the calling thread and the value chunks of every rung
-running on one pool.  Each call logs the wall time and pool width of each
-of its stages (covariance, ``dpotrf``, sampling and zero mode) on one
-DEBUG line of the ``w3toda`` logger.
+the zero-mode chunks.  From mass models on one grid to their records there
+is one path, ``_sampled_estimates``: it factors the grid, pools every
+model's masses in one pass, runs every model's zero mode
+(``_zero_mode_estimates``: the windows grow in the calling thread, the
+value chunks of every model run on one pool) and builds one ``GmcEstimate``
+per model.  The correlator estimate returns the record of its one model;
+the fusion probe keeps one per rung and fits their values.  Each call logs
+the wall time and pool width of each of its stages (covariance,
+``dpotrf``, sampling and zero mode) on one DEBUG line of the ``w3toda``
+logger.
 
 Every dense linear-algebra call of this module (the factorization, the
 triangular products, the mass sums and the zero-mode quadrature sums) goes
@@ -731,18 +734,19 @@ class _MassModel:
     exponentials.  The bulk key of direction i carries the quadrature base
     of direction i on the bulk rows, and the key ("boundary", i, arc)
     carries that direction's boundary base on the arc's rows; every other
-    entry is zero.  The grids depend only on the truncation data and
-    exclusion set; ``rebound`` swaps the insertion weights while keeping the
-    grids (and hence any shared field samples and their ``exponentials``)
-    fixed.  ``empty_arcs`` lists the (direction, arc) boundary masses that
-    have no grid point, and so are identically zero: an exclusion radius
-    wider than an arc removes all of it.  ``coulomb`` is the bound
-    configuration's ``coulomb_value``, taken from the same float pairings
-    as the weights; a rebound that keeps the insertion weights, and moves
-    only their positions, keeps those pairings."""
+    entry is zero.  The grids depend only on the truncation data
+    (``delta``, ``eps``) and exclusion set; ``rebound`` swaps the insertion
+    weights while keeping the grids (and hence any shared field samples and
+    their ``exponentials``) fixed.  ``empty_arcs`` lists the (direction,
+    arc) boundary masses that have no grid point, and so are identically
+    zero: an exclusion radius wider than an arc removes all of it.
+    ``coulomb`` is the bound configuration's ``coulomb_value``, taken from
+    the same float pairings as the weights; a rebound that keeps the
+    insertion weights, and moves only their positions, keeps those
+    pairings."""
 
     def __init__(self, cfg, delta, eps, rho, extra_exclusions=()):
-        self.rho = float(rho)
+        self.delta, self.eps, self.rho = float(delta), float(eps), float(rho)
         bulk_excl = [complex(z) for z, _ in cfg.bulk]
         bnd_excl = [float(s) for s, _ in cfg.boundary]
         for z in extra_exclusions:
@@ -883,12 +887,6 @@ def _paired_mean_stderr(values: np.ndarray) -> tuple:
     err = _mean_stderr(pairs)[1] * math.sqrt(2 * pairs.size / values.size) \
         if pairs.size > 1 else 0.0
     return float(values.mean()), err
-
-
-def _pairing(replicas: int) -> dict:
-    """Pairing counts of a replica total, for the diagnostics."""
-    return {"pairs": replicas // 2, "unpaired": replicas % 2,
-            "draw_blocks": -(-replicas // (2 * BLOCK))}
 
 
 def _pooled_masses(models, ensemble, seed: int, replicas: int) -> tuple:
@@ -1126,78 +1124,62 @@ def _measure_terms(masses: dict, cfg) -> tuple:
                  for i in (1, 2))
 
 
-def _windows_from_means(mean_masses: dict, cfg, tol: float) -> tuple:
-    """(windows, tails) of the two directions, grown from the mean masses."""
-    gamma = float(cfg.gamma)
-    found = [zero_mode_window(sigma, gamma, bulk, bnd, tol)
-             for sigma, (bulk, bnd) in zip(_sigma_pair(cfg),
-                                           _measure_terms(mean_masses, cfg))]
-    return tuple(w for w, _ in found), tuple(t for _, t in found)
-
-
 def _zero_mode_estimates(rungs, tol: float) -> list:
-    """(mean, stderr, windows, tails, quad_error) of the zero-mode integral
-    for each (pooled masses, cfg) of ``rungs``.  Each rung's windows grow
-    here, in the calling thread (``_zero_mode_estimate``); then the value
-    chunks of every rung and of its quadrature-error reference run as one
-    ``_pool`` run (``_run_zero_mode``)."""
-    with _stage("zero mode") as stage:
-        started = [_zero_mode_estimate(pooled, cfg, tol)
-                   for pooled, cfg in rungs]
-        stage["workers"] = _run_zero_mode(
-            [task for tasks, _ in started for task in tasks])
-        return [finish() for _, finish in started]
-
-
-def _zero_mode_estimate(pooled: dict, cfg, tol: float) -> tuple:
-    """Start the zero-mode estimate of one set of pooled replica masses:
-    grow the windows from the mean masses, and return ``(tasks, finish)``,
-    the chunk tasks of its values and of its quadrature-error reference,
-    and the function that, once those have run, gives (mean, stderr,
-    windows, tails, quad_error).  The stderr comes from the pair means
+    """(mean, stderr, diagnostics) of the zero-mode integral for each
+    (pooled masses, cfg, ``_sigma_pair(cfg)``) of ``rungs``.  Each rung's
+    two windows grow from its mean masses, in the calling thread, and its
+    diagnostics are those ``window``s, their ``tail_increment``s and
+    ``quad_error``.  Then the value chunks of every rung and of its
+    quadrature-error reference run as one ``_pool`` run
+    (``_run_zero_mode``).  The stderr comes from the pair means
     (``_paired_mean_stderr``), and ``quad_error`` is the relative change of
     the first sampling block's mean integral (its draws and their mirrors)
     when the node count doubles."""
-    windows, tails = _windows_from_means(
-        {k: float(v.mean()) for k, v in pooled.items()}, cfg, tol)
-    tasks = []
-    values = _zero_mode_values(pooled, cfg, windows, tasks=tasks)
-    first = {k: v[:2 * BLOCK] for k, v in pooled.items()}
-    ref = _zero_mode_values(first, cfg, windows, 2 * _QUAD_NODES, tasks)
-
-    def finish():
+    with _stage("zero mode") as stage:
+        started, tasks = [], []
+        for pooled, cfg, sigmas in rungs:
+            means = {k: float(v.mean()) for k, v in pooled.items()}
+            found = [zero_mode_window(sigma, float(cfg.gamma), bulk, bnd, tol)
+                     for sigma, (bulk, bnd)
+                     in zip(sigmas, _measure_terms(means, cfg))]
+            windows = tuple(w for w, _ in found)
+            first = {k: v[:2 * BLOCK] for k, v in pooled.items()}
+            started.append((
+                _zero_mode_values(pooled, cfg, sigmas, windows, tasks),
+                _zero_mode_values(first, cfg, sigmas, windows, tasks,
+                                  2 * _QUAD_NODES),
+                {"window": windows,
+                 "tail_increment": tuple(t for _, t in found)}))
+        stage["workers"] = _run_zero_mode(tasks)
+    estimates = []
+    for values, ref, diagnostics in started:
         mean_ref = float(ref.mean())
-        quad_error = abs(float(values[:2 * BLOCK].mean()) - mean_ref) \
-            / mean_ref
-        mean, stderr = _paired_mean_stderr(values)
-        return mean, stderr, windows, tails, quad_error
-    return tasks, finish
+        diagnostics["quad_error"] = \
+            abs(float(values[:2 * BLOCK].mean()) - mean_ref) / mean_ref
+        estimates.append((*_paired_mean_stderr(values), diagnostics))
+    return estimates
 
 
-def _zero_mode_values(masses: dict, cfg, windows, nodes: int = _QUAD_NODES,
-                      tasks: list | None = None) -> np.ndarray:
+def _zero_mode_values(masses: dict, cfg, sigmas: tuple, windows,
+                      tasks: list, nodes: int = _QUAD_NODES) -> np.ndarray:
     """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica),
-    each I_i by ``nodes``-point Gauss-Legendre quadrature on its window.
+    each I_i by ``nodes``-point Gauss-Legendre quadrature on its window at
+    the rate ``sigmas[i - 1]`` (``_sigma_pair(cfg)``).
     The replicas are cut into chunks of ``_ZERO_MODE_CHUNK``, each one task
     of ``_zero_mode_chunk``; the cuts are fixed, since a chunk's width sets
-    the bits of its ``dgemv``.  Given a list ``tasks``, the chunks are
-    appended to it and the returned array is filled once they have run;
-    otherwise they run here (``_run_zero_mode``)."""
+    the bits of its ``dgemv``.  The chunks are appended to ``tasks``, and
+    the returned array is filled once they have run (``_run_zero_mode``)."""
     gamma = float(cfg.gamma)
     terms = []
-    for window, sigma, (bulk, bnd) in zip(windows, _sigma_pair(cfg),
+    for window, sigma, (bulk, bnd) in zip(windows, sigmas,
                                           _measure_terms(masses, cfg)):
         v, lin = _gauss_nodes(window, sigma, nodes)
         terms.append((lin, -np.exp(gamma * v), bulk,
                       np.exp(0.5 * gamma * v), bnd))
     n = terms[0][2].size
     total = np.empty(n)
-    chunks = [(total, terms, lo, min(lo + _ZERO_MODE_CHUNK, n))
-              for lo in range(0, n, _ZERO_MODE_CHUNK)]
-    if tasks is None:
-        _run_zero_mode(chunks)
-    else:
-        tasks.extend(chunks)
+    tasks.extend((total, terms, lo, min(lo + _ZERO_MODE_CHUNK, n))
+                 for lo in range(0, n, _ZERO_MODE_CHUNK))
     return total
 
 
@@ -1263,7 +1245,9 @@ def _zero_mode_chunk(total: np.ndarray, terms, lo: int, hi: int,
 
 @dataclass(frozen=True)
 class GmcEstimate:
-    """Monte Carlo value with per-direction chaos masses.
+    """Monte Carlo value with per-direction chaos masses: the one record of
+    a sampled configuration, built by ``_sampled_estimates`` for the
+    correlator estimate and for every rung of the fusion probe.
 
     ``replicas`` counts field evaluations, draws and mirrors alike;
     ``masses`` maps ("bulk", i) and ("boundary", i, arc) to (mean, stderr);
@@ -1277,9 +1261,12 @@ class GmcEstimate:
     ``unpaired`` draws (1 for an odd replica count, else 0) and
     ``draw_blocks``, the number of sampled field blocks,
     ``sampling_rel_error``, the float32 sampling path's rounding error: the
-    largest relative gap, over every mass key, between the float32 and the
-    float64 masses of the first block's first 32 draws, and ``blas``: the
-    sampling ``workers`` and whether BLAS was ``pinned`` to one thread."""
+    largest relative gap, over every mass key of every configuration
+    sampled in the same pass, between the float32 and the float64 masses
+    of the first block's first 32 draws, and ``blas``: the sampling
+    ``workers`` and whether BLAS was ``pinned`` to one thread.  The pairing,
+    ``sampling_rel_error`` and ``blas`` are shared by the records of one
+    pass.  ``to_json`` is the one serializer of every diagnostic."""
 
     value: float
     stderr: float
@@ -1305,6 +1292,43 @@ class GmcEstimate:
         }
 
 
+def _sampled_estimates(models, seed: int, replicas: int,
+                       window_tol: float) -> list:
+    """One ``GmcEstimate`` per mass model of ``models``, which share one
+    grid, gamma, rho and measures.  Within one ``_logged_stages`` call it
+    factors the grid (``GffEnsemble``), takes each model's
+    ``expected_masses``, pools every model's masses in one pass
+    (``_pooled_masses``), drops the ensemble and runs the zero mode of
+    every model (``_zero_mode_estimates``, with ``_sigma_pair`` taken once
+    per configuration); then it adds the paired mass stats and the
+    diagnostics.  With every measure zero there is no zero mode: the value
+    is the Coulomb factor and its stderr 0.0."""
+    base = models[0]
+    blocks = -(-replicas // (2 * BLOCK))
+    with _logged_stages(blocks, base.points.size):
+        ensemble = GffEnsemble(base.points, base.rho)
+        expected = [m.expected_masses(ensemble.cov_diag) for m in models]
+        pooled, sampling = _pooled_masses(models, ensemble, seed, replicas)
+        del ensemble    # its factors are not held through the zero mode
+        if base.cfg.all_mu_zero:
+            zero_modes = [(1.0, 0.0, {})] * len(models)
+        else:
+            zero_modes = _zero_mode_estimates(
+                [(p, m.cfg, _sigma_pair(m.cfg))
+                 for p, m in zip(pooled, models)], window_tol)
+    return [GmcEstimate(
+        model.coulomb * mean, model.coulomb * stderr, replicas,
+        {k: _paired_mean_stderr(v) for k, v in masses.items()},
+        {"coulomb": model.coulomb, "grid_bulk": int(model.n_bulk_pts),
+         "grid_boundary": int(model.bnd_pts.size),
+         "empty_arcs": model.empty_arcs, "rho": model.rho,
+         "delta": model.delta, "eps": model.eps, "expected_masses": means,
+         "pairs": replicas // 2, "unpaired": replicas % 2,
+         "draw_blocks": blocks, **sampling, **zero_mode})
+        for model, masses, means, (mean, stderr, zero_mode)
+        in zip(models, pooled, expected, zero_modes)]
+
+
 def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
                         rho: float, replicas: int, *, seed: int = 0,
                         window_tol: float = 1e-8) -> GmcEstimate:
@@ -1324,48 +1348,17 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     blocks stream through one per worker at a time, the mirrors'
     reciprocals overwriting the draws' exponentials once the draws' masses
     are taken (``_pooled_masses``).  The mass expectations read the
-    covariance diagonal (``GffEnsemble.cov_diag``).
+    covariance diagonal (``GffEnsemble.cov_diag``).  The record is
+    ``_sampled_estimates``' for the configuration's mass model.
     """
     if replicas <= 0:
         raise AlgebraError("no data: at least one replica is required")
     if not (delta > 0 and eps > 0 and rho > 0):
         raise AlgebraError(
             "truncation and mollification scales must be positive")
-    free_case = _check_convergence_conditions(cfg)
-
-    model = _MassModel(cfg, delta, eps, rho)
-    with _logged_stages(_pairing(replicas)["draw_blocks"], model.points.size):
-        ensemble = GffEnsemble(model.points, rho)
-        expected = model.expected_masses(ensemble.cov_diag)
-        (pooled,), sampling = _pooled_masses((model,), ensemble, seed,
-                                             replicas)
-        del ensemble    # its factors are not held through the zero mode
-        zero_mode = None if free_case else \
-            _zero_mode_estimates([(pooled, cfg)], window_tol)[0]
-
-    mass_stats = {k: _paired_mean_stderr(v) for k, v in pooled.items()}
-
-    coulomb = model.coulomb
-    diagnostics = {
-        "coulomb": coulomb,
-        "grid_bulk": int(model.n_bulk_pts),
-        "grid_boundary": int(model.bnd_pts.size),
-        "empty_arcs": model.empty_arcs,
-        "rho": float(rho), "delta": float(delta), "eps": float(eps),
-        "expected_masses": expected,
-        **_pairing(replicas),
-        **sampling,
-    }
-
-    if free_case:
-        return GmcEstimate(coulomb, 0.0, replicas, mass_stats, diagnostics)
-
-    mean, stderr, windows, tails, quad_error = zero_mode
-    diagnostics["window"] = windows
-    diagnostics["tail_increment"] = tails
-    diagnostics["quad_error"] = quad_error
-    return GmcEstimate(coulomb * mean, coulomb * stderr, replicas,
-                       mass_stats, diagnostics)
+    _check_convergence_conditions(cfg)
+    return _sampled_estimates([_MassModel(cfg, delta, eps, rho)], seed,
+                              replicas, window_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1376,16 +1369,13 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
 class FusionReport:
     """Log-log slope of the estimated correlator along a merging ladder,
     next to the short-distance exponent and its positive-part correction.
-    Per sampled rung, ``tail_increments`` holds the zero-mode tail
-    increment of each direction on that rung's own window,
-    ``quad_errors`` the zero-mode quadrature error and ``empty_arcs`` the
-    (direction, arc) boundary masses with no grid point (see
-    ``GmcEstimate``).  ``pairs`` and ``draw_blocks`` count the shared
-    antithetic pairs and sampled field blocks, ``sampling_rel_error`` is
-    the float32 sampling path's rounding error over every key of every rung
-    and ``blas`` records the sampling workers and the BLAS pin (see
-    ``GmcEstimate``); the first three are 0 and ``blas`` is empty in the
-    free case, which samples nothing."""
+    ``rungs`` holds each sampled rung's ``GmcEstimate``, in ladder order:
+    its masses, mass expectations, zero-mode windows, tail increments,
+    quadrature error, empty arcs, pairing, sampling rounding error and BLAS
+    pool, all serialized by ``GmcEstimate.to_json``.  ``values`` and
+    ``stderrs`` are the rungs' values and stderrs at the ``distances``, and
+    the fit reads them.  The free case samples nothing: its ``rungs`` are
+    empty and its values are the closed-form ``coulomb_value``."""
 
     slope: float
     exponent: float
@@ -1393,13 +1383,7 @@ class FusionReport:
     distances: tuple
     values: tuple
     stderrs: tuple
-    tail_increments: tuple = ()
-    quad_errors: tuple = ()
-    empty_arcs: tuple = ()
-    pairs: int = 0
-    draw_blocks: int = 0
-    sampling_rel_error: float = 0.0
-    blas: dict = field(default_factory=dict)
+    rungs: tuple = ()
 
     @property
     def bound(self) -> float:
@@ -1414,13 +1398,7 @@ class FusionReport:
                 "satisfied": self.satisfied(),
                 "distances": list(self.distances),
                 "values": list(self.values), "stderrs": list(self.stderrs),
-                "tail_increments": [list(t) for t in self.tail_increments],
-                "quad_errors": list(self.quad_errors),
-                "empty_arcs": [[list(k) for k in rung]
-                               for rung in self.empty_arcs],
-                "pairs": self.pairs, "draw_blocks": self.draw_blocks,
-                "sampling_rel_error": self.sampling_rel_error,
-                "blas": dict(self.blas)}
+                "rungs": [r.to_json() for r in self.rungs]}
 
 
 def _moved_config(cfg, kind, i, j, d):
@@ -1451,7 +1429,7 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     all of them) before its worker draws its next block.  So one block's
     exponentials are held per worker, and only the per-rung masses grow
     with the replica count.  Each rung then grows its own zero-mode window
-    from its mean masses and reports that window's tail increments.  The
+    from its mean masses, and its record (``rungs``) reports it.  The
     rungs thus re-weight the same (draw, mirror) pairs, and take their
     stderrs from the pair means as ``estimate_correlator`` does; at least
     two pairs (four replicas) are required.  The predicted short-distance
@@ -1491,40 +1469,31 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
         if gap > 0 else 0.0
 
     free_case = _check_convergence_conditions(cfg)
-    # the free case samples nothing
-    counts = _pairing(0 if free_case else replicas)
     configs = [_moved_config(cfg, kind, i, j, d) for d in ladder]
-    values, errs, tails, quad_errors, empty_arcs = [], [], [], [], []
-    sampling = {}
-    if free_case:
-        values = [coulomb_value(cfg_d) for cfg_d in configs]
-        errs = [0.0] * len(ladder)
+    if free_case:       # the free case samples nothing
+        rungs = ()
+        values = tuple(coulomb_value(cfg_d) for cfg_d in configs)
+        errs = (0.0,) * len(ladder)
     else:
-        if kind == "bulk":
-            anchor = complex(store[i][0])
-        else:
-            anchor = complex(float(store[i][0]))
+        anchor = complex(store[i][0])
         base_model = _MassModel(cfg, delta, eps, rho,
                                 extra_exclusions=[anchor + d for d in ladder])
-        models = [base_model.rebound(cfg_d) for cfg_d in configs]
-        with _logged_stages(counts["draw_blocks"], base_model.points.size):
-            pooled, sampling = _pooled_masses(
-                models, GffEnsemble(base_model.points, rho), seed, replicas)
-            rungs = _zero_mode_estimates(list(zip(pooled, configs)), 1e-8)
-        for model, (mean, err, _, tail, quad_error) in zip(models, rungs):
-            tails.append(tail)
-            quad_errors.append(quad_error)
-            empty_arcs.append(model.empty_arcs)
-            values.append(model.coulomb * mean)
-            errs.append(model.coulomb * err)
+        rungs = tuple(_sampled_estimates(
+            [base_model.rebound(cfg_d) for cfg_d in configs], seed, replicas,
+            1e-8))
+        values = tuple(r.value for r in rungs)
+        errs = tuple(r.stderr for r in rungs)
+    return FusionReport(_log_log_slope(ladder, values), exponent, correction,
+                        tuple(ladder), values, errs, rungs)
 
-    logs = np.log(np.asarray(values))
-    if np.ptp(logs) > 1e-14:
-        slope = float(np.polyfit(np.log(np.asarray(ladder)), logs, 1)[0])
-    else:
-        slope = 0.0
-    return FusionReport(slope, exponent, correction, tuple(ladder),
-                        tuple(float(v) for v in values),
-                        tuple(float(e) for e in errs), tuple(tails),
-                        tuple(quad_errors), tuple(empty_arcs),
-                        counts["pairs"], counts["draw_blocks"], **sampling)
+
+def _log_log_slope(distances, values) -> float:
+    """Least-squares slope of ln value against ln distance, in closed form:
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2; 0.0 when the values
+    are flat to 1e-14 in the log."""
+    y = np.log(np.asarray(values))
+    if not np.ptp(y) > 1e-14:
+        return 0.0
+    x = np.log(np.asarray(distances))
+    x -= x.mean()
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))

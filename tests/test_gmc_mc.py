@@ -3,6 +3,7 @@ correlator estimator."""
 
 import ast
 import functools
+import importlib.util
 import inspect
 import json
 import logging
@@ -58,10 +59,13 @@ from w3toda.gmc_mc import (
     _PROBE_DRAWS,
     _ROOT_COEFFS,
     _MassModel,
+    _log_log_slope,
     _mean_stderr,
     _moved_config,
     _paired_mean_stderr,
     _pooled_masses,
+    _run_zero_mode,
+    _sigma_pair,
     _smoothed_log,
     _zero_mode_values,
 )
@@ -466,14 +470,14 @@ def test_gmc_layer_calls_no_numpy_blas():
     ``scipy.linalg``'s BLAS and LAPACK: numpy bundles a second OpenBLAS
     whose thread pool contends with scipy's on a small host.  So the module
     holds no ``@`` and no call to ``np.dot``, ``np.matmul``, ``np.inner``,
-    ``np.einsum``, ``np.tensordot`` or ``np.linalg``.
-
-    One numpy call that reaches numpy's LAPACK is allowed: ``np.polyfit``
-    (the 4 x 2 least-squares fit of ``fusion_probe``, single-threaded).
-    The Gauss-Legendre rule comes from ``hyp_numeric.legendre_rule``, which
-    computes each node count once."""
+    ``np.einsum``, ``np.tensordot``, ``np.linalg`` or ``np.polyfit``, whose
+    least-squares solve reaches numpy's LAPACK: the fusion fit's slope is
+    taken in closed form (``_log_log_slope``).  The Gauss-Legendre rule
+    comes from ``hyp_numeric.legendre_rule``, which computes each node
+    count once."""
     tree = ast.parse(inspect.getsource(gmc_mc))
-    banned = {"dot", "matmul", "inner", "einsum", "tensordot", "linalg"}
+    banned = {"dot", "matmul", "inner", "einsum", "tensordot", "linalg",
+              "polyfit"}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) \
@@ -618,14 +622,14 @@ FUSION_LADDER = (0.006, 0.009, 0.0135, 0.02)
 def seeded_outputs(replicas, seed):
     """``to_json`` of a seeded estimate and a seeded fusion probe on the
     benchmark grids, every float as ``float.hex``, with the sampling worker
-    count (the one field allowed to differ) taken out."""
+    count (the one field allowed to differ) taken out of every record."""
     est = estimate_correlator(mu_config(), 0.12, 0.1, 0.03, replicas,
                               seed=seed).to_json()
     rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
                        delta=0.12, eps=0.12, rho=0.003, replicas=replicas,
                        seed=seed).to_json()
-    est["diagnostics"]["blas"].pop("workers")
-    rep["blas"].pop("workers")
+    for record in [est] + rep["rungs"]:
+        record["diagnostics"]["blas"].pop("workers")
     return hexed([est, rep])
 
 
@@ -656,8 +660,10 @@ def test_seeded_outputs_are_bitwise_equal_at_one_blas_thread_and_default():
     assert one == default
     est, rep = one
     assert len(est["masses"]) == 6 and len(rep["values"]) == 4
-    assert est["diagnostics"]["blas"] == rep["blas"] == \
-        {"pinned": gmc_mc._blas().set_threads is not None}
+    assert len(rep["rungs"]) == 4
+    for record in [est] + rep["rungs"]:
+        assert record["diagnostics"]["blas"] == \
+            {"pinned": gmc_mc._blas().set_threads is not None}
 
 
 def pooled_task_counts(replicas):
@@ -945,8 +951,10 @@ def test_sampling_reports_workers_and_pin_and_logs_them(caplog):
     assert blas == {"workers": gmc_mc._worker_count(3), "pinned": pinned}
     assert 1 <= blas["workers"] <= 3
     assert json.loads(json.dumps(est.to_json()))["diagnostics"]["blas"] == blas
-    assert rep.to_json()["blas"] == {"workers": 1, "pinned": pinned}
-    assert free.to_json()["blas"] == {}     # the free case samples nothing
+    for rung in rep.to_json()["rungs"]:
+        assert rung["diagnostics"]["blas"] == {"workers": 1, "pinned": pinned}
+    assert free.rungs == ()                 # the free case samples nothing
+    assert free.to_json()["rungs"] == []
     # one line per sampled call, naming the wall time and pool width of
     # each stage: the covariance row blocks, the sampling blocks, and the
     # zero-mode chunks (a value chunk and a reference per rung); the free
@@ -985,6 +993,14 @@ def plain_zero_mode_values(masses, cfg, windows, nodes=128):
     return total / math.sqrt(3.0), expo
 
 
+def zero_mode_values(masses, cfg, windows):
+    """``_zero_mode_values`` at 128 nodes, its chunks run at once."""
+    tasks = []
+    values = _zero_mode_values(masses, cfg, _sigma_pair(cfg), windows, tasks)
+    _run_zero_mode(tasks)
+    return values
+
+
 def test_zero_mode_values_skip_only_exact_zeros():
     # exp rounds to 0.0 below the threshold, so skipping it there moves no
     # bit; on the benchmark's configuration about 40 % of the arguments
@@ -998,7 +1014,7 @@ def test_zero_mode_values_skip_only_exact_zeros():
     windows = est.diagnostics["window"]
     plain, expo = plain_zero_mode_values(pooled, cfg, windows)
     assert (expo < _EXP_UNDERFLOW).mean() > 0.1
-    got = _zero_mode_values(pooled, cfg, windows)
+    got = zero_mode_values(pooled, cfg, windows)
     assert got.tobytes() == plain.tobytes()
 
 
@@ -1125,14 +1141,15 @@ class TestEstimateCorrelator:
         assert abs(m_a - m_b) < 3 * math.hypot(s_a, s_b)
 
     def test_one_zero_mode_estimate_per_value(self, monkeypatch):
+        # the zero-mode stage sees one (pooled masses, cfg, rates) per value
         calls = []
-        real = gmc_mc._zero_mode_estimate
+        real = gmc_mc._zero_mode_estimates
 
-        def counted(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counted(rungs, tol):
+            calls.extend(cfg for _, cfg, _ in rungs)
+            return real(rungs, tol)
 
-        monkeypatch.setattr(gmc_mc, "_zero_mode_estimate", counted)
+        monkeypatch.setattr(gmc_mc, "_zero_mode_estimates", counted)
         estimate_correlator(mu_config(), delta=0.12, eps=0.1, rho=0.03,
                             replicas=64, seed=1)
         assert len(calls) == 1
@@ -1147,6 +1164,64 @@ class TestEstimateCorrelator:
         # one call per rung, each on that rung's moved configuration
         assert [float(c.boundary[1][0]) for c in calls[1:]] == \
             pytest.approx([-0.5 + d for d in ladder], abs=1e-12)
+
+    def test_one_record_builder_call_per_entry_point(self, monkeypatch):
+        # estimate_correlator builds its record from one model, and
+        # fusion_probe one record per rung in one call; the free fusion
+        # case samples nothing and builds none
+        calls = []
+        real = gmc_mc._sampled_estimates
+
+        def counted(models, *args):
+            calls.append([m.cfg for m in models])
+            return real(models, *args)
+
+        monkeypatch.setattr(gmc_mc, "_sampled_estimates", counted)
+        cfg = mu_config()
+        est = estimate_correlator(cfg, delta=0.12, eps=0.1, rho=0.03,
+                                  replicas=64, seed=1)
+        assert calls == [[cfg]]
+        free = estimate_correlator(bench_config(), delta=0.1, eps=0.08,
+                                   rho=0.03, replicas=64, seed=1)
+        assert len(calls) == 2 and free.value == coulomb_value(bench_config())
+        ladder = [0.006, 0.009, 0.0135]
+        rep = fusion_probe(cfg, ("boundary", 0, 1), ladder, delta=0.12,
+                           eps=0.12, rho=0.003, replicas=64, seed=3)
+        assert len(calls) == 3 and len(calls[2]) == len(ladder)
+        assert calls[2] == [_moved_config(cfg, "boundary", 0, 1, d)
+                            for d in ladder]
+        assert len(rep.rungs) == len(ladder)
+        assert isinstance(est, GmcEstimate)
+        assert all(isinstance(r, GmcEstimate) for r in rep.rungs)
+        fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
+                     TestFusionProbe.LADDER, delta=0.1, eps=0.002, rho=0.004,
+                     replicas=16)
+        assert len(calls) == 3
+
+    def test_one_sigma_pair_per_sampled_configuration(self, monkeypatch):
+        # the zero-mode rates of a configuration are taken once, by the
+        # record builder, and passed to its windows, values and reference;
+        # the free estimate has no zero mode and takes none
+        calls = []
+        real = gmc_mc._sigma_pair
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(gmc_mc, "_sigma_pair", counted)
+        cfg = mu_config()
+        estimate_correlator(cfg, delta=0.12, eps=0.1, rho=0.03, replicas=64,
+                            seed=1)
+        assert calls == [cfg]
+        estimate_correlator(bench_config(), delta=0.1, eps=0.08, rho=0.03,
+                            replicas=64, seed=1)
+        assert calls == [cfg]
+        calls.clear()
+        fusion_probe(cfg, ("boundary", 0, 1), FUSION_LADDER, delta=0.12,
+                     eps=0.12, rho=0.003, replicas=64, seed=3)
+        assert calls == [_moved_config(cfg, "boundary", 0, 1, d)
+                         for d in FUSION_LADDER]
 
     def test_mean_stderr_is_the_sample_formula(self):
         # sample variance with n - 1: (6.25 + 2.25 + 0.25 + 12.25) / 3 = 7
@@ -1278,20 +1353,30 @@ class TestFusionProbe:
         assert rep.exponent == pytest.approx(-0.6534, abs=1e-12)
         assert rep.satisfied()
         # every rung grows its own zero-mode window and reports its tails
-        assert len(rep.tail_increments) == len(rep.values)
-        for pair in rep.tail_increments:
-            assert len(pair) == 2
-            assert all(0 <= t <= 1e-8 for t in pair)
-        assert len(rep.quad_errors) == len(rep.values)
-        assert all(0 <= e < 1e-5 for e in rep.quad_errors)
-        # eps = 0.12 covers the whole arc between the merging pair
-        assert rep.empty_arcs == (((1, 0), (2, 0)),) * len(rep.values)
+        assert len(rep.rungs) == len(rep.values)
+        diags = [r.diagnostics for r in rep.rungs]
+        for diag in diags:
+            assert len(diag["tail_increment"]) == 2
+            assert all(0 <= t <= 1e-8 for t in diag["tail_increment"])
+            assert 0 <= diag["quad_error"] < 1e-5
+            # eps = 0.12 covers the whole arc between the merging pair
+            assert diag["empty_arcs"] == ((1, 0), (2, 0))
+        # the rungs' values and stderrs are their records'
+        assert rep.values == tuple(r.value for r in rep.rungs)
+        assert rep.stderrs == tuple(r.stderr for r in rep.rungs)
         blob = rep.to_json()
-        assert blob["tail_increments"] == [list(p) for p in rep.tail_increments]
-        assert blob["quad_errors"] == list(rep.quad_errors)
-        assert blob["empty_arcs"] == [[[1, 0], [2, 0]]] * len(rep.values)
-        assert 0 < rep.sampling_rel_error <= 1e-5
-        assert blob["sampling_rel_error"] == rep.sampling_rel_error
+        assert [r["diagnostics"]["tail_increment"] for r in blob["rungs"]] \
+            == [d["tail_increment"] for d in diags]
+        assert [r["diagnostics"]["quad_error"] for r in blob["rungs"]] == \
+            [d["quad_error"] for d in diags]
+        assert json.loads(json.dumps(blob))["rungs"][0]["diagnostics"][
+            "empty_arcs"] == [[1, 0], [2, 0]]
+        # one sampling pass: one rounding error over every key of every rung
+        rel = {d["sampling_rel_error"] for d in diags}
+        assert len(rel) == 1 and 0 < rel.pop() <= 1e-5
+        assert [r["diagnostics"]["sampling_rel_error"]
+                for r in blob["rungs"]] == \
+            [d["sampling_rel_error"] for d in diags]
 
     def test_rungs_reweight_shared_exponentials_bitwise(self):
         cfg = mu_config()
@@ -1343,9 +1428,52 @@ class TestFusionProbe:
         blob = rep.to_json()
         assert blob["bound"] == -0.48
         assert blob["satisfied"] is True
-        assert blob["tail_increments"] == []
-        assert blob["quad_errors"] == [] and blob["empty_arcs"] == []
-        assert blob["sampling_rel_error"] == 0.0
+        assert blob["rungs"] == []
+        assert set(blob) == {"slope", "exponent", "correction", "bound",
+                             "satisfied", "distances", "values", "stderrs",
+                             "rungs"}
+
+    def test_slope_matches_polyfit_on_bench_and_random_ladders(self):
+        # the closed-form least-squares slope against numpy's polyfit: on
+        # the benchmark ladder's sampled values, and on seeded ladders of 2
+        # to 8 rungs with power-law values and lognormal noise
+        rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
+                           delta=0.12, eps=0.12, rho=0.003, replicas=256,
+                           seed=3)
+        assert rep.slope == _log_log_slope(rep.distances, rep.values)
+        ladders = [(rep.distances, rep.values)]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d = np.sort(rng.uniform(0.002, 0.2, rng.integers(2, 9)))
+            ladders.append((d, rng.lognormal(size=d.size)
+                            * d ** rng.uniform(-3.0, 1.0)))
+        for d, v in ladders:
+            want = np.polyfit(np.log(d), np.log(v), 1)[0]
+            assert abs(_log_log_slope(d, v) - want) <= 1e-12
+        # flat values keep the guard's zero slope
+        assert _log_log_slope(FUSION_LADDER, (2.5,) * 4) == 0.0
+
+    def test_every_rung_passes_the_gmc_estimate_bench_check(self):
+        # each rung's record carries its masses and their deterministic
+        # expectations; the benchmark's gmc_estimate check (every mass
+        # mean within 5 stderrs of its expectation, finite positive value,
+        # tails within the window tolerance) holds on every rung
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads",
+            Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        replicas = 2048
+        check = workloads.GmcEstimate(replicas=replicas).check
+        rep = fusion_probe(mu_config(), ("boundary", 0, 1), FUSION_LADDER,
+                           delta=0.12, eps=0.12, rho=0.003, replicas=replicas,
+                           seed=4)
+        assert len(rep.rungs) == len(FUSION_LADDER)
+        for rung in rep.rungs:
+            assert rung.masses.keys() == \
+                rung.diagnostics["expected_masses"].keys()
+            assert len(rung.masses) == 6
+            assert check(0, rung) == []
 
     def test_ladder_below_mollification_scale(self):
         with pytest.raises(AlgebraError, match="mollification scale"):
@@ -1449,7 +1577,7 @@ class TestAntitheticPairs:
             pairs = reference_pair_means(values)
             assert pairs.size == replicas // 2
             assert err == pytest.approx(_mean_stderr(pairs)[1], rel=1e-12)
-        values = _zero_mode_values(pooled, cfg, est.diagnostics["window"])
+        values = zero_mode_values(pooled, cfg, est.diagnostics["window"])
         coulomb = est.diagnostics["coulomb"]
         assert est.value == pytest.approx(coulomb * values.mean(), rel=1e-15)
         paired = coulomb * _mean_stderr(reference_pair_means(values))[1]
@@ -1508,13 +1636,13 @@ class TestAntitheticPairs:
         cfg, ladder, replicas, seed = mu_config(), [0.006, 0.02], \
             2 * BLOCK + 101, 3
         seen = []
-        real = gmc_mc._zero_mode_estimate
+        real = gmc_mc._zero_mode_estimates
 
-        def spy(pooled, cfg_d, tol):
-            seen.append((cfg_d, pooled))
-            return real(pooled, cfg_d, tol)
+        def spy(rungs, tol):
+            seen.extend((cfg_d, pooled) for pooled, cfg_d, _ in rungs)
+            return real(rungs, tol)
 
-        monkeypatch.setattr(gmc_mc, "_zero_mode_estimate", spy)
+        monkeypatch.setattr(gmc_mc, "_zero_mode_estimates", spy)
         rep = fusion_probe(cfg, ("boundary", 0, 1), ladder, delta=0.12,
                            eps=0.12, rho=0.003, replicas=replicas, seed=seed)
         anchor = complex(float(cfg.boundary[0][0]))
@@ -1530,7 +1658,9 @@ class TestAntitheticPairs:
             for k in streamed:
                 assert pooled[k].size == replicas
                 assert pooled[k].tobytes() == streamed[k].tobytes()
-        assert (rep.pairs, rep.draw_blocks) == (replicas // 2, 2)
+        for rung in rep.rungs:
+            assert (rung.diagnostics["pairs"],
+                    rung.diagnostics["draw_blocks"]) == (replicas // 2, 2)
 
     def test_fusion_memory_does_not_grow_with_replicas(self):
         # the rungs share one streamed pass, so only their per-replica
@@ -1560,7 +1690,9 @@ class TestAntitheticPairs:
         rep = fusion_probe(mu_config(), ("boundary", 0, 1), [0.006, 0.02],
                            replicas=4, **kwargs)
         assert all(math.isfinite(e) and e > 0 for e in rep.stderrs)
-        assert (rep.pairs, rep.draw_blocks) == (2, 1)
+        for rung in rep.rungs:
+            assert (rung.diagnostics["pairs"],
+                    rung.diagnostics["draw_blocks"]) == (2, 1)
 
     def test_pairing_keys_round_trip(self, mu_estimate):
         diag = json.loads(json.dumps(mu_estimate.to_json()))["diagnostics"]
@@ -1572,13 +1704,17 @@ class TestAntitheticPairs:
                            delta=0.12, eps=0.12, rho=0.003, replicas=1025,
                            seed=3)
         blob = json.loads(json.dumps(rep.to_json()))
-        assert (blob["pairs"], blob["draw_blocks"]) == (512, 2)
+        for rung, record in zip(blob["rungs"], rep.rungs):
+            diag = rung["diagnostics"]
+            assert (diag["pairs"], diag["unpaired"], diag["draw_blocks"]) \
+                == (512, 1, 2)
+            assert diag["sampling_rel_error"] == \
+                record.diagnostics["sampling_rel_error"] > 0
         free = fusion_probe(fusion_boundary_config(), ("boundary", 0, 1),
                             TestFusionProbe.LADDER, delta=0.1, eps=0.002,
                             rho=0.004, replicas=16)
-        assert (free.to_json()["pairs"], free.to_json()["draw_blocks"],
-                free.to_json()["sampling_rel_error"]) == \
-            (0, 0, 0.0)     # the free case samples nothing
+        # the free case samples nothing: no record, no pairs, no blocks
+        assert free.to_json()["rungs"] == []
 
 
 # ---------------------------------------------------------------------------

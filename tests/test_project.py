@@ -246,3 +246,25 @@ def test_no_source_module_imports_scipy_integrate():
                    for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_property_tests_run_derandomized():
+    # tests/conftest.py loads a derandomized hypothesis profile: a
+    # property test draws the same examples on every run and in every
+    # checkout, keeps no example database, and a test's own @settings
+    # keeps the profile's seed rule
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    assert settings.default.derandomize is True
+    assert settings.default.database is None
+    seen = []
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(), st.text())
+    def draw(n, text):
+        seen.append((n, text))
+
+    draw()
+    first, seen[:] = list(seen), []
+    draw()
+    assert seen == first and len(set(first)) > 1
