@@ -304,14 +304,6 @@ def doubled_insertions(cfg: CorrelatorConfig) -> list:
     return out
 
 
-def doubled_neutral(cfg: CorrelatorConfig) -> bool:
-    """Weights of the doubled list sum to twice the background charge."""
-    total = CartanVector(0, 0)
-    for _, w in doubled_insertions(cfg):
-        total = total + w
-    return total == 2 * cfg.Q
-
-
 def coulomb_log_correlator(cfg: CorrelatorConfig) -> dict:
     """Exponent table of the closed-form zero-measure correlator.
 

@@ -6,10 +6,10 @@ per call, in float64, by LAPACK ``dpotrf``, and the factor is shared across
 replicas.  The interaction masses are grid quadratures of the renormalized
 exponential field against the insertion-dependent shift weights; the
 zero-mode integral factorizes over the two fundamental-weight directions and
-is evaluated by Gauss-Legendre quadrature on an adaptively grown window
-whose tail increment is reported, together with the quadrature error (the
-change under a doubled node count, on the first sampling block).  Boundary
-arcs left without grid points by the exclusion radius are reported as well.
+each replica's factor is evaluated in closed form (``_zero_mode_fit``, one
+Chebyshev interpolant per rate), with the fit's own error estimate reported.
+Boundary arcs left without grid points by the exclusion radius are reported
+as well.
 
 The sampling path runs in single precision, from the triangular product up
 to the per-replica masses.  Each block draws float64 standard normals, a
@@ -23,48 +23,42 @@ probe, which rebinds the weights of every ladder rung up front, reads every
 key of every rung from each block with that one call; it streams the blocks
 once and holds one block per worker whatever the replica count.  The masses
 are returned in float64, and all that follows them runs in float64: the
-zero-mode integral, the windows, the means and stderrs, and the mass
-expectations (``expected_masses``, from the same weight matrix).  The layer
-reports its own rounding error: ``sampling_rel_error`` is the largest
-relative gap, over every mass key, between the float32 masses of the first
-block's first ``_PROBE_DRAWS`` draws and the same draws' masses taken in
-float64 (the float64 factor through ``dtrmm``, then ``exp`` and ``dgemm``).
-float32 ``exp`` overflows above 88.72 (float64's limit is 709.78); a
-non-finite mass raises, naming gamma, rho and the block's largest exponent.
+zero-mode integral, the means and stderrs, and the mass expectations
+(``expected_masses``, from the same weight matrix).  The layer reports its
+own rounding error: ``sampling_rel_error`` is the largest relative gap, over
+every mass key, between the float32 masses of the first block's first
+``_PROBE_DRAWS`` draws and the same draws' masses taken in float64 (the
+float64 factor through ``dtrmm``, then ``exp`` and ``dgemm``).  float32
+``exp`` overflows above 88.72 (float64's limit is 709.78); a non-finite mass
+raises, naming gamma, rho and the block's largest exponent.
 
 ``_pool`` is the module's one thread pool.  It runs a list of tasks on one
 worker thread per CPU the process may use (at most one per task): worker w
 takes tasks w, w + W, w + 2W, ..., each worker with its own workspace from
 the calling thread, and every task writes only its own part of an output
 allocated before the run, so the result is the same bits at any worker
-count.  Three stages of a GMC call are its tasks: the row blocks of the
-covariance (``mollified_covariance``), the sampling blocks
+count.  Two stages of a GMC call are its tasks: the row blocks of the
+covariance (``mollified_covariance``) and the sampling blocks
 (``_pooled_masses``, the one pooling loop, over a sequence of models, in
 which each block writes its masses into its own rows of one table, so the
-replica order and every random stream are those of a serial loop), and
-the zero-mode chunks.  From mass models on one grid to their records there
-is one path, ``_sampled_estimates``: it factors the grid, pools every
-model's masses in one pass, runs every model's zero mode
-(``_zero_mode_estimates``: the windows grow in the calling thread, the
-value chunks of every model run on one pool) and builds one ``GmcEstimate``
-per model.  The correlator estimate returns the record of its one model;
-the fusion probe keeps one per rung and fits their values.  Each call logs
-the wall time and pool width of each of its stages (covariance,
-``dpotrf``, sampling and zero mode) on one DEBUG line of the ``w3toda``
-logger.
+replica order and every random stream are those of a serial loop); the
+zero mode runs on the calling thread.  From mass models on one grid to their
+records there is one path, ``_sampled_estimates``.  Each call logs the wall
+time and pool width of each of its stages (covariance, ``dpotrf``, sampling
+and zero mode) on one DEBUG line of the ``w3toda`` logger.
 
 Every dense linear-algebra call of this module (the factorization, the
-triangular products, the mass sums and the zero-mode quadrature sums) goes
-through scipy's BLAS and LAPACK, never numpy's ``@`` or ``np.linalg``.
+triangular products and the mass sums) goes through scipy's BLAS and
+LAPACK, never numpy's ``@`` or ``np.linalg``.
 numpy and scipy each bundle their own OpenBLAS, each with its own thread
 pool whose workers keep spinning after a call; on a small host, every
 switch from one library to the other makes the next threaded call share a
 CPU with the other library's spinning workers.  Two more facts shape the
 pooled stages.  scipy's f2py BLAS wrappers hold the GIL for the whole call,
 so a second Python thread stalls while one of them runs; the pool's tasks
-therefore call ``strmm``, ``sgemm``, ``dtrmm``, ``dgemm`` and ``dgemv``
-through ctypes (``_Blas``), which releases the GIL, at the addresses scipy
-publishes in ``scipy.linalg.cython_blas``.  And a threaded OpenBLAS call
+therefore call ``strmm``, ``sgemm``, ``dtrmm`` and ``dgemm`` through ctypes
+(``_Blas``), which releases the GIL, at the addresses scipy publishes in
+``scipy.linalg.cython_blas``.  And a threaded OpenBLAS call
 keeps a pool worker spinning on another CPU, which is the CPU a second
 worker needs; so every BLAS and LAPACK call of this module runs with
 scipy's OpenBLAS pinned to one thread (``_one_blas_thread``), each worker's
@@ -91,7 +85,7 @@ its mirror -phi, which has the same law, needs no new normals and no
 triangular product, and whose exponentials are the reciprocals of the
 draw's.  A pair's two replicas are correlated, distinct pairs are not, so
 the stderr of the value and of every mass is taken from the pair means
-(``_paired_mean_stderr``), never from the correlated replicas themselves.
+(``_paired_stats``), never from the correlated replicas themselves.
 
 Conventions, fixed here and used consistently throughout:
 
@@ -149,16 +143,11 @@ from .algebra_core import (
     inner,
 )
 from .free_field import CorrelatorConfig, doubled_insertions
-from .hyp_numeric import legendre_rule
 
 BLOCK = 512
 MAX_GRID = 4096
 _SQRT3 = math.sqrt(3.0)
-_QUAD_NODES = 128
-_ZERO_MODE_CHUNK = 4096             # replicas per zero-mode buffer pass
-_SLAB_ROWS = 16                     # node rows per boundary-term slab
-_EXP_UNDERFLOW = -745.2             # exp(x) rounds to exactly 0.0 below this
-_EXP_OVERFLOW = math.log(sys.float_info.max)    # and overflows above this
+_EXP_OVERFLOW = math.log(sys.float_info.max)    # exp(x) overflows above this
 _COV_ROWS = 32                      # rows per block of mollified_covariance
 _PROBE_DRAWS = 32                   # draws of the float64 rounding probe
 _EXP32_OVERFLOW = math.log(float(np.finfo(np.float32).max))     # 88.72
@@ -237,7 +226,6 @@ class _Blas:
             np.dtype(np.float64): (ctypes.c_double, bind("dtrmm", 11),
                                    bind("dgemm", 13)),
         }
-        self._dgemv = bind("dgemv", 11)
         try:
             set_threads = ctypes.CDLL(cython_blas.__file__)[
                 "openblas_set_num_threads_local"]
@@ -282,23 +270,6 @@ class _Blas:
                  w.ctypes.data, _int(n), ctypes.byref(scalar(0.0)),
                  out.ctypes.data, _int(m))
         return out
-
-    def gemv(self, a: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-        """``out = a.T @ x`` for a C-ordered float64 a (k, m), a float64 x
-        (k,) and a contiguous float64 out (m,): ``dgemv`` reads a as its
-        Fortran-ordered transpose, so a is not copied."""
-        k, m = a.shape
-        if not (a.flags.c_contiguous and x.shape == (k,) and out.shape == (m,)
-                and out.flags.c_contiguous and x.flags.c_contiguous
-                and a.dtype == x.dtype == out.dtype == np.float64):
-            raise ValueError("gemv needs a C-ordered (k, m), a (k,) and a "
-                             "contiguous (m,) float64 operand")
-        with _one_blas_thread():
-            self._dgemv(b"N", _int(m), _int(k),
-                        ctypes.byref(ctypes.c_double(1.0)), a.ctypes.data,
-                        _int(m), x.ctypes.data, _int(1),
-                        ctypes.byref(ctypes.c_double(0.0)), out.ctypes.data,
-                        _int(1))
 
 
 def _int(value: int):
@@ -866,27 +837,24 @@ def _key_masses(exps: np.ndarray, weights: np.ndarray, keys) -> np.ndarray:
     return np.where(first, table[:r], table[r:])
 
 
-def _pair_means(values: np.ndarray) -> np.ndarray:
-    """Means of the (draw, mirror) pairs in replica values pooled in the
-    order of ``_pooled_masses``; an unpaired last draw is left out."""
-    full = values.size - values.size % (2 * BLOCK)
-    head = values[:full].reshape(-1, 2, BLOCK)
-    tail = values[full:]
-    mirrors = tail.size // 2
-    return np.concatenate([0.5 * (head[:, 0] + head[:, 1]).ravel(),
-                           0.5 * (tail[:mirrors] + tail[tail.size - mirrors:])])
-
-
-def _paired_mean_stderr(values: np.ndarray) -> tuple:
-    """Mean of pooled replica values and its standard error, taken from
-    the pair means: a draw and its mirror are correlated, distinct pairs
-    are independent.  An unpaired last draw counts as half a pair, so the
-    stderr is that of the pair means scaled by sqrt(2 * pairs / replicas);
-    with fewer than two pairs it is 0.0."""
-    pairs = _pair_means(values)
-    err = _mean_stderr(pairs)[1] * math.sqrt(2 * pairs.size / values.size) \
-        if pairs.size > 1 else 0.0
-    return float(values.mean()), err
+def _paired_stats(table: np.ndarray) -> tuple:
+    """``(means, stderrs)`` per row of a (rows, replicas) table of replica
+    values pooled in the order of ``_pooled_masses``.  A stderr is the
+    sample stderr of the (draw, mirror) pair means, which are independent,
+    scaled by sqrt(2 * pairs / replicas): an unpaired last draw counts as
+    half a pair.  With fewer than two pairs it is 0.0."""
+    rows, replicas = table.shape
+    full = replicas - replicas % (2 * BLOCK)
+    head = table[:, :full].reshape(rows, -1, 2, BLOCK)
+    tail = table[:, full:]
+    mirrors = tail.shape[1] // 2
+    pairs = np.hstack(
+        [0.5 * (head[:, :, 0] + head[:, :, 1]).reshape(rows, -1),
+         0.5 * (tail[:, :mirrors] + tail[:, tail.shape[1] - mirrors:])])
+    n = pairs.shape[1]
+    errs = pairs.std(axis=1, ddof=1) / math.sqrt(n) \
+        * math.sqrt(2 * n / replicas) if n > 1 else np.zeros(rows)
+    return table.mean(axis=1), errs
 
 
 def _pooled_masses(models, ensemble, seed: int, replicas: int) -> tuple:
@@ -985,8 +953,14 @@ def _overflow_error(model, ensemble, seed: int, block: int) -> AlgebraError:
 
 
 # ---------------------------------------------------------------------------
-# Zero-mode window
+# Zero mode
 # ---------------------------------------------------------------------------
+
+_CHEB_NODES = 48            # Chebyshev points of each zero-mode fit
+_CHEB_TAIL = 8              # trailing coefficients read as its truncation
+_RULE_DROP = 45.0           # the node rule's window: e^-45 of the mode
+_RULE_LEFT = 40.0           # and at most this far left of it, in ln s
+
 
 def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
                      bnd_term: float, tol: float = 1e-8) -> tuple:
@@ -998,8 +972,7 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
     window mass, is the reported tail bound.  Measure terms so small that
     the mode lies where ``e^{gamma v}`` overflows are rejected, naming
     them; beyond the mode, an overflowing ``e^{gamma v}`` is the integrand's
-    exact limit 0.
-    """
+    exact limit 0.  Only the tests call it, as the closed form's reference."""
     if not sigma > 0:
         raise AlgebraError(
             "zero-mode integral does not converge: the charge condition "
@@ -1060,13 +1033,6 @@ def zero_mode_window(sigma: float, gamma: float, bulk_term: float,
         f"stabilize (last increment {tail:.3e}; sigma {sigma!r}, {terms})")
 
 
-def _gauss_nodes(window: tuple, sigma: float, nodes: int) -> tuple:
-    x, w = legendre_rule(nodes)
-    lo, hi = window
-    v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    return v, 0.5 * (hi - lo) * w * np.exp(sigma * v)
-
-
 def _mu_totals(cfg) -> tuple:
     """Per-direction (bulk mu, per-arc boundary mu tuple) as floats."""
     mub = tuple(float(x) for x in cfg.mu_bulk)
@@ -1104,13 +1070,6 @@ def _sigma_pair(cfg) -> tuple:
     return float(inner(s, OMEGA1)), float(inner(s, OMEGA2))
 
 
-def _mean_stderr(values: np.ndarray) -> tuple:
-    """Sample mean and standard error of the mean (0.0 for one sample)."""
-    err = float(values.std(ddof=1) / math.sqrt(values.size)) \
-        if values.size > 1 else 0.0
-    return float(values.mean()), err
-
-
 def _measure_terms(masses: dict, cfg) -> tuple:
     """Per direction i, ``(mu_bulk_i * bulk mass, sum over arcs of
     mu_arc_i * boundary mass)``: the coefficients of ``e^{gamma v}`` and
@@ -1124,119 +1083,94 @@ def _measure_terms(masses: dict, cfg) -> tuple:
                  for i in (1, 2))
 
 
+def _zero_mode_fit(nu: float) -> tuple:
+    """``(L, coefficients, error)`` of the zero-mode factor at the rate nu =
+    2 sigma / gamma: with s = e^{gamma v / 2} sqrt(P) and y = Q / sqrt(P),
+    ``int exp(sigma v - P e^{gamma v} - Q e^{gamma v / 2}) dv = (2 / gamma)
+    g(x) (sqrt(P) + Q / L)^-nu``, g = (1 + y / L)^nu int_0^inf s^(nu - 1)
+    exp(-s^2 - y s) ds and x = (y - L) / (y + L); x = -1 is Q = 0 and x = 1
+    is P = 0, where g = Gamma(nu) L^-nu.  L = max(2, sqrt(nu)); a cosine
+    sum interpolates ln g at ``_CHEB_NODES`` Chebyshev points.  Each
+    node's integral is a trapezoid rule in t = ln(s / s*), s* the mode,
+    exponentially convergent (Trefethen & Weideman, SIAM Rev. 2014); its
+    exponent nu t - A expm1(2t) - B expm1(t), 2A + B = nu, is below
+    -_RULE_DROP outside [-(_RULE_DROP / nu + 1), 2 ln(2 + 2 _RULE_DROP /
+    nu)], and left of -_RULE_LEFT it is A + B + nu t to within nu
+    e^-_RULE_LEFT, so the points there sum as a geometric series.  ``error``
+    estimates the largest error of ln g, a factor's relative error: twice
+    the last ``_CHEB_TAIL`` coefficients, the largest relative gap between
+    the rule at step h and at h / 2 (whose values are taken), and
+    ``_CHEB_NODES`` ulps of the coefficients' absolute sum (rounding)."""
+    scale, step = max(2.0, math.sqrt(nu)), 0.2 / math.sqrt(max(nu, 4.0))
+    k = np.arange(_CHEB_NODES)    # cos(pi k j / (n - 1)), k j reduced exactly
+    cosines = np.cos(np.pi / (_CHEB_NODES - 1)
+                     * (np.multiply.outer(k, k) % (2 * _CHEB_NODES - 2)))
+    x = cosines[1]
+    y = scale * (1.0 + x[1:]) / (1.0 - x[1:])
+    mode = 2.0 * nu / (y + np.sqrt(y * y + 8.0 * nu))
+    a, b = mode * mode, y * mode
+    lo = -min(_RULE_DROP / nu + 1.0, _RULE_LEFT)
+    hi = 2.0 * math.log(2.0 + 2.0 * _RULE_DROP / nu)
+    t = 0.5 * step * np.arange(2 * math.floor(lo / step),
+                               2 * math.ceil(hi / step) + 1)
+    f = np.exp(nu * t - np.multiply.outer(a, np.expm1(2.0 * t))
+               - np.multiply.outer(b, np.expm1(t)))
+    edge = np.exp(a + b + nu * t[0])
+    fine = 0.5 * step * (f.sum(axis=1) + edge / math.expm1(0.5 * nu * step))
+    coarse = step * (f[:, ::2].sum(axis=1) + edge / math.expm1(nu * step))
+    log_g = np.empty(_CHEB_NODES)
+    log_g[0] = math.lgamma(nu) - nu * math.log(scale)
+    log_g[1:] = nu * np.log(2.0 * mode / (1.0 - x[1:])) - a - b + np.log(fine)
+    log_g[[0, -1]] *= 0.5        # DCT-I: halved end terms and coefficients
+    coefficients = (cosines * log_g).sum(axis=1) * (2.0 / (_CHEB_NODES - 1))
+    coefficients[[0, -1]] *= 0.5
+    size = np.abs(coefficients)
+    return scale, coefficients, float(
+        2.0 * size[-_CHEB_TAIL:].sum() + np.abs(coarse / fine - 1.0).max()
+        + _CHEB_NODES * sys.float_info.epsilon * size.sum())
+
+
+def _zero_mode_factor(fit: tuple, nu: float, gamma: float, bulk: np.ndarray,
+                      bnd: np.ndarray) -> np.ndarray:
+    """I per replica of one direction from its ``_zero_mode_fit`` and measure
+    terms P = ``bulk`` and Q = ``bnd``, never both zero: (2 / gamma) g(x)
+    (sqrt(P) + Q / L)^-nu, with ln g summed by Clenshaw's recurrence."""
+    scale, coefficients, _ = fit
+    root, scaled = np.sqrt(bulk), bnd / scale
+    log_g = np.polynomial.chebyshev.chebval((scaled - root) / (scaled + root),
+                                            coefficients)
+    return 2.0 / gamma * np.exp(log_g) * (root + scaled) ** -nu
+
+
 def _zero_mode_estimates(rungs, tol: float) -> list:
-    """(mean, stderr, diagnostics) of the zero-mode integral for each
-    (pooled masses, cfg, ``_sigma_pair(cfg)``) of ``rungs``.  Each rung's
-    two windows grow from its mean masses, in the calling thread, and its
-    diagnostics are those ``window``s, their ``tail_increment``s and
-    ``quad_error``.  Then the value chunks of every rung and of its
-    quadrature-error reference run as one ``_pool`` run
-    (``_run_zero_mode``).  The stderr comes from the pair means
-    (``_paired_mean_stderr``), and ``quad_error`` is the relative change of
-    the first sampling block's mean integral (its draws and their mirrors)
-    when the node count doubles."""
-    with _stage("zero mode") as stage:
-        started, tasks = [], []
+    """``(values, diagnostics)`` for each (pooled masses, cfg,
+    ``_sigma_pair(cfg)``) of ``rungs``: the per-replica zero-mode integrals
+    (1/sqrt(3)) prod_i I_i (``_zero_mode_factor``, one ``_zero_mode_fit`` per
+    distinct rate of the call), and ``tail_increment``, each direction's
+    fit error estimate.  An estimate above ``tol`` raises, and so does a
+    replica with no interaction mass in a direction, naming both."""
+    fits, estimates = {}, []
+    with _stage("zero mode"):
         for pooled, cfg, sigmas in rungs:
-            means = {k: float(v.mean()) for k, v in pooled.items()}
-            found = [zero_mode_window(sigma, float(cfg.gamma), bulk, bnd, tol)
-                     for sigma, (bulk, bnd)
-                     in zip(sigmas, _measure_terms(means, cfg))]
-            windows = tuple(w for w, _ in found)
-            first = {k: v[:2 * BLOCK] for k, v in pooled.items()}
-            started.append((
-                _zero_mode_values(pooled, cfg, sigmas, windows, tasks),
-                _zero_mode_values(first, cfg, sigmas, windows, tasks,
-                                  2 * _QUAD_NODES),
-                {"window": windows,
-                 "tail_increment": tuple(t for _, t in found)}))
-        stage["workers"] = _run_zero_mode(tasks)
-    estimates = []
-    for values, ref, diagnostics in started:
-        mean_ref = float(ref.mean())
-        diagnostics["quad_error"] = \
-            abs(float(values[:2 * BLOCK].mean()) - mean_ref) / mean_ref
-        estimates.append((*_paired_mean_stderr(values), diagnostics))
+            gamma, values, errors = float(cfg.gamma), 1.0 / _SQRT3, []
+            for i, sigma, (bulk, bnd) in zip((1, 2), sigmas,
+                                             _measure_terms(pooled, cfg)):
+                nu = 2.0 * sigma / gamma
+                fit = fits[nu] = fits.get(nu) or _zero_mode_fit(nu)
+                if not fit[2] <= tol:
+                    raise AlgebraError(
+                        f"zero-mode factor of direction {i} has error "
+                        f"estimate {fit[2]:.3e}, above window_tol {tol:.3e}")
+                dead = np.flatnonzero((bulk <= 0) & (bnd <= 0))
+                if dead.size:
+                    raise AlgebraError(
+                        "zero-mode integral does not converge: replica "
+                        f"{dead[0]} has no interaction mass in direction {i}")
+                values = values * _zero_mode_factor(fit, nu, gamma, bulk,
+                                                    bnd)
+                errors.append(fit[2])
+            estimates.append((values, {"tail_increment": tuple(errors)}))
     return estimates
-
-
-def _zero_mode_values(masses: dict, cfg, sigmas: tuple, windows,
-                      tasks: list, nodes: int = _QUAD_NODES) -> np.ndarray:
-    """Per-replica zero-mode integrals (1/sqrt(3)) prod_i I_i(replica),
-    each I_i by ``nodes``-point Gauss-Legendre quadrature on its window at
-    the rate ``sigmas[i - 1]`` (``_sigma_pair(cfg)``).
-    The replicas are cut into chunks of ``_ZERO_MODE_CHUNK``, each one task
-    of ``_zero_mode_chunk``; the cuts are fixed, since a chunk's width sets
-    the bits of its ``dgemv``.  The chunks are appended to ``tasks``, and
-    the returned array is filled once they have run (``_run_zero_mode``)."""
-    gamma = float(cfg.gamma)
-    terms = []
-    for window, sigma, (bulk, bnd) in zip(windows, sigmas,
-                                          _measure_terms(masses, cfg)):
-        v, lin = _gauss_nodes(window, sigma, nodes)
-        terms.append((lin, -np.exp(gamma * v), bulk,
-                      np.exp(0.5 * gamma * v), bnd))
-    n = terms[0][2].size
-    total = np.empty(n)
-    tasks.extend((total, terms, lo, min(lo + _ZERO_MODE_CHUNK, n))
-                 for lo in range(0, n, _ZERO_MODE_CHUNK))
-    return total
-
-
-def _run_zero_mode(tasks: list) -> int:
-    """Run zero-mode chunk tasks on one ``_pool`` run, largest first, so
-    that the workers' strides get about equal work, and return its width.
-    Each worker's workspace holds the largest chunk's exponent plane and
-    mask, one slab of ``_SLAB_ROWS`` node rows and one node sum."""
-    tasks = sorted(tasks, key=_chunk_cells, reverse=True)
-    cells = _chunk_cells(tasks[0])
-    width = max(hi - lo for _, _, lo, hi in tasks)
-
-    def workspace():
-        return (np.empty(cells), np.empty(_SLAB_ROWS * width),
-                np.empty(cells, dtype=bool), np.empty(width))
-
-    return _pool(len(tasks),
-                 lambda t, space: _zero_mode_chunk(*tasks[t], space),
-                 workspace)
-
-
-def _chunk_cells(task: tuple) -> int:
-    """Nodes times replicas of a zero-mode chunk task: its work."""
-    _, terms, lo, hi = task
-    return terms[0][0].size * (hi - lo)
-
-
-def _zero_mode_chunk(total: np.ndarray, terms, lo: int, hi: int,
-                     space: tuple) -> None:
-    """``total[lo:hi]`` of ``_zero_mode_values``, in a worker's ``space``.
-    Far out in a window the exponent reaches -1e9; ``np.exp`` runs only
-    where it is at least _EXP_UNDERFLOW, and the rest is set to the 0.0 it
-    would round to.  The boundary term is subtracted a slab of node rows at
-    a time.  Each direction's node sum is one BLAS ``dgemv``
-    (``_Blas.gemv``) on the transposed plane."""
-    buf, slab, mask, part = space
-    m = hi - lo
-    size = terms[0][0].size * m
-    expo = buf[:size].reshape(-1, m)
-    live = mask[:size].reshape(-1, m)
-    out = total[lo:hi]
-    for i, (lin, neg_e, bulk, half_e, bnd) in enumerate(terms):
-        np.multiply.outer(neg_e, bulk[lo:hi], out=expo)
-        for r in range(0, lin.size, _SLAB_ROWS):
-            rows = expo[r:r + _SLAB_ROWS]
-            sub = slab[:rows.size].reshape(rows.shape)
-            np.multiply.outer(half_e[r:r + _SLAB_ROWS], bnd[lo:hi], out=sub)
-            rows -= sub
-        np.greater_equal(expo, _EXP_UNDERFLOW, out=live)
-        np.exp(expo, out=expo, where=live)
-        np.copyto(expo, 0.0, where=np.logical_not(live, out=live))
-        if i == 0:
-            _blas().gemv(expo, lin, out)
-        else:
-            _blas().gemv(expo, lin, part[:m])
-            out *= part[:m]
-    out /= _SQRT3
 
 
 # ---------------------------------------------------------------------------
@@ -1252,9 +1186,9 @@ class GmcEstimate:
     ``replicas`` counts field evaluations, draws and mirrors alike;
     ``masses`` maps ("bulk", i) and ("boundary", i, arc) to (mean, stderr);
     every stderr, the value's included, comes from the pair means.
-    ``diagnostics`` records the zero-mode windows, tail increments and
-    quadrature error (``quad_error``: the relative change of the first
-    sampling block's mean integral under a doubled node count), grid sizes,
+    ``diagnostics`` records ``tail_increment``, the error estimate of each
+    direction's closed-form zero-mode factor (``_zero_mode_fit``; absent in
+    the free case, which has no zero mode), grid sizes,
     the boundary masses with no grid point (``empty_arcs``, as (direction,
     arc) pairs), the closed-form Coulomb factor, the deterministic mass
     expectations, the pairing: ``pairs`` (draw, mirror) pairs,
@@ -1298,11 +1232,12 @@ def _sampled_estimates(models, seed: int, replicas: int,
     grid, gamma, rho and measures.  Within one ``_logged_stages`` call it
     factors the grid (``GffEnsemble``), takes each model's
     ``expected_masses``, pools every model's masses in one pass
-    (``_pooled_masses``), drops the ensemble and runs the zero mode of
+    (``_pooled_masses``), drops the ensemble and evaluates the zero mode of
     every model (``_zero_mode_estimates``, with ``_sigma_pair`` taken once
-    per configuration); then it adds the paired mass stats and the
-    diagnostics.  With every measure zero there is no zero mode: the value
-    is the Coulomb factor and its stderr 0.0."""
+    per configuration); one ``_paired_stats`` pass over one table then takes
+    the stats of every model's masses and values.  With every measure zero
+    there is no zero mode: each replica's value is 1, so the value is the
+    Coulomb factor and its stderr 0.0."""
     base = models[0]
     blocks = -(-replicas // (2 * BLOCK))
     with _logged_stages(blocks, base.points.size):
@@ -1311,22 +1246,26 @@ def _sampled_estimates(models, seed: int, replicas: int,
         pooled, sampling = _pooled_masses(models, ensemble, seed, replicas)
         del ensemble    # its factors are not held through the zero mode
         if base.cfg.all_mu_zero:
-            zero_modes = [(1.0, 0.0, {})] * len(models)
+            zero_modes = [(np.ones(replicas), {})] * len(models)
         else:
             zero_modes = _zero_mode_estimates(
                 [(p, m.cfg, _sigma_pair(m.cfg))
                  for p, m in zip(pooled, models)], window_tol)
+    table = np.vstack([v for own in pooled for v in own.values()]
+                      + [values for values, _ in zero_modes])
+    stats = iter(zip(*(column.tolist() for column in _paired_stats(table))))
+    masses = [{k: next(stats) for k in own} for own in pooled]
+    # the rows after the masses are the models' values, in model order
     return [GmcEstimate(
-        model.coulomb * mean, model.coulomb * stderr, replicas,
-        {k: _paired_mean_stderr(v) for k, v in masses.items()},
+        model.coulomb * mean, model.coulomb * stderr, replicas, own,
         {"coulomb": model.coulomb, "grid_bulk": int(model.n_bulk_pts),
          "grid_boundary": int(model.bnd_pts.size),
          "empty_arcs": model.empty_arcs, "rho": model.rho,
-         "delta": model.delta, "eps": model.eps, "expected_masses": means,
+         "delta": model.delta, "eps": model.eps, "expected_masses": expect,
          "pairs": replicas // 2, "unpaired": replicas % 2,
          "draw_blocks": blocks, **sampling, **zero_mode})
-        for model, masses, means, (mean, stderr, zero_mode)
-        in zip(models, pooled, expected, zero_modes)]
+        for model, own, expect, (_, zero_mode), (mean, stderr)
+        in zip(models, masses, expected, zero_modes, stats)]
 
 
 def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
@@ -1338,8 +1277,9 @@ def estimate_correlator(cfg: CorrelatorConfig, delta: float, eps: float,
     With every interaction measure zero the configuration must be neutral;
     the value is then the closed-form Coulomb product and the replicas only
     feed the mass diagnostics.  Otherwise the charge-convergence conditions
-    must hold and the zero-mode integral is evaluated on the reported
-    window, factorized over the two fundamental-weight directions.
+    must hold, and each replica's zero-mode factors, one per fundamental-
+    weight direction, are evaluated in closed form; a factor's error
+    estimate (``diagnostics["tail_increment"]``) above ``window_tol`` raises.
 
     The ``replicas`` field evaluations are ceil(replicas / 2) draws and
     their mirrors, from ceil(replicas / 1024) sampled blocks.  Stderrs come
@@ -1370,9 +1310,9 @@ class FusionReport:
     """Log-log slope of the estimated correlator along a merging ladder,
     next to the short-distance exponent and its positive-part correction.
     ``rungs`` holds each sampled rung's ``GmcEstimate``, in ladder order:
-    its masses, mass expectations, zero-mode windows, tail increments,
-    quadrature error, empty arcs, pairing, sampling rounding error and BLAS
-    pool, all serialized by ``GmcEstimate.to_json``.  ``values`` and
+    its masses, mass expectations, zero-mode error estimates, empty arcs,
+    pairing, sampling rounding error and BLAS pool, all serialized by
+    ``GmcEstimate.to_json``.  ``values`` and
     ``stderrs`` are the rungs' values and stderrs at the ``distances``, and
     the fit reads them.  The free case samples nothing: its ``rungs`` are
     empty and its values are the closed-form ``coulomb_value``."""
@@ -1428,9 +1368,9 @@ def fusion_probe(cfg: CorrelatorConfig, pair, ladder, *, delta: float,
     its draws, then its mirrors, feed every rung's masses (one GEMM over
     all of them) before its worker draws its next block.  So one block's
     exponentials are held per worker, and only the per-rung masses grow
-    with the replica count.  Each rung then grows its own zero-mode window
-    from its mean masses, and its record (``rungs``) reports it.  The
-    rungs thus re-weight the same (draw, mirror) pairs, and take their
+    with the replica count.  Each rung's zero mode is then evaluated in
+    closed form, and its record (``rungs``) reports the error estimates.
+    The rungs thus re-weight the same (draw, mirror) pairs, and take their
     stderrs from the pair means as ``estimate_correlator`` does; at least
     two pairs (four replicas) are required.  The predicted short-distance
     exponent is ``-inner`` of the pair weights for a bulk pair and

@@ -10,7 +10,7 @@ share one derivation path instead of hard-coded parameter formulas:
   from the Gamma factor G = Gamma(g^2/2) Gamma(1-g^2) / Gamma(1-g^2/2):
   each integral is a Beta-type integral over (0, 1), whose endpoint powers
   a substitution removes before Gauss-Legendre sums at n and 2n nodes
-  (``legendre_rule``, which ``gmc_mc`` shares) estimate its error;
+  (``legendre_rule``) estimate its error;
 * ``series_eval`` / ``series_derivatives`` / ``SeriesSolution`` sum the
   Frobenius series at an indicial exponent, from the recurrence read off the
   operator terms; the one summation, ``_frobenius_pass``, adds the terms of

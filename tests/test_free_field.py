@@ -28,7 +28,6 @@ from w3toda.free_field import (
     coulomb_log_correlator,
     descendant_ratio_at,
     doubled_insertions,
-    doubled_neutral,
     engine_spin,
     engine_weight,
     ipp_insert,
@@ -157,10 +156,13 @@ class TestCorrelatorConfig:
     def test_neutrality_flags(self):
         cfg = boundary_neutral_cfg()
         assert cfg.neutral and cfg.s_vector.is_zero
-        assert doubled_neutral(cfg)
         cfg2 = non_neutral_cfg()
         assert not cfg2.neutral
-        assert not doubled_neutral(cfg2)
+        # the doubled weights sum to 2 s + 2 Q, so cfg.neutral is also the
+        # check that they sum to 2 Q
+        for c in (cfg, cfg2):
+            assert sum((w for _, w in doubled_insertions(c)),
+                       CartanVector(0, 0)) == 2 * c.s_vector + 2 * c.Q
 
     def test_q_and_charge(self):
         cfg = boundary_neutral_cfg()

@@ -19,6 +19,7 @@ import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
@@ -55,19 +56,19 @@ from w3toda.gmc_mc import (
 from w3toda.gmc_mc import (
     _CIRCLE_NODES,
     _EXP1_ZERO,
-    _EXP_UNDERFLOW,
     _PROBE_DRAWS,
     _ROOT_COEFFS,
     _MassModel,
     _log_log_slope,
-    _mean_stderr,
+    _measure_terms,
     _moved_config,
-    _paired_mean_stderr,
+    _paired_stats,
     _pooled_masses,
-    _run_zero_mode,
     _sigma_pair,
     _smoothed_log,
-    _zero_mode_values,
+    _zero_mode_estimates,
+    _zero_mode_factor,
+    _zero_mode_fit,
 )
 
 # ---------------------------------------------------------------------------
@@ -472,12 +473,14 @@ def test_gmc_layer_calls_no_numpy_blas():
     holds no ``@`` and no call to ``np.dot``, ``np.matmul``, ``np.inner``,
     ``np.einsum``, ``np.tensordot``, ``np.linalg`` or ``np.polyfit``, whose
     least-squares solve reaches numpy's LAPACK: the fusion fit's slope is
-    taken in closed form (``_log_log_slope``).  The Gauss-Legendre rule
-    comes from ``hyp_numeric.legendre_rule``, which computes each node
-    count once."""
+    taken in closed form (``_log_log_slope``).  Nor does it name, on any
+    object, ``chebinterpolate``, ``chebfit``, ``chebvander`` or ``lstsq``,
+    which reach numpy's BLAS or LAPACK: the zero-mode fit takes its
+    Chebyshev coefficients from ``scipy.fft.dct``."""
     tree = ast.parse(inspect.getsource(gmc_mc))
     banned = {"dot", "matmul", "inner", "einsum", "tensordot", "linalg",
               "polyfit"}
+    banned_anywhere = {"chebinterpolate", "chebfit", "chebvander", "lstsq"}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) \
@@ -486,6 +489,11 @@ def test_gmc_layer_calls_no_numpy_blas():
         elif isinstance(node, ast.Attribute) and node.attr in banned \
                 and isinstance(node.value, ast.Name) and node.value.id == "np":
             found.append(f"line {node.lineno}: np.{node.attr}")
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in banned_anywhere:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.alias) and node.name in banned_anywhere:
+            found.append(f"line {node.lineno}: import {node.name}")
         elif isinstance(node, ast.ImportFrom) \
                 and (node.module or "").split(".")[0] == "numpy":
             found.append(f"line {node.lineno}: from {node.module} import")
@@ -668,14 +676,12 @@ def test_seeded_outputs_are_bitwise_equal_at_one_blas_thread_and_default():
 
 def pooled_task_counts(replicas):
     """The task count of each ``_pool`` run of ``seeded_outputs``, in
-    order: per call, the covariance row blocks, the sampling blocks and the
-    zero-mode chunks (per rung, its value chunks and its reference)."""
+    order: per call, the covariance row blocks and the sampling blocks.
+    The zero mode runs on the calling thread and submits no task."""
     blocks = -(-replicas // (2 * BLOCK))
-    chunks = -(-replicas // gmc_mc._ZERO_MODE_CHUNK) + 1
     fusion_points = bench_grid_models("fusion_ladder", 0.003)[0].points.size
-    return [-(-897 // gmc_mc._COV_ROWS), blocks, chunks,
-            -(-fusion_points // gmc_mc._COV_ROWS), blocks,
-            len(FUSION_LADDER) * chunks]
+    return [-(-897 // gmc_mc._COV_ROWS), blocks,
+            -(-fusion_points // gmc_mc._COV_ROWS), blocks]
 
 
 @pytest.mark.parametrize("replicas", [2 * 2 * BLOCK, 3 * 2 * BLOCK + 301])
@@ -685,8 +691,8 @@ def test_seeded_outputs_are_bitwise_equal_on_one_and_two_workers(
     # moves no bit; 3 * 2 * BLOCK + 301 is an odd count whose partial last
     # block falls to the second of two workers.  Four workers (more than
     # this host's CPUs) switching threads every microsecond must give the
-    # same bits too.  The width reaches the covariance, sampling and
-    # zero-mode stages of both calls, each through _worker_count
+    # same bits too.  The width reaches the covariance and sampling stages
+    # of both calls, each through _worker_count
     outputs = []
     switch = sys.getswitchinterval()
     try:
@@ -726,7 +732,7 @@ def test_mollified_covariance_is_the_same_bits_on_one_two_and_four_workers(
     assert covs[0] == plain_covariance(points, 0.03).tobytes()
 
 
-@pytest.mark.parametrize("stage", ["covariance", "zero mode"])
+@pytest.mark.parametrize("stage", ["covariance", "sampling"])
 def test_a_failing_pooled_task_raises_from_the_caller(monkeypatch, stage):
     # tasks 1 and 2 fail, on the second and the first of two workers (the
     # first may skip its failing task once the other has failed): the
@@ -754,22 +760,18 @@ def test_a_failing_pooled_task_raises_from_the_caller(monkeypatch, stage):
             _MassModel(mu_config(), 0.12, 0.1, 0.03).points, 0.03)
         first = "block 1"
     else:
-        # 4 * 2 * BLOCK + 301 replicas make three tasks, largest first:
-        # the values of replicas [0, 4096), the quadrature-error reference
-        # (256 nodes on the first 1,024) and the values of [4096, 4397)
-        real_chunk = gmc_mc._zero_mode_chunk
+        # 4 * 2 * BLOCK + 301 replicas make five sampling blocks
+        real_sample = GffEnsemble.sample_block
 
-        def chunk(total, terms, lo, hi, space):
-            label = f"{terms[0][0].size} nodes from replica {lo}"
-            if label in ("256 nodes from replica 0",
-                         "128 nodes from replica 4096"):
-                return fail(label)
-            return real_chunk(total, terms, lo, hi, space)
+        def sample(self, seed, block, reference=None, workspace=None):
+            if block in (1, 2):
+                return fail(f"block {block}")
+            return real_sample(self, seed, block, reference, workspace)
 
-        monkeypatch.setattr(gmc_mc, "_zero_mode_chunk", chunk)
+        monkeypatch.setattr(GffEnsemble, "sample_block", sample)
         call = functools.partial(estimate_correlator, mu_config(), 0.12, 0.1,
                                  0.03, 4 * 2 * BLOCK + 301, seed=2)
-        first = "256 nodes from replica 0"
+        first = "block 1"
     before = set(threading.enumerate())
     with pytest.raises(ValueError) as info:
         call()
@@ -957,8 +959,8 @@ def test_sampling_reports_workers_and_pin_and_logs_them(caplog):
     assert free.to_json()["rungs"] == []
     # one line per sampled call, naming the wall time and pool width of
     # each stage: the covariance row blocks, the sampling blocks, and the
-    # zero-mode chunks (a value chunk and a reference per rung); the free
-    # case samples nothing and logs nothing
+    # zero mode, on the calling thread; the free case samples nothing and
+    # logs nothing
     fusion_points = bench_grid_models("fusion_ladder", 0.003)[0].points.size
 
     def width(tasks):
@@ -970,10 +972,10 @@ def test_sampling_reports_workers_and_pin_and_logs_them(caplog):
     wants = [
         stage_line(3, 897, [("covariance", rows(897)), ("dpotrf", 1),
                             ("sampling", blas["workers"]),
-                            ("zero mode", width(2))]),
+                            ("zero mode", 1)]),
         stage_line(1, fusion_points, [("covariance", rows(fusion_points)),
                                       ("dpotrf", 1), ("sampling", 1),
-                                      ("zero mode", width(8))]),
+                                      ("zero mode", 1)]),
     ]
     lines = [r.getMessage() for r in caplog.records if r.name == "w3toda"]
     assert len(lines) == len(wants)
@@ -981,41 +983,54 @@ def test_sampling_reports_workers_and_pin_and_logs_them(caplog):
         assert re.fullmatch(want, line), (line, want)
 
 
-def plain_zero_mode_values(masses, cfg, windows, nodes=128):
-    """The zero-mode integrals with ``np.exp`` taken on every argument."""
-    gamma, total = float(cfg.gamma), 1.0
-    for window, sigma, (bulk, bnd) in zip(windows, gmc_mc._sigma_pair(cfg),
-                                          gmc_mc._measure_terms(masses, cfg)):
-        v, lin = gmc_mc._gauss_nodes(window, sigma, nodes)
-        expo = (np.multiply.outer(-np.exp(gamma * v), bulk)
-                - np.multiply.outer(np.exp(0.5 * gamma * v), bnd))
-        total = total * (lin @ np.exp(expo))
-    return total / math.sqrt(3.0), expo
+def plain_zero_mode_values(masses, cfg, replicas):
+    """The zero-mode integrals of the given replicas in mpmath at 30
+    digits: per direction (2 / gamma) Gamma(nu) (4P)^(-nu/2) U(nu/2, 1/2,
+    Q^2 / 4P) (DLMF 13.4.4), nu = 2 sigma / gamma, over sqrt(3)."""
+    gamma = float(cfg.gamma)
+    terms = _measure_terms(masses, cfg)
+    out = []
+    with mpmath.workdps(30):
+        for r in replicas:
+            total = 1 / mpmath.sqrt(3)
+            for sigma, (bulk, bnd) in zip(_sigma_pair(cfg), terms):
+                nu, p, q = 2 * sigma / gamma, bulk[r], bnd[r]
+                total *= (2 / mpmath.mpf(gamma) * mpmath.gamma(nu)
+                          * (4 * mpmath.mpf(p)) ** (-nu / 2)
+                          * mpmath.hyperu(nu / 2, 0.5,
+                                          mpmath.mpf(q) ** 2 / (4 * p)))
+            out.append(total)
+    return out
 
 
-def zero_mode_values(masses, cfg, windows):
-    """``_zero_mode_values`` at 128 nodes, its chunks run at once."""
-    tasks = []
-    values = _zero_mode_values(masses, cfg, _sigma_pair(cfg), windows, tasks)
-    _run_zero_mode(tasks)
+def zero_mode_values(masses, cfg):
+    """The per-replica zero-mode integrals of pooled masses, as the
+    estimate takes them."""
+    ((values, _),) = _zero_mode_estimates([(masses, cfg, _sigma_pair(cfg))],
+                                          1e-8)
     return values
 
 
-def test_zero_mode_values_skip_only_exact_zeros():
-    # exp rounds to 0.0 below the threshold, so skipping it there moves no
-    # bit; on the benchmark's configuration about 40 % of the arguments
-    # lie below it
-    assert np.exp(np.nextafter(_EXP_UNDERFLOW, -np.inf)) == 0.0
+def test_zero_mode_values_match_a_plain_reference():
+    # every 128th replica of a seeded pool, and the replicas with the
+    # smallest and largest Q / sqrt(P) of each direction, against mpmath:
+    # the relative gap stays within the two directions' error estimates
     cfg, replicas = mu_config(), 2048
     est = estimate_correlator(cfg, 0.12, 0.1, 0.03, replicas, seed=3)
     model = _MassModel(cfg, 0.12, 0.1, 0.03)
     (pooled,), _ = _pooled_masses(
         (model,), GffEnsemble(model.points, 0.03), 3, replicas)
-    windows = est.diagnostics["window"]
-    plain, expo = plain_zero_mode_values(pooled, cfg, windows)
-    assert (expo < _EXP_UNDERFLOW).mean() > 0.1
-    got = zero_mode_values(pooled, cfg, windows)
-    assert got.tobytes() == plain.tobytes()
+    got = zero_mode_values(pooled, cfg)
+    assert est.value == pytest.approx(est.diagnostics["coulomb"] * got.mean(),
+                                      rel=1e-15)
+    picks = set(range(0, replicas, 128))
+    for bulk, bnd in _measure_terms(pooled, cfg):
+        ratio = bnd / np.sqrt(bulk)
+        picks |= {int(ratio.argmin()), int(ratio.argmax())}
+    picks = sorted(picks)
+    bound = sum(est.diagnostics["tail_increment"])
+    for r, want in zip(picks, plain_zero_mode_values(pooled, cfg, picks)):
+        assert abs(float(got[r] / want - 1)) <= bound, r
 
 
 class TestSmoothedLogCutoff:
@@ -1107,11 +1122,13 @@ class TestEstimateCorrelator:
             assert abs(mean - expected[key]) < 3 * se
 
     def test_window_and_tail_reported(self, mu_estimate):
-        (w1, w2) = mu_estimate.diagnostics["window"]
-        assert w1[0] < w1[1] and w2[0] < w2[1]
-        for tail in mu_estimate.diagnostics["tail_increment"]:
-            assert tail < 1e-8
-        assert 0 <= mu_estimate.diagnostics["quad_error"] < 1e-5
+        # the zero mode is in closed form: no window and no quadrature
+        # error; each direction reports its fit's error estimate
+        diag = mu_estimate.diagnostics
+        assert "window" not in diag and "quad_error" not in diag
+        assert len(diag["tail_increment"]) == 2
+        for tail in diag["tail_increment"]:
+            assert 0 < tail <= 1e-10
         assert mu_estimate.diagnostics["empty_arcs"] == ()
         assert 0 < mu_estimate.diagnostics["sampling_rel_error"] <= 1e-5
 
@@ -1200,8 +1217,8 @@ class TestEstimateCorrelator:
 
     def test_one_sigma_pair_per_sampled_configuration(self, monkeypatch):
         # the zero-mode rates of a configuration are taken once, by the
-        # record builder, and passed to its windows, values and reference;
-        # the free estimate has no zero mode and takes none
+        # record builder, and passed to its zero mode; the free estimate
+        # has no zero mode and takes none
         calls = []
         real = gmc_mc._sigma_pair
 
@@ -1224,11 +1241,15 @@ class TestEstimateCorrelator:
                          for d in FUSION_LADDER]
 
     def test_mean_stderr_is_the_sample_formula(self):
-        # sample variance with n - 1: (6.25 + 2.25 + 0.25 + 12.25) / 3 = 7
-        mean, err = _mean_stderr(np.array([1.0, 2.0, 4.0, 7.0]))
-        assert mean == 3.5
-        assert err == pytest.approx(math.sqrt(7.0) / 2, rel=1e-15)
-        assert _mean_stderr(np.array([5.0])) == (5.0, 0.0)
+        # four draws and their equal mirrors: the pair means are the draws,
+        # whose sample variance with n - 1 is (6.25 + 2.25 + 0.25 + 12.25)
+        # / 3 = 7; one pair has no stderr
+        draws = np.array([1.0, 2.0, 4.0, 7.0])
+        means, errs = _paired_stats(np.concatenate([draws, draws])[None])
+        assert means[0] == 3.5
+        assert errs[0] == pytest.approx(math.sqrt(7.0) / 2, rel=1e-15)
+        means, errs = _paired_stats(np.array([[5.0, 5.0]]))
+        assert (means[0], errs[0]) == (5.0, 0.0)
 
     def test_to_json_round_trip_keys(self, mu_estimate):
         blob = mu_estimate.to_json()
@@ -1304,6 +1325,76 @@ class TestZeroModeWindow:
         assert f"bulk_term {bulk!r}, bnd_term {bnd!r}" in str(info.value)
 
 
+class TestZeroModeFit:
+    """The closed-form zero-mode factor: the Chebyshev fit of ln g per rate
+    (``_zero_mode_fit``) and its per-replica evaluation
+    (``_zero_mode_factor``)."""
+
+    @pytest.mark.parametrize("nu", [0.1, 0.37, 1.0, 3.712, 8.0, 20.0])
+    def test_matches_mpmath_hyperu_within_its_estimate(self, nu):
+        # P = 1 and Q = y give (2 / gamma) h(y), h(y) = Gamma(nu) 2^-nu
+        # U(nu/2, 1/2, y^2/4) (DLMF 13.4.4); y = inf is P = 0, Q = 1, which
+        # gives (2 / gamma) Gamma(nu).  Below nu = 45/39 the node rule's
+        # window reaches its left cut and sums the rest as a series
+        gamma = 0.8
+        fit = _zero_mode_fit(nu)
+        assert 0 < fit[2] <= 1e-12
+        ys = [0.0, *np.geomspace(1e-3, 1e6, 28), math.inf]
+        bulk = np.array([0.0 if y == math.inf else 1.0 for y in ys])
+        bnd = np.array([1.0 if y == math.inf else y for y in ys])
+        got = _zero_mode_factor(fit, nu, gamma, bulk, bnd)
+        with mpmath.workdps(30):
+            for y, value in zip(ys, got):
+                want = 2 / mpmath.mpf(gamma) * mpmath.gamma(nu)
+                if y != math.inf:
+                    want *= mpmath.power(2, -nu) * mpmath.hyperu(
+                        mpmath.mpf(nu) / 2, 0.5, mpmath.mpf(y) ** 2 / 4)
+                assert abs(float(value / want - 1)) <= fit[2], y
+
+    def test_matches_a_dense_trapezoid_over_the_window(self, mu_estimate):
+        # at the benchmark configuration's mean masses, each direction's
+        # factor against a 400,001-point trapezoid over zero_mode_window's
+        # window, where the integrand has fallen below 1e-20 of its mass
+        cfg, gamma = mu_config(), float(mu_config().gamma)
+        means = {k: m for k, (m, _) in mu_estimate.masses.items()}
+        for sigma, (bulk, bnd) in zip(_sigma_pair(cfg),
+                                      _measure_terms(means, cfg)):
+            (lo, hi), _ = zero_mode_window(sigma, gamma, bulk, bnd)
+            v = np.linspace(lo, hi, 400_001)
+            dense = np.trapezoid(np.exp(sigma * v - bulk * np.exp(gamma * v)
+                                        - bnd * np.exp(0.5 * gamma * v)), v)
+            nu = 2 * sigma / gamma
+            fit = _zero_mode_fit(nu)
+            got = _zero_mode_factor(fit, nu, gamma, np.array([bulk]),
+                                    np.array([bnd]))[0]
+            assert abs(got / dense - 1) <= fit[2]
+
+    def test_a_replica_without_mass_raises_naming_the_direction(self):
+        cfg = mu_config()
+        model = _MassModel(cfg, 0.12, 0.1, 0.03)
+        (pooled,), _ = _pooled_masses(
+            (model,), GffEnsemble(model.points, 0.03), 1, 16)
+        for key in pooled:
+            if key[1] == 2:
+                pooled[key][5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AlgebraError,
+                               match="replica 5 has no interaction mass in "
+                                     "direction 2"):
+                zero_mode_values(pooled, cfg)
+
+    def test_window_tol_below_the_estimate_raises(self, mu_estimate):
+        tails = mu_estimate.diagnostics["tail_increment"]
+        kwargs = dict(delta=0.12, eps=0.1, rho=0.03, replicas=64, seed=1)
+        est = estimate_correlator(mu_config(), window_tol=max(tails),
+                                  **kwargs)
+        assert est.diagnostics["tail_increment"] == tails
+        with pytest.raises(AlgebraError, match="above window_tol"):
+            estimate_correlator(mu_config(), window_tol=0.5 * min(tails),
+                                **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # pair-merging probe
 
@@ -1352,13 +1443,13 @@ class TestFusionProbe:
                            eps=0.12, rho=0.003, replicas=1024, seed=3)
         assert rep.exponent == pytest.approx(-0.6534, abs=1e-12)
         assert rep.satisfied()
-        # every rung grows its own zero-mode window and reports its tails
+        # every rung reports its zero-mode error estimates
         assert len(rep.rungs) == len(rep.values)
         diags = [r.diagnostics for r in rep.rungs]
         for diag in diags:
             assert len(diag["tail_increment"]) == 2
-            assert all(0 <= t <= 1e-8 for t in diag["tail_increment"])
-            assert 0 <= diag["quad_error"] < 1e-5
+            assert all(0 < t <= 1e-10 for t in diag["tail_increment"])
+            assert "window" not in diag and "quad_error" not in diag
             # eps = 0.12 covers the whole arc between the merging pair
             assert diag["empty_arcs"] == ((1, 0), (2, 0))
         # the rungs' values and stderrs are their records'
@@ -1367,8 +1458,8 @@ class TestFusionProbe:
         blob = rep.to_json()
         assert [r["diagnostics"]["tail_increment"] for r in blob["rungs"]] \
             == [d["tail_increment"] for d in diags]
-        assert [r["diagnostics"]["quad_error"] for r in blob["rungs"]] == \
-            [d["quad_error"] for d in diags]
+        assert not any("quad_error" in r["diagnostics"] or "window" in
+                       r["diagnostics"] for r in blob["rungs"])
         assert json.loads(json.dumps(blob))["rungs"][0]["diagnostics"][
             "empty_arcs"] == [[1, 0], [2, 0]]
         # one sampling pass: one rounding error over every key of every rung
@@ -1508,6 +1599,11 @@ class TestFusionProbe:
 # antithetic pairs: every draw phi is followed by its mirror -phi
 
 
+def sample_stderr(values):
+    """Sample stderr of the mean, with n - 1."""
+    return float(values.std(ddof=1)) / math.sqrt(values.size)
+
+
 def reference_pair_means(values):
     """Pair means walked block by block: a sampling block holds up to
     2 * BLOCK replicas, its draws first, then their mirrors in the same
@@ -1576,29 +1672,35 @@ class TestAntitheticPairs:
             assert mean == float(values.mean())
             pairs = reference_pair_means(values)
             assert pairs.size == replicas // 2
-            assert err == pytest.approx(_mean_stderr(pairs)[1], rel=1e-12)
-        values = zero_mode_values(pooled, cfg, est.diagnostics["window"])
+            assert err == pytest.approx(sample_stderr(pairs), rel=1e-12)
+        values = zero_mode_values(pooled, cfg)
         coulomb = est.diagnostics["coulomb"]
         assert est.value == pytest.approx(coulomb * values.mean(), rel=1e-15)
-        paired = coulomb * _mean_stderr(reference_pair_means(values))[1]
+        paired = coulomb * sample_stderr(reference_pair_means(values))
         assert est.stderr == pytest.approx(paired, rel=1e-12)
         # the replicas of a pair are correlated, so the naive formula on
         # them is a different number
-        naive = coulomb * _mean_stderr(values)[1]
+        naive = coulomb * sample_stderr(values)
         assert est.stderr != pytest.approx(naive, rel=1e-6)
 
     @pytest.mark.parametrize("replicas", [2 * BLOCK + 301, 3, 1])
     def test_unpaired_draw_counts_as_half_a_pair(self, replicas):
-        values = np.random.default_rng(replicas).lognormal(size=replicas)
-        mean, err = _paired_mean_stderr(values)
-        assert mean == float(values.mean())
-        pairs = reference_pair_means(values)
-        assert pairs.size == replicas // 2
-        if pairs.size < 2:
-            assert err == 0.0
-        else:
-            assert err == pytest.approx(_mean_stderr(pairs)[1] * math.sqrt(
-                2 * pairs.size / replicas), rel=1e-12)
+        # three rows in one pass: each row's stats are the bits of its own
+        # one-row table
+        table = np.random.default_rng(replicas).lognormal(size=(3, replicas))
+        means, errs = _paired_stats(table)
+        for row, mean, err in zip(table, means, errs):
+            alone = _paired_stats(row[None])
+            assert (mean.hex(), err.hex()) == (alone[0][0].hex(),
+                                               alone[1][0].hex())
+            assert mean == float(row.mean())
+            pairs = reference_pair_means(row)
+            assert pairs.size == replicas // 2
+            if pairs.size < 2:
+                assert err == 0.0
+            else:
+                assert err == pytest.approx(sample_stderr(pairs) * math.sqrt(
+                    2 * pairs.size / replicas), rel=1e-12)
 
     @pytest.mark.parametrize("replicas", [1, 2, 3, BLOCK + 1, 2 * BLOCK + 1])
     def test_odd_and_minimal_replica_counts(self, replicas):

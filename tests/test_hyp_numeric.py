@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w3toda import gmc_mc, hyp_numeric
+from w3toda import hyp_numeric
 from w3toda.algebra_core import OMEGA2, AlgebraError, CartanVector, poly_eval
 from w3toda.hyp_numeric import (
     SeriesSolution,
@@ -217,7 +217,6 @@ class TestPaperIntegrals:
             assert abs(pair.numeric - ref) <= pair.quad_error
 
     def test_rule_is_shared_and_read_only(self):
-        assert gmc_mc.legendre_rule is hyp_numeric.legendre_rule
         x, w = hyp_numeric.legendre_rule(16)
         assert x is hyp_numeric.legendre_rule(16)[0]
         assert not (x.flags.writeable or w.flags.writeable)
